@@ -40,9 +40,9 @@ for bits in (6, 8, 10, 12):
         f"saturations {trace.saturation_total}"
     )
 
-print("\n== the trace exposes every stage ==")
+print("\n== a run with keep_stages=True exposes every stage ==")
 specs = uniform_stage_specs(1024, 8, np.sqrt(2.0))
-trace = build_pipeline(PipelineConfig(n=1024, stage_quantizers=specs)).run(signal)
+trace = build_pipeline(PipelineConfig(n=1024, stage_quantizers=specs)).run(signal, keep_stages=True)
 for s, (stage_out, spec) in enumerate(zip(trace.stage_outputs, specs), start=1):
     peak = np.max(np.abs(stage_out))
     print(f"  stage {s:2d}: peak magnitude {peak:9.3f}  (full scale {spec.x_max:7.1f})")

@@ -25,6 +25,7 @@ Unknown keys, type mismatches and constraint violations raise
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import core
@@ -170,9 +171,35 @@ def _get_number(mapping: dict, path: str, key: str, default):
     value = mapping.get(key, default)
     if value is None:
         return None
+    return _finite_number(value, _join(path, key))
+
+
+def _finite_number(value, where: str) -> float:
+    # JSON admits 1e400 (read as inf), Infinity, NaN and integers beyond float range
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{_join(path, key)}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return number
+
+
+def _check_ladder_overflow(value: float, where: str, n: int) -> None:
+    """Reject a full scale whose deepest uniform-ladder step is not finite.
+
+    The doubling ladder gives the last stage a full scale of value * 2**log2(n),
+    and the transform output magnitude stays below it; the check bounds
+    2 * value * 2**(log2(n) + 1) so the steps and the output stay finite.
+    """
+    exponent = core.num_stages(n) + 1
+    if not math.isfinite(2.0 * value * 2.0**exponent):
+        raise ConfigError(
+            f"{where}: full scale {value!r} is too large for n = {n}; "
+            f"the deepest ladder step 2 * {value!r} * 2**{exponent} overflows"
+        )
 
 
 def _get_str(mapping: dict, path: str, key: str, default: str, choices: tuple[str, ...]) -> str:
@@ -269,10 +296,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(bins_raw, list) or any(isinstance(b, bool) or not isinstance(b, int) for b in bins_raw):
         raise ConfigError(f"signal.bins: expected a list of integers, got {bins_raw!r}")
     amps_raw = sig.get("amplitudes", [])
-    if not isinstance(amps_raw, list) or any(
-        isinstance(a, bool) or not isinstance(a, (int, float)) for a in amps_raw
-    ):
+    if not isinstance(amps_raw, list):
         raise ConfigError(f"signal.amplitudes: expected a list of numbers, got {amps_raw!r}")
+    signal_amplitudes = tuple(
+        _finite_number(a, f"signal.amplitudes[{i}]") for i, a in enumerate(amps_raw)
+    )
 
     sweep = _require_mapping(doc.get("sweep", {}), "sweep")
     _check_keys(sweep, "sweep", ("bits_lo", "bits_hi", "trials"))
@@ -304,7 +332,7 @@ def parse_config(text: str) -> ExperimentConfig:
         signal_kind=signal_kind,
         signal_bin=signal_bin,
         signal_bins=tuple(bins_raw),
-        signal_amplitudes=tuple(float(a) for a in amps_raw),
+        signal_amplitudes=signal_amplitudes,
         signal_amplitude=signal_amplitude,
         bits_lo=bits_lo,
         bits_hi=bits_hi,
@@ -314,9 +342,13 @@ def parse_config(text: str) -> ExperimentConfig:
         format=fmt,
     )
     try:
-        cfg.signal_spec()
+        signal = cfg.signal_spec()
     except ValueError as exc:
         raise ConfigError(f"signal: {exc}") from exc
+    if quantizer_x_max is not None:
+        _check_ladder_overflow(quantizer_x_max, "quantizer.x_max", n)
+    signal_field = "signal.amplitudes" if signal_kind == "multitone" else "signal.amplitude"
+    _check_ladder_overflow(magnitude_bound(signal), signal_field, n)
     return cfg
 
 

@@ -5,9 +5,16 @@ table, bit-reversal, the radix-2 butterfly and the staged
 decimation-in-time transform. The staged kernel here is shared with the
 quantized pipeline so that a pipeline with all quantizers disabled is
 bit-identical to ``fft_reference``.
+
+``twiddle_table`` and ``bit_reversal_indices`` are built once per size
+and cached; the arrays they return are shared and read-only, so a caller
+that needs a modified table (conjugated, quantized) derives a new array
+from it, and an in-place write raises ``ValueError``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -72,23 +79,36 @@ def dft_naive(x) -> np.ndarray:
     return out
 
 
+# At most 16 sizes are valid, so the caches below stay small without a bound;
+# typed keys keep a float such as 4.0 from hitting the entry of 4 and
+# skipping validation.
+@functools.lru_cache(maxsize=None, typed=True)
 def twiddle_table(n: int) -> np.ndarray:
     """Half-circle twiddle factors w[k] = e^(-2j pi k / n) for k in [0, n/2).
 
     Each entry is computed from the sine/cosine of its exact rational
-    angle at full double precision (no recurrence drift).
+    angle at full double precision (no recurrence drift). Cached per size;
+    the returned array is shared and read-only.
     """
     validate_size(n)
     ang = (2.0 * np.pi / n) * np.arange(n // 2)
-    return np.cos(ang) - 1j * np.sin(ang)
+    table = np.cos(ang) - 1j * np.sin(ang)
+    table.setflags(write=False)
+    return table
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def bit_reversal_indices(n: int) -> np.ndarray:
-    """Permutation p with p[i] = bit-reversal of i over log2(n) bits."""
-    m = num_stages(n)
-    perm = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        perm[i] = (perm[i >> 1] >> 1) | ((i & 1) << (m - 1))
+    """Permutation p with p[i] = bit-reversal of i over log2(n) bits.
+
+    Built by doubling: the permutation over m+1 bits is the m-bit one
+    shifted left, followed by the same with the low bit set. Cached per
+    size; the returned ``intp`` array is shared and read-only.
+    """
+    perm = np.zeros(1, dtype=np.intp)
+    for _ in range(num_stages(n)):
+        perm = np.concatenate((perm << 1, (perm << 1) | 1))
+    perm.setflags(write=False)
     return perm
 
 
@@ -129,7 +149,7 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     blocks = data.reshape(n // span, span)
     w = twiddles[:: n // span][:half]
     t = w * blocks[:, half:]
-    blocks[:, half:] = blocks[:, :half] - t
+    np.subtract(blocks[:, :half], t, out=blocks[:, half:])
     blocks[:, :half] += t
     return t.size, 2 * t.size
 

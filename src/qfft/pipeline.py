@@ -59,16 +59,19 @@ class PipelineConfig:
 
 @dataclass
 class RunTrace:
-    """Per-stage observability of one pipeline run.
+    """Result and per-stage observability of one pipeline run.
 
-    ``input`` is the vector entering stage 1: after inverse 1/N scaling,
-    input quantization and bit-reversal. ``stage_outputs`` holds one
-    snapshot per stage, taken after that stage's quantizer; ``output`` is
-    the last of them. Counters record the complex multiplies/additions
-    the butterfly kernel actually performed.
+    ``output`` is the transform result and the counters record the
+    saturations and the complex multiplies/additions the butterfly kernel
+    actually performed. Stage snapshots are opt-in: only a run with
+    ``keep_stages=True`` fills ``input`` (the vector entering stage 1,
+    after inverse 1/N scaling, input quantization and bit-reversal) and
+    ``stage_outputs`` (one copy per stage, taken after that stage's
+    quantizer, the last equal to ``output``). Otherwise ``input`` is None
+    and ``stage_outputs`` is empty.
     """
 
-    input: np.ndarray
+    input: np.ndarray | None
     stage_outputs: list[np.ndarray] = field(repr=False)
     output: np.ndarray
     saturation_total: int
@@ -93,13 +96,17 @@ class Pipeline:
         table.setflags(write=False)
         self.twiddles = table
 
-    def run(self, x) -> RunTrace:
+    def run(self, x, keep_stages: bool = False) -> RunTrace:
         """Push one vector through the staged processor.
 
         Order of operations: inverse runs pre-scale the input by 1/N;
         the optional input quantizer is applied componentwise; the vector
         is bit-reversed; then each stage performs its n/2 butterflies and
-        quantizes every component of the stage output.
+        quantizes every component of the stage output. All of it works in
+        place on one fresh vector, which becomes ``output``.
+        ``keep_stages=True`` also copies the stage-1 input and every stage
+        output into the trace; sweeps and single transforms read only
+        ``output``, so by default the copies are skipped.
         """
         vec = core.as_signal(x)
         if vec.size != self.n:
@@ -107,16 +114,17 @@ class Pipeline:
         if not np.all(np.isfinite(vec.view(np.float64))):
             raise ValueError("input contains non-finite components")
 
+        # scaling and quantizing are componentwise, so they commute with
+        # the permutation and can run in place on its fresh output
+        data = core.bit_reverse_permute(vec)
         saturations = 0
         if self.config.direction == "ifft":
-            vec = vec * (1.0 / self.n)
+            data *= 1.0 / self.n
         iq = self.config.input_quantizer
         if iq is not None and iq.enabled:
-            vec, sat = apply_quantizer(vec, iq)
-            saturations += sat
+            saturations += apply_quantizer(data, iq, out=data)[1]
 
-        data = core.bit_reverse_permute(vec)
-        trace_input = data.copy()
+        trace_input = data.copy() if keep_stages else None
         multiplies = 0
         additions = 0
         stage_outputs: list[np.ndarray] = []
@@ -126,13 +134,13 @@ class Pipeline:
             additions += adds
             spec = self.config.stage_quantizers[stage]
             if spec.enabled:
-                data, sat = apply_quantizer(data, spec)
-                saturations += sat
-            stage_outputs.append(data.copy())
+                saturations += apply_quantizer(data, spec, out=data)[1]
+            if keep_stages:
+                stage_outputs.append(data.copy())
         return RunTrace(
             input=trace_input,
             stage_outputs=stage_outputs,
-            output=stage_outputs[-1],
+            output=data,
             saturation_total=saturations,
             multiplies=multiplies,
             additions=additions,

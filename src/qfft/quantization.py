@@ -79,10 +79,7 @@ def quantize_uniform(x, spec: QuantizerSpec):
     """
     if spec.mode != "uniform":
         raise ValueError(f"spec mode must be 'uniform', got {spec.mode!r}")
-    q = spec.step
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.clip(np.rint(arr / q) * q, -spec.x_max, spec.x_max)
-    return out if arr.ndim else float(out)
+    return _quantize_reals(x, spec)
 
 
 def quantize_mantissa(x, spec: QuantizerSpec):
@@ -94,11 +91,38 @@ def quantize_mantissa(x, spec: QuantizerSpec):
     """
     if spec.mode != "mantissa":
         raise ValueError(f"spec mode must be 'mantissa', got {spec.mode!r}")
-    q = spec.step
+    return _quantize_reals(x, spec)
+
+
+def _quantize_reals(x, spec: QuantizerSpec):
     arr = np.asarray(x, dtype=np.float64)
-    mant, exp = np.frexp(arr)
-    out = np.ldexp(np.rint(mant / q) * q, exp)
+    out = np.empty_like(arr)
+    _quantize_into(arr, spec, out)
     return out if arr.ndim else float(out)
+
+
+def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
+    """Quantize the float64 array ``x`` into ``out`` (which may be ``x``).
+
+    Returns the number of components the uniform clamp changed. The one
+    kernel behind every quantizer entry point.
+    """
+    q = spec.step
+    if spec.mode == "uniform":
+        np.divide(x, q, out=out)
+        np.rint(out, out=out)
+        np.multiply(out, q, out=out)
+        saturated = int(np.count_nonzero(np.abs(out) > spec.x_max))
+        if saturated:
+            np.clip(out, -spec.x_max, spec.x_max, out=out)
+        return saturated
+    exp = np.empty(x.shape, dtype=np.intc)
+    np.frexp(x, out=(out, exp))
+    np.divide(out, q, out=out)
+    np.rint(out, out=out)
+    np.multiply(out, q, out=out)
+    np.ldexp(out, exp, out=out)
+    return 0
 
 
 def quantization_error(x, qx):
@@ -181,26 +205,34 @@ def combine_stats(a: QuantizationStats, b: QuantizationStats) -> QuantizationSta
     )
 
 
-def apply_quantizer(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
+def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, int]:
     """Quantize an array componentwise and count saturations.
 
-    Complex arrays are quantized on real and imaginary parts separately.
-    Returns the quantized array and the number of components the uniform
-    clamp actually changed (always 0 for off/mantissa). Mode "off" returns
-    the input array untouched.
+    Complex arrays are quantized on real and imaginary parts separately,
+    through a float64 view of the interleaved components. Returns the
+    quantized array and the number of components the uniform clamp
+    actually changed (always 0 for off/mantissa). As with numpy ufuncs,
+    ``out`` receives the result when given and may be ``values`` itself;
+    it must be a C-contiguous array of the input's shape and float64 or
+    complex128 dtype. Mode "off" without ``out`` returns the input array
+    untouched.
     """
-    if spec.mode == "off":
+    if spec.mode == "off" and out is None:
         return values, 0
-    if np.iscomplexobj(values):
-        re, sat_re = apply_quantizer(np.ascontiguousarray(values.real), spec)
-        im, sat_im = apply_quantizer(np.ascontiguousarray(values.imag), spec)
-        out = np.empty(values.shape, dtype=np.complex128)
-        out.real = re
-        out.imag = im
-        return out, sat_re + sat_im
-    if spec.mode == "uniform":
-        q = spec.step
-        levels = np.rint(values / q) * q
-        saturated = int(np.count_nonzero(np.abs(levels) > spec.x_max))
-        return np.clip(levels, -spec.x_max, spec.x_max), saturated
-    return quantize_mantissa(values, spec), 0
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    src = np.asarray(values, dtype=dtype, order="C")
+    if out is None:
+        out = np.empty_like(src)
+    elif out.shape != src.shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous {np.dtype(dtype)} array of shape {src.shape}"
+        )
+    if spec.mode == "off":
+        np.copyto(out, src)
+        return out, 0
+    return out, _quantize_into(_components(src), spec, _components(out))
+
+
+def _components(a: np.ndarray) -> np.ndarray:
+    """Flat float64 view of a C-contiguous array; complex entries as (re, im) pairs."""
+    return a.reshape(-1).view(np.float64)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qfft
 from qfft.cli import main
 
 SWEEP_CONFIG = {
@@ -111,6 +114,20 @@ def test_bad_config_is_diagnosed(tmp_path, capsys):
     assert "power of two" in err
 
 
+def test_non_finite_amplitude_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"signal": {"amplitude": 1e400}}')
+    assert main(["fft", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("config error: signal.amplitude: must be a finite number")
+
+
+def test_overflowing_x_max_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"quantizer": {"mode": "uniform", "bits": 8, "x_max": 1e308}}')
+    assert main(["fft", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("config error: quantizer.x_max: full scale")
+
+
 def test_unknown_key_is_diagnosed(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"quantiser": {}}')
@@ -134,10 +151,15 @@ def test_subcommand_required():
 
 
 def test_console_entry_point_runs():
+    # the child imports the same qfft as this test, installed or not
+    src = str(Path(qfft.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-m", "qfft.cli", "selftest"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "all checks passed" in result.stdout

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -100,6 +101,53 @@ class TestParsing:
     def test_per_stage_wrong_count(self):
         with pytest.raises(ConfigError, match="per_stage"):
             parse_config('{"n": 8, "quantizer": {"per_stage": [{"mode": "off"}]}}')
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"signal": {"amplitude": 1e400}}', r"signal\.amplitude"),
+            ('{"signal": {"amplitude": Infinity}}', r"signal\.amplitude"),
+            ('{"signal": {"amplitude": NaN}}', r"signal\.amplitude"),
+            ('{"signal": {"amplitude": 1' + "0" * 400 + "}}", r"signal\.amplitude"),
+            ('{"quantizer": {"x_max": -Infinity}}', r"quantizer\.x_max"),
+            (
+                '{"signal": {"kind": "multitone", "bins": [1, 2], "amplitudes": [1.0, NaN]}}',
+                r"signal\.amplitudes\[1\]",
+            ),
+            (
+                '{"n": 4, "quantizer": {"per_stage": [{"x_max": Infinity}, {"mode": "off"}]}}',
+                r"quantizer\.per_stage\[0\]\.x_max",
+            ),
+        ],
+        ids=["1e400", "Infinity", "NaN", "huge-integer", "x_max", "amplitudes", "per_stage"],
+    )
+    def test_non_finite_numbers_rejected(self, text, field):
+        with pytest.raises(ConfigError, match=field + ": must be a finite number"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"quantizer": {"mode": "uniform", "bits": 8, "x_max": 1e308}}', r"quantizer\.x_max"),
+            ('{"quantizer": {"mode": "mantissa"}, "signal": {"amplitude": 1e307}}', r"signal\.amplitude"),
+            (
+                '{"signal": {"kind": "multitone", "bins": [1, 2], "amplitudes": [1e308, 1e308]}}',
+                r"signal\.amplitudes",
+            ),
+        ],
+        ids=["x_max", "amplitude", "amplitudes"],
+    )
+    def test_full_scale_with_overflowing_ladder_step_rejected(self, text, field):
+        with pytest.raises(ConfigError, match=field + ": full scale .* overflows"):
+            parse_config(text)
+
+    def test_largest_full_scale_with_finite_ladder_step_accepted(self):
+        # n = 1024: the check bounds 2 * x_max * 2**11
+        x_max = sys.float_info.max / 2**12
+        cfg = parse_config(json.dumps({"quantizer": {"x_max": x_max}}))
+        assert cfg.quantizer_x_max == x_max
+        with pytest.raises(ConfigError, match=r"quantizer\.x_max"):
+            parse_config(json.dumps({"quantizer": {"x_max": 2 * x_max}}))
 
 
 class TestRoundTrip:

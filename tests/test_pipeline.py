@@ -96,7 +96,7 @@ class TestRun:
     def test_trace_shape(self):
         n = 64
         pipeline = build_pipeline(PipelineConfig(n=n))
-        trace = pipeline.run(random_signal(n, seed=1))
+        trace = pipeline.run(random_signal(n, seed=1), keep_stages=True)
         assert len(trace.stage_outputs) == 6
         assert all(s.size == n for s in trace.stage_outputs)
         assert trace.input.size == n
@@ -111,7 +111,7 @@ class TestRun:
         n = 128
         specs = uniform_stage_specs(n, 6, 2.0)
         pipeline = build_pipeline(PipelineConfig(n=n, stage_quantizers=specs))
-        trace = pipeline.run(random_signal(n, seed=17))
+        trace = pipeline.run(random_signal(n, seed=17), keep_stages=True)
         for stage_out, spec in zip(trace.stage_outputs, specs):
             requantized, _ = apply_quantizer(stage_out, spec)
             assert np.array_equal(requantized, stage_out)
@@ -120,7 +120,7 @@ class TestRun:
         n = 64
         specs = mantissa_stage_specs(n, 5)
         pipeline = build_pipeline(PipelineConfig(n=n, stage_quantizers=specs))
-        trace = pipeline.run(random_signal(n, seed=18))
+        trace = pipeline.run(random_signal(n, seed=18), keep_stages=True)
         for stage_out, spec in zip(trace.stage_outputs, specs):
             requantized, _ = apply_quantizer(stage_out, spec)
             assert np.array_equal(requantized, stage_out)
@@ -129,7 +129,7 @@ class TestRun:
         n = 4
         spec = QuantizerSpec("uniform", 2, 1.0)  # q = 0.5
         pipeline = build_pipeline(PipelineConfig(n=n, input_quantizer=spec))
-        trace = pipeline.run(np.array([0.2, 0.3, -0.2, 0.85], dtype=complex))
+        trace = pipeline.run(np.array([0.2, 0.3, -0.2, 0.85], dtype=complex), keep_stages=True)
         # quantized to [0, 0.5, 0, 1], then bit-reversed with perm [0, 2, 1, 3]
         assert trace.input.real.tolist() == [0.0, 0.0, 0.5, 1.0]
 
@@ -148,7 +148,7 @@ class TestRun:
         n = 16
         spectrum = np.zeros(n, dtype=complex)
         spectrum[0] = n
-        trace = build_pipeline(PipelineConfig(n=n, direction="ifft")).run(spectrum)
+        trace = build_pipeline(PipelineConfig(n=n, direction="ifft")).run(spectrum, keep_stages=True)
         assert np.allclose(trace.output, np.ones(n), atol=1e-14)
         # the recorded input already carries the 1/N scaling
         assert trace.input[0] == 1.0
