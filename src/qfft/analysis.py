@@ -151,12 +151,17 @@ def run_sweep(spec: SweepSpec) -> list[ErrorReport]:
     trial_seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
     signals = [generate_signal(spec.signal, s) for s in trial_seeds]
     references = [core.fft_reference(x, direction) for x in signals]
-    ref_components = _pooled_components(references)
+    ref_variance = float(_pooled_components(references).var())
     ref_energy = float(sum(np.linalg.norm(r) ** 2 for r in references))
     if ref_energy == 0.0:
         raise ValueError("sweep reference outputs are all zero; percent error undefined")
 
     components_per_run = 2 * spec.n * stages
+    # one row's pooled error components: every trial's real parts, then
+    # every trial's imaginary parts, in trial order (as _pooled_components)
+    err_components = np.empty(2 * spec.trials * spec.n)
+    real_parts = err_components[: spec.trials * spec.n].reshape(spec.trials, spec.n)
+    imag_parts = err_components[spec.trials * spec.n :].reshape(spec.trials, spec.n)
     rows = []
     for bits in range(spec.bits_lo, spec.bits_hi + 1):
         config = PipelineConfig(
@@ -165,16 +170,15 @@ def run_sweep(spec: SweepSpec) -> list[ErrorReport]:
             stage_quantizers=_stage_specs_for(spec.quantizer_mode, spec.n, bits, base_x_max),
         )
         pipeline = Pipeline(config)
-        errors = []
         err_energy = 0.0
         saturations = 0
-        for x, ref in zip(signals, references):
+        for trial, (x, ref) in enumerate(zip(signals, references)):
             trace = pipeline.run(x)
             error = ref - trace.output
-            errors.append(error)
+            real_parts[trial] = error.real
+            imag_parts[trial] = error.imag
             err_energy += float(np.linalg.norm(error) ** 2)
             saturations += trace.saturation_total
-        err_components = _pooled_components(errors)
         variance = float(err_components.var())
         rows.append(
             ErrorReport(
@@ -183,7 +187,7 @@ def run_sweep(spec: SweepSpec) -> list[ErrorReport]:
                 error_std=math.sqrt(variance),
                 error_variance=variance,
                 percent_error=100.0 * math.sqrt(err_energy / ref_energy),
-                sqnr_db=_capped_sqnr_db(float(ref_components.var()), variance),
+                sqnr_db=_capped_sqnr_db(ref_variance, variance),
                 theory_variance=_row_theory(spec.quantizer_mode, bits, base_x_max),
                 saturation_rate=saturations / (spec.trials * components_per_run),
             )

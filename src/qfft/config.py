@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from . import core
@@ -202,6 +203,20 @@ def _check_ladder_overflow(value: float, where: str, n: int) -> None:
         )
 
 
+def _check_step_is_normal(value: float, where: str, bits: int) -> None:
+    """Reject a uniform full scale whose finest step 2 * value * 2**-bits is not normal.
+
+    A step that underflows to zero or to a subnormal makes x / q overflow
+    or divide by zero inside the quantizer, and one that overflows makes
+    the levels 0 * inf; either way the transform ends in non-finite values.
+    """
+    if not sys.float_info.min <= 2.0 * value * 2.0**-bits <= sys.float_info.max:
+        raise ConfigError(
+            f"{where}: full scale {value!r} at {bits} bits gives the ladder step "
+            f"2 * {value!r} * 2**-{bits}, which is not a positive normal number"
+        )
+
+
 def _get_str(mapping: dict, path: str, key: str, default: str, choices: tuple[str, ...]) -> str:
     value = mapping.get(key, default)
     if not isinstance(value, str):
@@ -231,9 +246,12 @@ def _parse_quantizer_spec(entry, path: str) -> QuantizerSpec:
     bits = _get_int(entry, path, "bits", 8)
     x_max = _get_number(entry, path, "x_max", 1.0)
     try:
-        return QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
+        spec = QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if mode == "uniform":
+        _check_step_is_normal(spec.x_max, f"{path}.x_max", bits)
+    return spec
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -349,6 +367,13 @@ def parse_config(text: str) -> ExperimentConfig:
         _check_ladder_overflow(quantizer_x_max, "quantizer.x_max", n)
     signal_field = "signal.amplitudes" if signal_kind == "multitone" else "signal.amplitude"
     _check_ladder_overflow(magnitude_bound(signal), signal_field, n)
+    if quantizer_mode != "mantissa":
+        # the uniform ladder of `qfft fft` and of the sweep rows, at its finest
+        _check_step_is_normal(
+            cfg.base_x_max(),
+            "quantizer.x_max" if quantizer_x_max is not None else signal_field,
+            max(quantizer_bits, bits_hi),
+        )
     return cfg
 
 

@@ -10,6 +10,15 @@ bit-identical to ``fft_reference``.
 and cached; the arrays they return are shared and read-only, so a caller
 that needs a modified table (conjugated, quantized) derives a new array
 from it, and an in-place write raises ``ValueError``.
+
+``dit_stage`` keeps its numpy calls on long inner loops over contiguous
+operands: the early stages of a large transform (blocks of span 2 to 16,
+at least 1024 of them) run column by column over the (blocks, span) view
+instead of broadcasting over thousands of tiny rows, and the other stages
+broadcast a contiguous copy of their twiddles instead of a strided slice
+of the half-circle table. Both paths perform the same multiplies and
+additions on the same operands, so the output bits do not depend on the
+path taken.
 """
 
 from __future__ import annotations
@@ -130,6 +139,16 @@ def butterfly(a: complex, b: complex, w: complex) -> tuple[complex, complex]:
     return a + t, a - t
 
 
+# A stage whose half-span is below COLUMN_MAX_HALF and which has at least
+# COLUMN_MIN_BLOCKS blocks runs column by column: one long strided ufunc
+# call per block offset instead of numpy broadcasting over thousands of
+# rows a few entries wide. Measured on one core, the column loop is slower
+# from a half-span of 16 up, and with fewer blocks (N=1024, 512 blocks at
+# stage 0) its Python loop costs more than the short rows it avoids.
+COLUMN_MAX_HALF = 16
+COLUMN_MIN_BLOCKS = 1024
+
+
 def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, int]:
     """Apply one stage of the decimation-in-time flow graph in place.
 
@@ -137,6 +156,15 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     (0-based) works on blocks of span 2**(stage+1), pairing entry j with
     entry j + span/2 and multiplying the lower leg by the stage twiddle
     w[j * n / span]. All n/2 butterflies of the stage are performed.
+
+    A stage of many short blocks (half-span below ``COLUMN_MAX_HALF``, at
+    least ``COLUMN_MIN_BLOCKS`` blocks) loops over the half-span columns
+    of the (blocks, span) view, one long strided call per column with its
+    twiddle as a scalar. Other stages copy their 2**stage twiddles from the
+    half-circle table into a contiguous vector (the last stage's slice
+    already is one) and broadcast it over the rows, so no block re-reads a
+    strided slice. Both paths compute the same t = w*b, a + t and a - t on
+    the same operands, so the bits do not depend on the path.
 
     Returns
     -------
@@ -146,12 +174,24 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     n = data.size
     span = 2 << stage
     half = span >> 1
-    blocks = data.reshape(n // span, span)
-    w = twiddles[:: n // span][:half]
-    t = w * blocks[:, half:]
-    np.subtract(blocks[:, :half], t, out=blocks[:, half:])
-    blocks[:, :half] += t
-    return t.size, 2 * t.size
+    rows = n // span
+    w = twiddles[: rows * half : rows]
+    blocks = data.reshape(rows, span)
+    if half < COLUMN_MAX_HALF and rows >= COLUMN_MIN_BLOCKS:
+        columns = blocks.T
+        for j in range(half):
+            top, bottom = columns[j], columns[j + half]
+            t = w[j] * bottom
+            np.subtract(top, t, out=bottom)
+            top += t
+        return n // 2, n
+    if rows > 1:
+        w = w.copy()
+    top, bottom = blocks[:, :half], blocks[:, half:]
+    t = w * bottom
+    np.subtract(top, t, out=bottom)
+    top += t
+    return n // 2, n
 
 
 def fft_reference(x, direction: str = "forward") -> np.ndarray:

@@ -106,21 +106,32 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
 
     Returns the number of components the uniform clamp changed. The one
     kernel behind every quantizer entry point.
+
+    Uniform: divide by q, round, multiply by q; the magnitudes are counted
+    against x_max and clipped only when the extremes show a level past it.
+    Mantissa: the fraction M from ``frexp`` is scaled by 2**bits instead of
+    divided by q = 2**-bits, and the exponent of the final ``ldexp`` absorbs
+    the multiply by q; scaling by a power of two is exact here, so the bits
+    equal those of frexp, /q, rint, *q, ldexp.
     """
-    q = spec.step
     if spec.mode == "uniform":
+        q = spec.step
         np.divide(x, q, out=out)
         np.rint(out, out=out)
         np.multiply(out, q, out=out)
+        # two read-only reductions; the |level| temporary only when one hits
+        if not out.size or not (
+            np.maximum.reduce(out) > spec.x_max or np.minimum.reduce(out) < -spec.x_max
+        ):
+            return 0
         saturated = int(np.count_nonzero(np.abs(out) > spec.x_max))
-        if saturated:
-            np.clip(out, -spec.x_max, spec.x_max, out=out)
+        np.clip(out, -spec.x_max, spec.x_max, out=out)
         return saturated
     exp = np.empty(x.shape, dtype=np.intc)
     np.frexp(x, out=(out, exp))
-    np.divide(out, q, out=out)
+    np.multiply(out, 2.0**spec.bits, out=out)
     np.rint(out, out=out)
-    np.multiply(out, q, out=out)
+    np.subtract(exp, spec.bits, out=exp)
     np.ldexp(out, exp, out=out)
     return 0
 

@@ -8,6 +8,9 @@ import pytest
 
 import qfft
 from qfft.cli import main
+from qfft.config import parse_config
+from qfft.pipeline import Pipeline
+from qfft.signals import generate_signal
 
 SWEEP_CONFIG = {
     "n": 64,
@@ -79,6 +82,21 @@ def test_fft_impulse_spectrum_to_stdout(tmp_path, capsys):
         assert float(imag) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_fft_csv_rows_across_chunks(tmp_path):
+    # 8192 rows span two formatting chunks; each row as an f-string over numpy scalars
+    doc = {"n": 8192, "quantizer": {"bits": 6}, "twiddle_quantization": {"enabled": True, "bits": 7}}
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "vector.csv"
+    assert main(["fft", "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
+    cfg = parse_config(json.dumps({**doc, "seed": 3}))
+    output = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), 3)).output
+    expected = [f"{i},{v.real:.12e},{v.imag:.12e}" for i, v in enumerate(output)]
+    text = out.read_text()
+    assert text.endswith("\n")
+    assert text.splitlines()[-len(expected) - 1 :] == ["index,real,imag", *expected]
+
+
 def test_fft_json_output(tmp_path):
     config = tmp_path / "fft.json"
     config.write_text(json.dumps({"n": 4, "quantizer": {"mode": "off"}, "signal": {"kind": "impulse"}}))
@@ -126,6 +144,15 @@ def test_overflowing_x_max_is_a_config_error(tmp_path, capsys):
     config.write_text('{"quantizer": {"mode": "uniform", "bits": 8, "x_max": 1e308}}')
     assert main(["fft", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith("config error: quantizer.x_max: full scale")
+
+
+def test_underflowing_x_max_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"quantizer": {"x_max": 1e-320, "bits": 52}}')
+    assert main(["fft", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: quantizer.x_max: full scale")
+    assert captured.out == ""
 
 
 def test_unknown_key_is_diagnosed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -140,6 +141,41 @@ class TestParsing:
     def test_full_scale_with_overflowing_ladder_step_rejected(self, text, field):
         with pytest.raises(ConfigError, match=field + ": full scale .* overflows"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"quantizer": {"x_max": 1e-320, "bits": 52}}', r"quantizer\.x_max"),
+            ('{"quantizer": {"x_max": 1e-300, "bits": 52}}', r"quantizer\.x_max"),
+            (
+                '{"n": 4, "quantizer": {"per_stage": [{"mode": "off"}, {"x_max": 1e-320, "bits": 52}]}}',
+                r"quantizer\.per_stage\[1\]\.x_max",
+            ),
+            ('{"signal": {"amplitude": 1e-323}}', r"signal\.amplitude"),
+            (
+                '{"n": 4, "quantizer": {"per_stage": [{"x_max": 1.7e308, "bits": 8}, {"mode": "off"}]}}',
+                r"quantizer\.per_stage\[0\]\.x_max",
+            ),
+        ],
+        ids=["x_max-zero-step", "x_max-subnormal-step", "per_stage", "automatic", "per_stage-infinite-step"],
+    )
+    def test_full_scale_with_non_normal_ladder_step_rejected(self, text, field):
+        with pytest.raises(ConfigError, match=field + ": full scale .* not a positive normal number"):
+            parse_config(text)
+
+    def test_smallest_full_scale_with_normal_ladder_step_accepted(self):
+        # the finest step 2 * x_max * 2**-52 is the smallest normal double
+        x_max = sys.float_info.min * 2.0**51
+        cfg = parse_config(json.dumps({"quantizer": {"x_max": x_max, "bits": 52}}))
+        assert cfg.quantizer_x_max == x_max
+        # its finest step is the largest subnormal double
+        smaller = math.nextafter(sys.float_info.min, 0.0) * 2.0**51
+        with pytest.raises(ConfigError, match=r"quantizer\.x_max"):
+            parse_config(json.dumps({"quantizer": {"x_max": smaller, "bits": 52}}))
+        # mantissa stages have no full scale, and the per-stage rule follows each entry's bits
+        assert parse_config(json.dumps({"quantizer": {"mode": "mantissa", "x_max": smaller}}))
+        per_stage = [{"x_max": smaller, "bits": 51}, {"mode": "mantissa", "x_max": 1e-320}]
+        assert parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": per_stage}}))
 
     def test_largest_full_scale_with_finite_ladder_step_accepted(self):
         # n = 1024: the check bounds 2 * x_max * 2**11

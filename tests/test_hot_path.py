@@ -1,7 +1,8 @@
 """Invariants of the pipeline hot path.
 
-Cached read-only tables, the in-place quantizer and opt-in stage
-snapshots must leave every output bit where it was.
+Cached read-only tables, the in-place quantizer, opt-in stage snapshots
+and the reworked stage and quantizer kernels must leave every output bit
+where it was.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from qfft import core
 from qfft.analysis import SweepSpec, run_sweep
 from qfft.pipeline import Pipeline, PipelineConfig, mantissa_stage_specs, uniform_stage_specs
-from qfft.quantization import QuantizerSpec, apply_quantizer
+from qfft.quantization import QuantizerSpec, apply_quantizer, quantize_mantissa, quantize_uniform
 from qfft.signals import SignalSpec
 
 
@@ -66,6 +67,40 @@ class TestCachedTables:
             assert core.twiddle_table.cache_info().misses == built
 
 
+def strided_dit_stage(data, twiddles, stage):
+    """The stage kernel before contiguous twiddles and the column path.
+
+    Every block reads the strided twiddle slice and numpy broadcasts over
+    the (blocks, span) rows, whatever their width.
+    """
+    n = data.size
+    span = 2 << stage
+    half = span >> 1
+    blocks = data.reshape(n // span, span)
+    w = twiddles[:: n // span][:half]
+    t = w * blocks[:, half:]
+    np.subtract(blocks[:, :half], t, out=blocks[:, half:])
+    blocks[:, :half] += t
+    return t.size, 2 * t.size
+
+
+# N >= 2048 takes the column path in its first stages, smaller N never does
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("table_kind", ["forward", "inverse", "5-bit-rom"])
+def test_every_stage_matches_the_strided_kernel(m, table_kind):
+    n = 1 << m
+    table = core.twiddle_table(n)
+    if table_kind == "inverse":
+        table = np.conj(table)
+    elif table_kind == "5-bit-rom":
+        table, _ = apply_quantizer(table, QuantizerSpec("uniform", 5, 1.0))
+    data = random_signal(n, seed=m)
+    oracle = data.copy()
+    for stage in range(m):
+        assert core.dit_stage(data, table, stage) == strided_dit_stage(oracle, table, stage)
+        assert data.tobytes() == oracle.tobytes(), f"stage {stage}"
+
+
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]
 
 
@@ -109,6 +144,11 @@ class TestInPlaceQuantizer:
             expected = int(np.count_nonzero(np.abs(levels) > spec.x_max))
         assert saturations == expected
 
+    @pytest.mark.parametrize("spec", QUANTIZERS, ids=lambda s: s.mode)
+    def test_empty_input(self, spec):
+        out, saturations = apply_quantizer(np.empty(0), spec)
+        assert out.shape == (0,) and saturations == 0
+
     def test_off_with_out_copies(self):
         x = random_signal(8, seed=13)
         out = np.empty_like(x)
@@ -128,6 +168,38 @@ class TestInPlaceQuantizer:
     def test_unusable_out_rejected(self, out):
         with pytest.raises(ValueError, match="out must be"):
             apply_quantizer(random_signal(8, seed=14), QUANTIZERS[0], out=out)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(finite_floats, min_size=1, max_size=32), bits=st.integers(1, 52))
+def test_mantissa_kernel_follows_the_formula(values, bits):
+    # frexp, /q, rint, *q, ldexp written out: subnormals, zeros of both signs
+    # and the largest finite values included (rounding those up overflows)
+    x = np.array(values)
+    spec = QuantizerSpec("mantissa", bits)
+    with np.errstate(over="ignore"):
+        expected = reference_quantize(x, spec)
+        got = quantize_mantissa(x, spec)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ratios=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=32),
+    x_max=st.floats(1e-6, 1e6),
+    bits=st.integers(1, 52),
+)
+def test_uniform_saturations_count_levels_past_full_scale(ratios, x_max, bits):
+    x = np.array(ratios) * x_max
+    spec = QuantizerSpec("uniform", bits, x_max)
+    levels = np.rint(x / spec.step) * spec.step
+    out, saturations = apply_quantizer(x, spec)
+    assert saturations == np.count_nonzero(np.abs(levels) > x_max)
+    assert out.tobytes() == reference_quantize(x, spec).tobytes()
+    assert quantize_uniform(x, spec).tobytes() == out.tobytes()
 
 
 PIPELINES = {
