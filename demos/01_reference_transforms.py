@@ -30,7 +30,7 @@ for n in (4, 64, 1024):
 
 print("\n== round trip through the inverse ==")
 x = rng.uniform(-1, 1, 1024) + 1j * rng.uniform(-1, 1, 1024)
-back = fft_reference(fft_reference(x), "inverse")
+back = fft_reference(fft_reference(x), "ifft")
 print(f"  max |ifft(fft(x)) - x| = {np.max(np.abs(back - x)):.3e}")
 
 print("\n== energy conservation ==")

@@ -9,10 +9,10 @@ quantization each cost in SQNR.
 import numpy as np
 
 from qfft import (
+    Pipeline,
     PipelineConfig,
     QuantizerSpec,
     SignalSpec,
-    build_pipeline,
     compare,
     fft_reference,
     generate_signal,
@@ -23,7 +23,7 @@ signal = generate_signal(SignalSpec("random", 1024, amplitude=1.0), seed=3)
 reference = fft_reference(signal)
 
 print("== unquantized pipeline is the reference, bit for bit ==")
-idle = build_pipeline(PipelineConfig(n=1024))
+idle = Pipeline(PipelineConfig(n=1024))
 trace = idle.run(signal)
 print(f"  stages: {idle.stages}")
 print(f"  output identical to fft_reference: {trace.output.tobytes() == reference.tobytes()}")
@@ -32,7 +32,7 @@ print(f"  counters: {trace.multiplies} multiplies, {trace.additions} additions")
 print("\n== per-stage uniform quantization (full scale doubles per stage) ==")
 for bits in (6, 8, 10, 12):
     specs = uniform_stage_specs(1024, bits, np.sqrt(2.0))
-    pipeline = build_pipeline(PipelineConfig(n=1024, stage_quantizers=specs))
+    pipeline = Pipeline(PipelineConfig(n=1024, stage_quantizers=specs))
     trace = pipeline.run(signal)
     _, percent, sqnr = compare(reference, trace.output)
     print(
@@ -42,7 +42,7 @@ for bits in (6, 8, 10, 12):
 
 print("\n== a run with keep_stages=True exposes every stage ==")
 specs = uniform_stage_specs(1024, 8, np.sqrt(2.0))
-trace = build_pipeline(PipelineConfig(n=1024, stage_quantizers=specs)).run(signal, keep_stages=True)
+trace = Pipeline(PipelineConfig(n=1024, stage_quantizers=specs)).run(signal, keep_stages=True)
 for s, (stage_out, spec) in enumerate(zip(trace.stage_outputs, specs), start=1):
     peak = np.max(np.abs(stage_out))
     print(f"  stage {s:2d}: peak magnitude {peak:9.3f}  (full scale {spec.x_max:7.1f})")
@@ -50,11 +50,11 @@ for s, (stage_out, spec) in enumerate(zip(trace.stage_outputs, specs), start=1):
 print("\n== twiddle-ROM quantization alone ==")
 for bits in (4, 6, 8, 10):
     config = PipelineConfig(n=1024, twiddle_quantizer=QuantizerSpec("uniform", bits, 1.0))
-    trace = build_pipeline(config).run(signal)
+    trace = Pipeline(config).run(signal)
     _, percent, sqnr = compare(reference, trace.output)
     print(f"  twiddles at b={bits:2d}: percent error {percent:8.4f}%  SQNR {sqnr:7.2f} dB")
 
 print("\n== inverse mode recovers the input through the same hardware ==")
-inverse = build_pipeline(PipelineConfig(n=1024, direction="ifft"))
+inverse = Pipeline(PipelineConfig(n=1024, direction="ifft"))
 back = inverse.run(reference).output
 print(f"  max |ifft(fft(x)) - x| = {np.max(np.abs(back - signal)):.3e}")

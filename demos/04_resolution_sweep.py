@@ -6,15 +6,18 @@ quantizer modes, prints the dispersion table, and writes the plot-ready
 CSV that the `qfft sweep` subcommand would emit.
 """
 
-from qfft import SignalSpec, SweepSpec, emit_report, run_sweep
+from dataclasses import replace
+
+from qfft import ExperimentConfig, emit_report, run_sweep
 from qfft.report import STANDARD_NOTES
 
-signal = SignalSpec("random", 1024, amplitude=1.0)
+# the same description of a run that `qfft sweep` parses from its config file
+uniform = ExperimentConfig(
+    n=1024, quantizer_mode="uniform", bits_lo=6, bits_hi=14, trials=20, seed=0
+)
 
 print("== uniform per-stage quantization, b = 6..14, 20 trials ==")
-uniform_rows = run_sweep(
-    SweepSpec(n=1024, bits_lo=6, bits_hi=14, signal=signal, quantizer_mode="uniform", trials=20, seed=0)
-)
+uniform_rows = run_sweep(uniform)
 print("  bits   error variance   percent error   SQNR (dB)")
 for row in uniform_rows:
     print(
@@ -26,9 +29,7 @@ slope = (uniform_rows[-1].sqnr_db - uniform_rows[0].sqnr_db) / (
 print(f"  SQNR gains ~{slope:.2f} dB per added bit (one bit quarters the error variance)")
 
 print("\n== mantissa per-stage quantization on the same signals ==")
-mantissa_rows = run_sweep(
-    SweepSpec(n=1024, bits_lo=6, bits_hi=14, signal=signal, quantizer_mode="mantissa", trials=20, seed=0)
-)
+mantissa_rows = run_sweep(replace(uniform, quantizer_mode="mantissa"))
 print("  bits   error variance   percent error   SQNR (dB)")
 for row in mantissa_rows:
     print(
@@ -40,7 +41,7 @@ destination = "sweep_uniform_1024.csv"
 emit_report(
     uniform_rows,
     destination=destination,
-    config={"n": 1024, "mode": "uniform", "bits": "6..14", "trials": 20, "seed": 0},
+    config=uniform.to_dict(),
     notes=STANDARD_NOTES,
 )
 print(f"\nwrote {destination} (same format as `qfft sweep --out ...`)")

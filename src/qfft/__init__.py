@@ -11,7 +11,6 @@ experiment plumbing.
 from .analysis import (
     CharacterizationRow,
     ErrorReport,
-    SweepSpec,
     compare,
     quantizer_characterization,
     run_sweep,
@@ -19,7 +18,6 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core import (
     bit_reverse_permute,
-    butterfly,
     dft_naive,
     fft_reference,
     twiddle_table,
@@ -28,10 +26,8 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     RunTrace,
-    build_pipeline,
     mantissa_stage_specs,
     processing_cost,
-    run,
     uniform_stage_specs,
 )
 from .quantization import (
@@ -39,9 +35,7 @@ from .quantization import (
     QuantizationStats,
     QuantizerSpec,
     apply_quantizer,
-    combine_stats,
     empirical_stats,
-    quantization_error,
     quantize_mantissa,
     quantize_uniform,
     relative_error,
@@ -66,12 +60,8 @@ __all__ = [
     "QuantizerSpec",
     "RunTrace",
     "SignalSpec",
-    "SweepSpec",
     "apply_quantizer",
     "bit_reverse_permute",
-    "build_pipeline",
-    "butterfly",
-    "combine_stats",
     "compare",
     "dft_naive",
     "emit_characterization",
@@ -83,12 +73,10 @@ __all__ = [
     "mantissa_stage_specs",
     "parse_config",
     "processing_cost",
-    "quantization_error",
     "quantize_mantissa",
     "quantize_uniform",
     "quantizer_characterization",
     "relative_error",
-    "run",
     "run_sweep",
     "serialize_config",
     "snr_db",

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .pipeline import Pipeline, PipelineConfig, mantissa_stage_specs, uniform_stage_specs
+from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig
+from .pipeline import Pipeline
 from .quantization import (
     QuantizerSpec,
     quantize_mantissa,
@@ -22,40 +23,10 @@ from .quantization import (
     theory_variance_mantissa,
     theory_variance_uniform,
 )
-from .signals import SignalSpec, generate_signal, magnitude_bound
+from .signals import generate_signal
 
 SWEEP_MODES = ("uniform", "mantissa")
-MAX_SWEEP_BITS = 24
 SQNR_CAP_DB = 300.0
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One bit-resolution sweep: which pipeline, which signal, how many trials."""
-
-    n: int
-    bits_lo: int
-    bits_hi: int
-    signal: SignalSpec
-    direction: str = "fft"
-    quantizer_mode: str = "uniform"
-    trials: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        core.validate_size(self.n)
-        if self.direction not in ("fft", "ifft"):
-            raise ValueError(f"direction must be 'fft' or 'ifft', got {self.direction!r}")
-        if self.quantizer_mode not in SWEEP_MODES:
-            raise ValueError(f"quantizer_mode must be one of {SWEEP_MODES}, got {self.quantizer_mode!r}")
-        if not 1 <= self.bits_lo <= self.bits_hi <= MAX_SWEEP_BITS:
-            raise ValueError(
-                f"need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}, got {self.bits_lo}..{self.bits_hi}"
-            )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.signal.n != self.n:
-            raise ValueError(f"signal length {self.signal.n} does not match sweep n {self.n}")
 
 
 @dataclass(frozen=True)
@@ -118,12 +89,6 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     return error, percent, sqnr
 
 
-def _stage_specs_for(mode: str, n: int, bits: int, base_x_max: float) -> tuple[QuantizerSpec, ...]:
-    if mode == "uniform":
-        return uniform_stage_specs(n, bits, base_x_max)
-    return mantissa_stage_specs(n, bits)
-
-
 def _row_theory(mode: str, bits: int, base_x_max: float) -> float:
     """Theory column: closed form of a single quantizer at the row's bits.
 
@@ -135,41 +100,46 @@ def _row_theory(mode: str, bits: int, base_x_max: float) -> float:
     return theory_variance_mantissa(QuantizerSpec("mantissa", bits))
 
 
-def run_sweep(spec: SweepSpec) -> list[ErrorReport]:
+def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     """Sweep the per-stage bit resolution and report one error row per bit count.
 
-    Every stage of the pipeline is configured with the row's bit count in
-    the sweep's quantizer mode. Each row runs ``trials`` random signals;
-    the same trial signals (derived from the sweep seed) are reused across
-    rows so adjacent rows differ only in resolution. Deterministic for a
-    fixed spec.
-    """
-    direction = "forward" if spec.direction == "fft" else "inverse"
-    base_x_max = magnitude_bound(spec.signal)
-    stages = core.num_stages(spec.n)
+    The row for each bit count from ``cfg.bits_lo`` to ``cfg.bits_hi``
+    runs ``Pipeline(cfg.pipeline_config(bits))``, the processor ``qfft fft``
+    runs, with the configured stage quantizers, full scale and twiddle ROM.
+    Each row runs ``cfg.trials`` signals; the same trial signals (derived
+    from ``cfg.seed``) are reused across rows so adjacent rows differ only
+    in resolution. Deterministic for a fixed config.
 
-    trial_seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    signals = [generate_signal(spec.signal, s) for s in trial_seeds]
-    references = [core.fft_reference(x, direction) for x in signals]
+    Raises ``ConfigError`` for a config whose bits a sweep cannot vary:
+    ``quantizer.per_stage`` fixes them and mode ``off`` has none.
+    """
+    if cfg.per_stage is not None:
+        raise ConfigError(
+            "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
+        )
+    if cfg.quantizer_mode == "off":
+        raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
+    base_x_max = cfg.base_x_max()
+    stages = core.num_stages(cfg.n)
+
+    trial_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    signal = cfg.signal_spec()
+    signals = [generate_signal(signal, s) for s in trial_seeds]
+    references = [core.fft_reference(x, cfg.direction) for x in signals]
     ref_variance = float(_pooled_components(references).var())
     ref_energy = float(sum(np.linalg.norm(r) ** 2 for r in references))
     if ref_energy == 0.0:
         raise ValueError("sweep reference outputs are all zero; percent error undefined")
 
-    components_per_run = 2 * spec.n * stages
+    components_per_run = 2 * cfg.n * stages
     # one row's pooled error components: every trial's real parts, then
     # every trial's imaginary parts, in trial order (as _pooled_components)
-    err_components = np.empty(2 * spec.trials * spec.n)
-    real_parts = err_components[: spec.trials * spec.n].reshape(spec.trials, spec.n)
-    imag_parts = err_components[spec.trials * spec.n :].reshape(spec.trials, spec.n)
+    err_components = np.empty(2 * cfg.trials * cfg.n)
+    real_parts = err_components[: cfg.trials * cfg.n].reshape(cfg.trials, cfg.n)
+    imag_parts = err_components[cfg.trials * cfg.n :].reshape(cfg.trials, cfg.n)
     rows = []
-    for bits in range(spec.bits_lo, spec.bits_hi + 1):
-        config = PipelineConfig(
-            n=spec.n,
-            direction=spec.direction,
-            stage_quantizers=_stage_specs_for(spec.quantizer_mode, spec.n, bits, base_x_max),
-        )
-        pipeline = Pipeline(config)
+    for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
+        pipeline = Pipeline(cfg.pipeline_config(bits))
         err_energy = 0.0
         saturations = 0
         for trial, (x, ref) in enumerate(zip(signals, references)):
@@ -188,8 +158,8 @@ def run_sweep(spec: SweepSpec) -> list[ErrorReport]:
                 error_variance=variance,
                 percent_error=100.0 * math.sqrt(err_energy / ref_energy),
                 sqnr_db=_capped_sqnr_db(ref_variance, variance),
-                theory_variance=_row_theory(spec.quantizer_mode, bits, base_x_max),
-                saturation_rate=saturations / (spec.trials * components_per_run),
+                theory_variance=_row_theory(cfg.quantizer_mode, bits, base_x_max),
+                saturation_rate=saturations / (cfg.trials * components_per_run),
             )
         )
     return rows

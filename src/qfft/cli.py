@@ -127,19 +127,19 @@ def _cmd_fft(cfg: ExperimentConfig) -> int:
 
     header = _header_config(cfg)
     if cfg.format == "csv":
-        lines = ["# config: " + json.dumps(header, sort_keys=True), f"# seed: {cfg.seed}"]
-        lines += [f"# note: {n}" for n in report.STANDARD_NOTES]
+        lines = report.csv_header(header, report.STANDARD_NOTES)
         lines.append(f"# saturation_total: {trace.saturation_total}")
         lines.append("index,real,imag")
         parts = itertools.chain(["\n".join(lines) + "\n"], _csv_rows(trace.output))
     else:
+        values = trace.output.view(np.float64).tolist()
         payload = {
             "config": header,
             "notes": list(report.STANDARD_NOTES),
             "saturation_total": trace.saturation_total,
             "output": [
-                {"index": i, "real": float(v.real), "imag": float(v.imag)}
-                for i, v in enumerate(trace.output)
+                {"index": i, "real": real, "imag": imag}
+                for i, (real, imag) in enumerate(zip(values[0::2], values[1::2]))
             ],
         }
         parts = [json.dumps(payload, indent=2) + "\n"]
@@ -160,7 +160,7 @@ def _check_sweep_rows(rows) -> None:
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    rows = analysis.run_sweep(cfg.sweep_spec())
+    rows = analysis.run_sweep(cfg)
     _check_sweep_rows(rows)
     text = report.emit_report(
         rows, format=cfg.format, config=_header_config(cfg), notes=report.STANDARD_NOTES
@@ -196,7 +196,7 @@ def _selftest_checks(seed: int):
     # round trip and energy conservation
     x = rng.uniform(-1, 1, 256) + 1j * rng.uniform(-1, 1, 256)
     spectrum = core.fft_reference(x)
-    worst = np.max(np.abs(core.fft_reference(spectrum, "inverse") - x))
+    worst = np.max(np.abs(core.fft_reference(spectrum, "ifft") - x))
     yield "round trip n=256", worst < 1e-12 * 256, f"max abs error {worst:.3e}"
     energy_in = float(np.sum(np.abs(x) ** 2))
     energy_out = float(np.sum(np.abs(spectrum) ** 2)) / 256

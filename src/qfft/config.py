@@ -11,7 +11,7 @@ Schema (all keys optional, defaults applied):
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse"|"sinusoid"|"multitone"|"random",
                  "bin": 0, "amplitude": 1.0,
-                 "bins": [...], "amplitudes": [...]},
+                 "bins": [...], "amplitudes": [...]},  # bins/amplitudes: multitone only
       "sweep": {"bits_lo": 6, "bits_hi": 14, "trials": 20},
       "seed": 0,
       "out": null,
@@ -30,10 +30,11 @@ import sys
 from dataclasses import dataclass
 
 from . import core
-from .analysis import SweepSpec
 from .pipeline import PipelineConfig, mantissa_stage_specs, uniform_stage_specs
 from .quantization import MAX_BITS, QuantizerSpec
 from .signals import SignalSpec, magnitude_bound
+
+MAX_SWEEP_BITS = 24
 
 
 class ConfigError(ValueError):
@@ -81,6 +82,7 @@ class ExperimentConfig:
         return magnitude_bound(self.signal_spec())
 
     def stage_quantizers(self, bits: int | None = None) -> tuple[QuantizerSpec, ...]:
+        """Stage quantizers at ``bits`` (default ``quantizer.bits``); ``per_stage`` fixes them."""
         if self.per_stage is not None:
             return self.per_stage
         b = self.quantizer_bits if bits is None else bits
@@ -102,19 +104,6 @@ class ExperimentConfig:
             direction=self.direction,
             stage_quantizers=self.stage_quantizers(bits),
             twiddle_quantizer=self.twiddle_quantizer(),
-        )
-
-    def sweep_spec(self) -> SweepSpec:
-        mode = self.quantizer_mode if self.quantizer_mode != "off" else "uniform"
-        return SweepSpec(
-            n=self.n,
-            bits_lo=self.bits_lo,
-            bits_hi=self.bits_hi,
-            signal=self.signal_spec(),
-            direction=self.direction,
-            quantizer_mode=mode,
-            trials=self.trials,
-            seed=self.seed,
         )
 
     def to_dict(self) -> dict:
@@ -260,6 +249,9 @@ def parse_config(text: str) -> ExperimentConfig:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # integers past the interpreter's digit limit, nesting past its recursion limit
+        raise ConfigError(f"unreadable JSON: {exc}") from exc
     doc = _require_mapping(doc, "config")
     _check_keys(
         doc,
@@ -308,6 +300,11 @@ def parse_config(text: str) -> ExperimentConfig:
     signal_kind = _get_str(sig, "signal", "kind", "random", ("impulse", "sinusoid", "multitone", "random"))
     signal_bin = _get_int(sig, "signal", "bin", 0)
     signal_amplitude = _get_number(sig, "signal", "amplitude", 1.0)
+    for key in ("bins", "amplitudes"):
+        if key in sig and signal_kind != "multitone":
+            raise ConfigError(
+                f"signal.{key}: only a multitone signal has {key}, got kind {signal_kind!r}"
+            )
     if signal_amplitude is None:
         raise ConfigError("signal.amplitude: expected a number, got null")
     bins_raw = sig.get("bins", [])
@@ -324,8 +321,10 @@ def parse_config(text: str) -> ExperimentConfig:
     _check_keys(sweep, "sweep", ("bits_lo", "bits_hi", "trials"))
     bits_lo = _get_int(sweep, "sweep", "bits_lo", 6)
     bits_hi = _get_int(sweep, "sweep", "bits_hi", 14)
-    if not 1 <= bits_lo <= bits_hi <= 24:
-        raise ConfigError(f"sweep: need 1 <= bits_lo <= bits_hi <= 24, got {bits_lo}..{bits_hi}")
+    if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
+        raise ConfigError(
+            f"sweep: need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}, got {bits_lo}..{bits_hi}"
+        )
     trials = _get_int(sweep, "sweep", "trials", 20)
     if trials < 1:
         raise ConfigError(f"sweep.trials: must be >= 1, got {trials}")

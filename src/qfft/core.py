@@ -1,10 +1,11 @@
 """Full-precision DFT/FFT/IFFT machinery.
 
 Holds the direct-summation DFT used as the golden oracle, the twiddle
-table, bit-reversal, the radix-2 butterfly and the staged
-decimation-in-time transform. The staged kernel here is shared with the
-quantized pipeline so that a pipeline with all quantizers disabled is
-bit-identical to ``fft_reference``.
+table, bit-reversal and the staged decimation-in-time transform. The
+staged kernel here is shared with the quantized pipeline so that a
+pipeline with all quantizers disabled is bit-identical to
+``fft_reference``. ``DIRECTIONS`` is the one direction vocabulary of
+the package.
 
 ``twiddle_table`` and ``bit_reversal_indices`` are built once per size
 and cached; the arrays they return are shared and read-only, so a caller
@@ -30,7 +31,7 @@ import numpy as np
 MIN_SIZE = 2
 MAX_SIZE = 1 << 16
 
-DIRECTIONS = ("forward", "inverse")
+DIRECTIONS = ("fft", "ifft")
 
 
 def validate_size(n: int) -> None:
@@ -130,15 +131,6 @@ def bit_reverse_permute(x) -> np.ndarray:
     return vec[bit_reversal_indices(vec.size)]
 
 
-def butterfly(a: complex, b: complex, w: complex) -> tuple[complex, complex]:
-    """Radix-2 butterfly: (a + w*b, a - w*b).
-
-    One complex multiply and two complex additions.
-    """
-    t = w * b
-    return a + t, a - t
-
-
 # A stage whose half-span is below COLUMN_MAX_HALF and which has at least
 # COLUMN_MIN_BLOCKS blocks runs column by column: one long strided ufunc
 # call per block offset instead of numpy broadcasting over thousands of
@@ -194,26 +186,26 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     return n // 2, n
 
 
-def fft_reference(x, direction: str = "forward") -> np.ndarray:
+def fft_reference(x, direction: str = "fft") -> np.ndarray:
     """Radix-2 DIT transform over log2(N) butterfly stages.
 
     Forward matches ``dft_naive`` up to floating round-off. Inverse uses
     conjugated twiddles and pre-scales the input by 1/N before the stages,
-    so ``fft_reference(fft_reference(x), "inverse")`` recovers x.
+    so ``fft_reference(fft_reference(x), "ifft")`` recovers x.
 
     Parameters
     ----------
     x : array_like
         complex input vector, power-of-two length
     direction : str
-        "forward" or "inverse"
+        "fft" or "ifft"
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     vec = as_signal(x)
     n = vec.size
     table = twiddle_table(n)
-    if direction == "inverse":
+    if direction == "ifft":
         vec = vec * (1.0 / n)
         table = np.conj(table)
     data = bit_reverse_permute(vec)

@@ -18,8 +18,6 @@ import numpy as np
 from . import core
 from .quantization import QuantizerSpec, apply_quantizer
 
-DIRECTIONS = ("fft", "ifft")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -27,21 +25,19 @@ class PipelineConfig:
 
     ``stage_quantizers`` must hold one spec per stage (log2(n) of them);
     an empty tuple is filled with all-off specs. ``twiddle_quantizer``
-    None disables twiddle quantization; ``input_quantizer`` None leaves
-    the input stage unquantized (the per-stage list covers the butterfly
-    stages only, the input stage is separate).
+    None disables twiddle quantization. The input is not quantized: the
+    processor quantizes only after each butterfly stage.
     """
 
     n: int
     direction: str = "fft"
     stage_quantizers: tuple[QuantizerSpec, ...] = ()
     twiddle_quantizer: QuantizerSpec | None = None
-    input_quantizer: QuantizerSpec | None = None
 
     def __post_init__(self):
         core.validate_size(self.n)
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        if self.direction not in core.DIRECTIONS:
+            raise ValueError(f"direction must be one of {core.DIRECTIONS}, got {self.direction!r}")
         stages = core.num_stages(self.n)
         specs = tuple(self.stage_quantizers)
         if not specs:
@@ -65,7 +61,7 @@ class RunTrace:
     saturations and the complex multiplies/additions the butterfly kernel
     actually performed. Stage snapshots are opt-in: only a run with
     ``keep_stages=True`` fills ``input`` (the vector entering stage 1,
-    after inverse 1/N scaling, input quantization and bit-reversal) and
+    after inverse 1/N scaling and bit-reversal) and
     ``stage_outputs`` (one copy per stage, taken after that stage's
     quantizer, the last equal to ``output``). Otherwise ``input`` is None
     and ``stage_outputs`` is empty.
@@ -99,11 +95,10 @@ class Pipeline:
     def run(self, x, keep_stages: bool = False) -> RunTrace:
         """Push one vector through the staged processor.
 
-        Order of operations: inverse runs pre-scale the input by 1/N;
-        the optional input quantizer is applied componentwise; the vector
-        is bit-reversed; then each stage performs its n/2 butterflies and
-        quantizes every component of the stage output. All of it works in
-        place on one fresh vector, which becomes ``output``.
+        Order of operations: inverse runs pre-scale the input by 1/N; the
+        vector is bit-reversed; then each stage performs its n/2 butterflies
+        and quantizes every component of the stage output. All of it works
+        in place on one fresh vector, which becomes ``output``.
         ``keep_stages=True`` also copies the stage-1 input and every stage
         output into the trace; sweeps and single transforms read only
         ``output``, so by default the copies are skipped.
@@ -114,17 +109,14 @@ class Pipeline:
         if not np.all(np.isfinite(vec.view(np.float64))):
             raise ValueError("input contains non-finite components")
 
-        # scaling and quantizing are componentwise, so they commute with
-        # the permutation and can run in place on its fresh output
+        # scaling is componentwise, so it commutes with the permutation
+        # and can run in place on its fresh output
         data = core.bit_reverse_permute(vec)
-        saturations = 0
         if self.config.direction == "ifft":
             data *= 1.0 / self.n
-        iq = self.config.input_quantizer
-        if iq is not None and iq.enabled:
-            saturations += apply_quantizer(data, iq, out=data)[1]
 
         trace_input = data.copy() if keep_stages else None
+        saturations = 0
         multiplies = 0
         additions = 0
         stage_outputs: list[np.ndarray] = []
@@ -145,16 +137,6 @@ class Pipeline:
             multiplies=multiplies,
             additions=additions,
         )
-
-
-def build_pipeline(config: PipelineConfig) -> Pipeline:
-    """Precompute the (optionally quantized) twiddle ROM and return the processor."""
-    return Pipeline(config)
-
-
-def run(pipeline: Pipeline, x) -> RunTrace:
-    """Function form of ``Pipeline.run``."""
-    return pipeline.run(x)
 
 
 def processing_cost(n: int) -> tuple[int, int]:

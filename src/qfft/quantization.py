@@ -136,11 +136,6 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
     return 0
 
 
-def quantization_error(x, qx):
-    """Absolute quantization error x - Q(x)."""
-    return x - qx
-
-
 def relative_error(x, qx):
     """Relative quantization error (Q(x) - x) / x; undefined at x = 0."""
     arr = np.asarray(x, dtype=np.float64)
@@ -195,24 +190,6 @@ def empirical_stats(errors, saturation_count: int = 0) -> QuantizationStats:
         error_variance=variance,
         sample_count=int(arr.size),
         saturation_count=saturation_count,
-    )
-
-
-def combine_stats(a: QuantizationStats, b: QuantizationStats) -> QuantizationStats:
-    """Count-weighted merge of two disjoint-shard statistics."""
-    n = a.sample_count + b.sample_count
-    mean = (a.sample_count * a.error_mean + b.sample_count * b.error_mean) / n
-    second = (
-        a.sample_count * (a.error_variance + a.error_mean**2)
-        + b.sample_count * (b.error_variance + b.error_mean**2)
-    ) / n
-    variance = max(second - mean**2, 0.0)
-    return QuantizationStats(
-        error_mean=mean,
-        error_std=math.sqrt(variance),
-        error_variance=variance,
-        sample_count=n,
-        saturation_count=a.saturation_count + b.saturation_count,
     )
 
 

@@ -40,14 +40,19 @@ def _row_values(row: ErrorReport | CharacterizationRow, columns: Sequence[str]) 
     return [getattr(row, name) for name in columns]
 
 
-def _render_csv(rows, columns, config: dict | None, notes: Iterable[str]) -> str:
+def csv_header(config: dict | None, notes: Iterable[str]) -> list[str]:
+    """Leading comment lines of a CSV report: ``# config:``, ``# seed:``, ``# note:``."""
     lines = []
     if config is not None:
         lines.append("# config: " + json.dumps(config, sort_keys=True))
         if "seed" in config:
             lines.append(f"# seed: {config['seed']}")
-    for note in notes:
-        lines.append(f"# note: {note}")
+    lines += [f"# note: {note}" for note in notes]
+    return lines
+
+
+def _render_csv(rows, columns, config: dict | None, notes: Iterable[str]) -> str:
+    lines = csv_header(config, notes)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in _row_values(row, columns)))

@@ -9,19 +9,17 @@ import json
 import numpy as np
 import pytest
 
-from qfft.analysis import SweepSpec, quantizer_characterization, run_sweep
+from qfft.analysis import quantizer_characterization, run_sweep
 from qfft.cli import main as cli_main
+from qfft.config import ExperimentConfig
 from qfft.core import dft_naive
-from qfft.pipeline import PipelineConfig, build_pipeline, processing_cost
+from qfft.pipeline import Pipeline, PipelineConfig, processing_cost
 from qfft.quantization import (
     QuantizerSpec,
     quantize_uniform,
     theory_variance_mantissa,
     theory_variance_uniform,
 )
-from qfft.signals import SignalSpec
-
-SWEEP_SIGNAL = SignalSpec("random", 1024, amplitude=1.0)
 
 
 def _report(criterion: str, passed: bool, detail: str = ""):
@@ -39,11 +37,12 @@ def random_signal(n, seed):
 @pytest.fixture(scope="module")
 def uniform_sweep():
     return run_sweep(
-        SweepSpec(
+        ExperimentConfig(
             n=1024,
             bits_lo=6,
             bits_hi=14,
-            signal=SWEEP_SIGNAL,
+            signal_kind="random",
+            signal_amplitude=1.0,
             quantizer_mode="uniform",
             trials=20,
             seed=0,
@@ -54,11 +53,12 @@ def uniform_sweep():
 @pytest.fixture(scope="module")
 def mantissa_sweep():
     return run_sweep(
-        SweepSpec(
+        ExperimentConfig(
             n=1024,
             bits_lo=6,
             bits_hi=14,
-            signal=SWEEP_SIGNAL,
+            signal_kind="random",
+            signal_amplitude=1.0,
             quantizer_mode="mantissa",
             trials=20,
             seed=0,
@@ -70,7 +70,7 @@ def test_criterion_01_oracle_equivalence():
     worst_ratio = 0.0
     for n in (2, 4, 8, 64, 1024):
         x = random_signal(n, seed=1000 + n)
-        trace = build_pipeline(PipelineConfig(n=n)).run(x)
+        trace = Pipeline(PipelineConfig(n=n)).run(x)
         worst = float(np.max(np.abs(trace.output - dft_naive(x))))
         worst_ratio = max(worst_ratio, worst / (1e-9 * n))
         if worst >= 1e-9 * n:
@@ -82,8 +82,8 @@ def test_criterion_02_round_trip():
     worst_ratio = 0.0
     for n in (2, 16, 256, 1024):
         x = random_signal(n, seed=2000 + n)
-        spectrum = build_pipeline(PipelineConfig(n=n)).run(x).output
-        back = build_pipeline(PipelineConfig(n=n, direction="ifft")).run(spectrum).output
+        spectrum = Pipeline(PipelineConfig(n=n)).run(x).output
+        back = Pipeline(PipelineConfig(n=n, direction="ifft")).run(spectrum).output
         worst = float(np.max(np.abs(back - x)))
         worst_ratio = max(worst_ratio, worst / (1e-12 * n))
         if worst >= 1e-12 * n:
@@ -95,7 +95,7 @@ def test_criterion_03_energy_conservation():
     worst = 0.0
     for n in (4, 64, 1024):
         x = random_signal(n, seed=3000 + n)
-        spectrum = build_pipeline(PipelineConfig(n=n)).run(x).output
+        spectrum = Pipeline(PipelineConfig(n=n)).run(x).output
         lhs = float(np.sum(np.abs(x) ** 2))
         rhs = float(np.sum(np.abs(spectrum) ** 2)) / n
         worst = max(worst, abs(lhs - rhs) / lhs)
@@ -105,7 +105,7 @@ def test_criterion_03_energy_conservation():
 def test_criterion_04_operation_counts():
     observed = {}
     for n in (2, 8, 1024):
-        trace = build_pipeline(PipelineConfig(n=n)).run(random_signal(n, seed=n))
+        trace = Pipeline(PipelineConfig(n=n)).run(random_signal(n, seed=n))
         observed[n] = (trace.multiplies, trace.additions)
         if observed[n] != processing_cost(n):
             _report("4 operation counts", False, f"n={n}: {observed[n]}")

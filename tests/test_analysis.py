@@ -6,15 +6,14 @@ import pytest
 from qfft.analysis import (
     SQNR_CAP_DB,
     CharacterizationRow,
-    SweepSpec,
     compare,
     quantizer_characterization,
     run_sweep,
 )
+from qfft.config import ConfigError, ExperimentConfig, parse_config
 from qfft.core import fft_reference
-from qfft.pipeline import PipelineConfig, build_pipeline, uniform_stage_specs
+from qfft.pipeline import Pipeline, PipelineConfig, uniform_stage_specs
 from qfft.quantization import QuantizerSpec, theory_variance_mantissa, theory_variance_uniform
-from qfft.signals import SignalSpec
 
 
 def random_signal(n, seed):
@@ -51,7 +50,7 @@ class TestCompare:
         x = random_signal(n, seed=88)
         reference = fft_reference(x)
         specs = uniform_stage_specs(n, 8, math.sqrt(2.0))
-        test = build_pipeline(PipelineConfig(n=n, stage_quantizers=specs)).run(x).output
+        test = Pipeline(PipelineConfig(n=n, stage_quantizers=specs)).run(x).output
 
         error, percent, sqnr = compare(reference, test)
 
@@ -68,37 +67,26 @@ class TestCompare:
 
 
 class TestSweepSpec:
+    """The sweep a config specifies: its ``sweep`` section and quantizer mode."""
+
     def test_rejects_bad_bit_range(self):
-        sig = SignalSpec("random", 16)
-        with pytest.raises(ValueError):
-            SweepSpec(n=16, bits_lo=0, bits_hi=4, signal=sig)
-        with pytest.raises(ValueError):
-            SweepSpec(n=16, bits_lo=8, bits_hi=4, signal=sig)
-        with pytest.raises(ValueError):
-            SweepSpec(n=16, bits_lo=4, bits_hi=25, signal=sig)
-
-    def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError):
-            SweepSpec(n=16, bits_lo=4, bits_hi=8, signal=SignalSpec("random", 16), trials=0)
-
-    def test_rejects_signal_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SweepSpec(n=16, bits_lo=4, bits_hi=8, signal=SignalSpec("random", 32))
+        # bits_lo > bits_hi is in test_config's constraint cases
+        with pytest.raises(ConfigError, match=r"sweep: need 1 <= bits_lo"):
+            parse_config('{"sweep": {"bits_lo": 0, "bits_hi": 4}}')
+        with pytest.raises(ConfigError, match=r"sweep: need 1 <= bits_lo"):
+            parse_config('{"sweep": {"bits_lo": 4, "bits_hi": 25}}')
+        assert parse_config('{"sweep": {"bits_lo": 24, "bits_hi": 24}}').bits_hi == 24
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            SweepSpec(
-                n=16, bits_lo=4, bits_hi=8, signal=SignalSpec("random", 16), quantizer_mode="off"
-            )
+        with pytest.raises(ConfigError, match=r"quantizer\.mode"):
+            run_sweep(ExperimentConfig(n=16, bits_lo=4, bits_hi=8, quantizer_mode="off"))
 
 
 class TestRunSweep:
-    SIGNAL = SignalSpec("random", 256, amplitude=1.0)
-
     def sweep(self, **kw):
-        args = dict(n=256, bits_lo=6, bits_hi=14, signal=self.SIGNAL, trials=5, seed=0)
+        args = dict(n=256, bits_lo=6, bits_hi=14, signal_amplitude=1.0, trials=5, seed=0)
         args.update(kw)
-        return run_sweep(SweepSpec(**args))
+        return run_sweep(ExperimentConfig(**args))
 
     def test_one_row_per_bit(self):
         rows = self.sweep()

@@ -1,12 +1,16 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qfft
+from qfft import core
 from qfft.cli import main
 from qfft.config import parse_config
 from qfft.pipeline import Pipeline
@@ -68,6 +72,88 @@ def test_format_flag_switches_to_json(tmp_path, sweep_config):
     assert payload["config"]["n"] == 64
 
 
+def _sweep_rows(tmp_path, doc) -> list[str]:
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "report.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    return [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+
+
+SMALL_SWEEP = {"n": 64, "sweep": {"trials": 2}}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"twiddle_quantization": {"enabled": True, "bits": 3}}, {"quantizer": {"x_max": 0.01}}],
+    ids=["twiddle-rom", "x_max"],
+)
+def test_sweep_runs_the_configured_processor(tmp_path, change):
+    assert _sweep_rows(tmp_path, {**SMALL_SWEEP, **change}) != _sweep_rows(tmp_path, SMALL_SWEEP)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "n": 64,
+            "quantizer": {"x_max": 0.3},
+            "twiddle_quantization": {"enabled": True, "bits": 5},
+            "sweep": {"bits_lo": 4, "bits_hi": 7, "trials": 2},
+            "seed": 11,
+        },
+        {
+            "n": 32,
+            "direction": "ifft",
+            "quantizer": {"mode": "mantissa"},
+            "twiddle_quantization": {"enabled": True, "bits": 6},
+            "signal": {"kind": "multitone", "bins": [1, 5], "amplitudes": [1.0, 0.25]},
+            "sweep": {"bits_lo": 3, "bits_hi": 5, "trials": 3},
+        },
+    ],
+    ids=["uniform-rom-x_max", "mantissa-ifft-multitone"],
+)
+def test_sweep_rows_equal_a_hand_run_of_the_config_pipeline(tmp_path, doc):
+    rows = _sweep_rows(tmp_path, doc)
+    cfg = parse_config(json.dumps(doc))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    signals = [generate_signal(cfg.signal_spec(), s) for s in seeds]
+    references = np.array([core.fft_reference(x, cfg.direction) for x in signals])
+    assert len(rows) == cfg.bits_hi - cfg.bits_lo + 1
+    for bits, row in zip(range(cfg.bits_lo, cfg.bits_hi + 1), rows):
+        pipeline = Pipeline(cfg.pipeline_config(bits))
+        traces = [pipeline.run(x) for x in signals]
+        error = references - np.array([t.output for t in traces])
+        pooled = np.concatenate([error.real.ravel(), error.imag.ravel()])
+        ref_pooled = np.concatenate([references.real.ravel(), references.imag.ravel()])
+        components = cfg.trials * 2 * cfg.n * core.num_stages(cfg.n)
+        expected = [
+            pooled.mean(),
+            pooled.std(),
+            pooled.var(),
+            100.0 * math.sqrt(np.sum(np.abs(error) ** 2) / np.sum(np.abs(references) ** 2)),
+            10.0 * math.log10(ref_pooled.var() / pooled.var()),
+            sum(t.saturation_total for t in traces) / components,
+        ]
+        values = [float(v) for v in row.split(",")]
+        assert values[0] == bits
+        assert values[1:6] + values[7:] == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "quantizer, field",
+    [({"per_stage": [{"bits": 6}] * 6}, r"quantizer\.per_stage"), ({"mode": "off"}, r"quantizer\.mode")],
+    ids=["per_stage", "off"],
+)
+def test_sweep_the_config_cannot_describe_is_a_config_error(tmp_path, capsys, quantizer, field):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**SMALL_SWEEP, "quantizer": quantizer}))
+    assert main(["sweep", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match("config error: " + field + ": ", captured.err)
+
+
 def test_fft_impulse_spectrum_to_stdout(tmp_path, capsys):
     config = tmp_path / "fft.json"
     config.write_text(json.dumps({"n": 4, "quantizer": {"mode": "off"}, "signal": {"kind": "impulse"}}))
@@ -95,6 +181,32 @@ def test_fft_csv_rows_across_chunks(tmp_path):
     text = out.read_text()
     assert text.endswith("\n")
     assert text.splitlines()[-len(expected) - 1 :] == ["index,real,imag", *expected]
+
+
+def test_fft_json_bytes_equal_per_scalar_rows(tmp_path):
+    doc = {
+        "n": 8192,
+        "quantizer": {"bits": 6},
+        "twiddle_quantization": {"enabled": True, "bits": 7},
+        "format": "json",
+    }
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "vector.json"
+    assert main(["fft", "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
+    cfg = parse_config(json.dumps({**doc, "seed": 3}))
+    trace = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), 3))
+    header = cfg.to_dict()
+    header.pop("out")
+    payload = {
+        "config": header,
+        "notes": list(qfft.report.STANDARD_NOTES),
+        "saturation_total": trace.saturation_total,
+        "output": [
+            {"index": i, "real": float(v.real), "imag": float(v.imag)} for i, v in enumerate(trace.output)
+        ],
+    }
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_fft_json_output(tmp_path):

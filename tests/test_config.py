@@ -3,7 +3,10 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfft.analysis import run_sweep
 from qfft.config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from qfft.quantization import QuantizerSpec
 
@@ -71,6 +74,27 @@ class TestParsing:
     def test_invalid_json_reports_location(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("{not json}")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+    )
+    def test_valid_json_the_decoder_cannot_read(self, text):
+        with pytest.raises(ConfigError, match="unreadable JSON"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "signal, field",
+        [
+            ({"kind": "random", "bins": [1, 2], "amplitudes": [1.0]}, "bins"),
+            ({"kind": "sinusoid", "amplitudes": [2.0]}, "amplitudes"),
+            ({"amplitudes": []}, "amplitudes"),
+        ],
+    )
+    def test_multitone_fields_need_a_multitone_signal(self, signal, field):
+        with pytest.raises(ConfigError, match=rf"signal\.{field}: only a multitone signal"):
+            parse_config(json.dumps({"signal": signal}))
 
     def test_constraint_violations(self):
         with pytest.raises(ConfigError, match=r"quantizer\.bits"):
@@ -227,6 +251,78 @@ class TestDerivedObjects:
         cfg = parse_config(
             '{"n": 64, "sweep": {"bits_lo": 4, "bits_hi": 9, "trials": 3}, "seed": 7}'
         )
-        sweep = cfg.sweep_spec()
-        assert (sweep.bits_lo, sweep.bits_hi, sweep.trials, sweep.seed) == (4, 9, 3, 7)
-        assert sweep.n == 64
+        assert (cfg.bits_lo, cfg.bits_hi, cfg.trials, cfg.seed, cfg.n) == (4, 9, 3, 7, 64)
+        assert [row.bits for row in run_sweep(cfg)] == list(range(4, 10))
+
+
+# Config documents for the property tests below: any subset of the schema's
+# keys, with values near the valid ranges (so that many documents parse),
+# and with ``junk`` any value may also be any JSON value at all.
+FLOATS = st.floats(-4.0, 4.0) | st.floats()
+BITS = st.integers(1, 52) | st.integers(-1, 60)
+MODES = st.sampled_from(["off", "uniform", "mantissa"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _object(fields: dict, junk: bool):
+    if junk:
+        fields = {key: value | JSON_VALUES for key, value in fields.items()}
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def config_documents(junk: bool = False):
+    def for_stages(m):
+        stage = _object({"mode": MODES, "bits": BITS, "x_max": st.none() | FLOATS}, junk)
+        quantizer = {
+            "mode": MODES,
+            "bits": BITS,
+            "x_max": st.none() | FLOATS,
+            "per_stage": st.lists(stage, min_size=m, max_size=m) | st.lists(stage, max_size=3),
+        }
+        signal = {
+            "kind": st.sampled_from(["impulse", "sinusoid", "multitone", "random"]),
+            "bin": st.integers(-1, 64),
+            "amplitude": FLOATS,
+            "bins": st.lists(st.integers(-1, 64), max_size=3),
+            "amplitudes": st.lists(FLOATS, max_size=3),
+        }
+        sweep = {"bits_lo": st.integers(0, 25), "bits_hi": st.integers(0, 25), "trials": st.integers(0, 30)}
+        return _object(
+            {
+                "n": st.just(1 << m) | st.integers(-2, 1 << 17),
+                "direction": st.sampled_from(["fft", "ifft"]),
+                "quantizer": _object(quantizer, junk),
+                "twiddle_quantization": _object({"enabled": st.booleans(), "bits": BITS}, junk),
+                "signal": _object(signal, junk),
+                "sweep": _object(sweep, junk),
+                "seed": st.integers(-1, 2**64),
+                "out": st.none() | st.text(max_size=6),
+                "format": st.sampled_from(["csv", "json"]),
+            },
+            junk,
+        )
+
+    return st.integers(1, 7).flatmap(for_stages).map(json.dumps)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text() | JSON_VALUES.map(json.dumps) | config_documents(junk=True))
+    def test_any_document_raises_only_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=config_documents())
+    def test_serialize_then_parse_gives_back_the_config(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(cfg)) == cfg

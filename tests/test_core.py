@@ -3,7 +3,6 @@ import pytest
 
 from qfft.core import (
     bit_reverse_permute,
-    butterfly,
     dft_naive,
     dit_stage,
     fft_reference,
@@ -137,6 +136,13 @@ class TestBitReversal:
         assert np.array_equal(bit_reverse_permute(bit_reverse_permute(x)), x)
 
 
+def butterfly(a, b, w):
+    """One 2-point stage of the kernel: (a + w*b, a - w*b)."""
+    data = np.array([a, b], dtype=complex)
+    assert dit_stage(data, np.array([w], dtype=complex), 0) == (1, 2)
+    return tuple(data.tolist())
+
+
 class TestButterfly:
     def test_unity_twiddle(self):
         assert butterfly(1, 1, 1) == (2, 0)
@@ -164,13 +170,13 @@ class TestFftReference:
 
     def test_round_trip_64(self):
         x = random_signal(64, seed=3)
-        back = fft_reference(fft_reference(x, "forward"), "inverse")
+        back = fft_reference(fft_reference(x, "fft"), "ifft")
         assert np.max(np.abs(back - x)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 32, 512])
     def test_round_trip_scaled(self, n):
         x = random_signal(n, seed=5 + n)
-        back = fft_reference(fft_reference(x), "inverse")
+        back = fft_reference(fft_reference(x), "ifft")
         assert np.max(np.abs(back - x)) < 1e-12 * n
 
     @pytest.mark.parametrize("n", [4, 64, 1024])
@@ -196,7 +202,7 @@ class TestFftReference:
         n = 16
         spectrum = np.zeros(n, dtype=complex)
         spectrum[0] = n
-        assert np.allclose(fft_reference(spectrum, "inverse"), np.ones(n), atol=1e-14)
+        assert np.allclose(fft_reference(spectrum, "ifft"), np.ones(n), atol=1e-14)
 
     def test_does_not_mutate_input(self):
         x = random_signal(32, seed=9)
@@ -207,6 +213,9 @@ class TestFftReference:
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
             fft_reference(np.ones(4, dtype=complex), "backward")
+        # one vocabulary with PipelineConfig and the config file
+        with pytest.raises(ValueError, match="fft"):
+            fft_reference(np.ones(4, dtype=complex), "inverse")
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfft import core
-from qfft.analysis import SweepSpec, run_sweep
+from qfft.analysis import run_sweep
+from qfft.config import ExperimentConfig
 from qfft.pipeline import Pipeline, PipelineConfig, mantissa_stage_specs, uniform_stage_specs
 from qfft.quantization import QuantizerSpec, apply_quantizer, quantize_mantissa, quantize_uniform
-from qfft.signals import SignalSpec
 
 
 def random_signal(n, seed, scale=1.0):
@@ -60,7 +60,7 @@ class TestCachedTables:
                 pipeline = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=specs))
                 for seed in range(3):
                     pipeline.run(random_signal(n, seed))
-            sweep = SweepSpec(n=n, bits_lo=6, bits_hi=8, signal=SignalSpec("random", n), trials=2)
+            sweep = ExperimentConfig(n=n, bits_lo=6, bits_hi=8, trials=2)
             run_sweep(sweep)
             run_sweep(sweep)
             assert core.bit_reversal_indices.cache_info().misses == built
@@ -206,10 +206,10 @@ PIPELINES = {
     "uniform": PipelineConfig(n=256, stage_quantizers=uniform_stage_specs(256, 7, 1.5)),
     "uniform-saturating": PipelineConfig(n=256, stage_quantizers=uniform_stage_specs(256, 7, 0.05)),
     "mantissa-ifft": PipelineConfig(n=256, direction="ifft", stage_quantizers=mantissa_stage_specs(256, 5)),
-    "twiddle-and-input": PipelineConfig(
+    "twiddle-rom": PipelineConfig(
         n=64,
+        stage_quantizers=uniform_stage_specs(64, 4, 0.5),
         twiddle_quantizer=QuantizerSpec("uniform", 5, 1.0),
-        input_quantizer=QuantizerSpec("uniform", 4, 0.5),
     ),
 }
 
@@ -252,5 +252,5 @@ def test_bypass_is_bit_exact(m, seed, scale_exp, direction):
     n = 1 << m
     x = random_signal(n, seed, scale=2.0**scale_exp)
     output = Pipeline(PipelineConfig(n=n, direction=direction)).run(x).output
-    reference = core.fft_reference(x, "forward" if direction == "fft" else "inverse")
+    reference = core.fft_reference(x, direction)
     assert output.tobytes() == reference.tobytes()

@@ -8,9 +8,7 @@ from qfft.quantization import (
     QuantizationStats,
     QuantizerSpec,
     apply_quantizer,
-    combine_stats,
     empirical_stats,
-    quantization_error,
     quantize_mantissa,
     quantize_uniform,
     relative_error,
@@ -157,10 +155,6 @@ class TestMantissaQuantizer:
 
 
 class TestErrorOps:
-    def test_quantization_error(self):
-        assert quantization_error(0.3, 0.5) == pytest.approx(-0.2)
-        assert quantization_error(0.7, 0.7) == 0.0
-
     def test_relative_error_values(self):
         assert relative_error(0.5, 0.5) == 0.0
         assert relative_error(0.6875, 0.75) == pytest.approx(1.0 / 11.0, rel=1e-12)
@@ -251,19 +245,6 @@ class TestEmpiricalStats:
     def test_rejects_impossible_saturation(self):
         with pytest.raises(ValueError):
             QuantizationStats(0.0, 1.0, 1.0, sample_count=5, saturation_count=6)
-
-    def test_combine_matches_whole(self):
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=9001)
-        whole = empirical_stats(data, saturation_count=3)
-        merged = combine_stats(
-            empirical_stats(data[:4000], saturation_count=1),
-            empirical_stats(data[4000:], saturation_count=2),
-        )
-        assert merged.sample_count == whole.sample_count
-        assert merged.saturation_count == whole.saturation_count
-        assert merged.error_mean == pytest.approx(whole.error_mean, abs=1e-12)
-        assert merged.error_variance == pytest.approx(whole.error_variance, rel=1e-10)
 
 
 class TestApplyQuantizer:
