@@ -12,7 +12,7 @@ Schema (all keys optional, defaults applied):
       "signal": {"kind": "impulse"|"sinusoid"|"multitone"|"random",
                  "bin": 0, "amplitude": 1.0,
                  "bins": [...], "amplitudes": [...]},  # bins/amplitudes: multitone only
-      "sweep": {"bits_lo": 6, "bits_hi": 14, "trials": 20},
+      "sweep": {"bits_lo": 6, "bits_hi": 14, "trials": 20},  # trials * n <= 2**24
       "seed": 0,
       "out": null,
       "format": "csv" | "json"
@@ -35,6 +35,9 @@ from .quantization import MAX_BITS, QuantizerSpec
 from .signals import SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
+# a sweep holds every trial's input, reference output and error as complex128
+# (48 bytes per trials x n sample): 2**24 samples keep those buffers at 768 MiB
+MAX_SWEEP_SAMPLES = 2**24
 
 
 class ConfigError(ValueError):
@@ -230,10 +233,11 @@ def _parse_quantizer_spec(entry, path: str) -> QuantizerSpec:
     entry = _require_mapping(entry, path)
     _check_keys(entry, path, ("mode", "bits", "x_max"))
     mode = _get_str(entry, path, "mode", "uniform", ("off", "uniform", "mantissa"))
-    if mode == "off":
-        return QuantizerSpec("off")
+    # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _get_int(entry, path, "bits", 8)
     x_max = _get_number(entry, path, "x_max", 1.0)
+    if mode == "off":
+        return QuantizerSpec("off")
     try:
         spec = QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
     except ValueError as exc:
@@ -328,6 +332,11 @@ def parse_config(text: str) -> ExperimentConfig:
     trials = _get_int(sweep, "sweep", "trials", 20)
     if trials < 1:
         raise ConfigError(f"sweep.trials: must be >= 1, got {trials}")
+    if trials * n > MAX_SWEEP_SAMPLES:
+        raise ConfigError(
+            f"sweep.trials: trials * n must be at most {MAX_SWEEP_SAMPLES} (2**24), "
+            f"got {trials} * {n}; at n = {n} at most {MAX_SWEEP_SAMPLES // n} trials"
+        )
 
     seed = _get_int(doc, "", "seed", 0)
     if seed < 0:

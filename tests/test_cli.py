@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfft
-from qfft import core
+from qfft import cli, core
 from qfft.cli import main
 from qfft.config import parse_config
 from qfft.pipeline import Pipeline
@@ -181,6 +184,59 @@ def test_fft_csv_rows_across_chunks(tmp_path):
     text = out.read_text()
     assert text.endswith("\n")
     assert text.splitlines()[-len(expected) - 1 :] == ["index,real,imag", *expected]
+
+
+# ±0.0 print differently; subnormals and the extremes have 3-digit exponents
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-100, -1.7976931348623157e308, 1e100, 0.1]
+POOL_VALUES = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+# lengths on and around chunk edges; 10001 and up put 9999 and 10000 in one chunk
+LENGTHS = st.sampled_from([1, 2, 4095, 4096, 4097, 10001, 12289]) | st.integers(1, 9000)
+
+
+def _first_difference(got: str, want: str):
+    """(line number, got, wanted) at the first line where two texts differ, else None.
+
+    Keeps a failure report short where a diff of two long texts would take minutes.
+    """
+    lines = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    return next(((i, g, w) for i, (g, w) in enumerate(lines) if g != w), None)
+
+
+def _finite_components(rng, count):
+    values = rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = -0.0
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.lists(POOL_VALUES, min_size=1, max_size=8),
+    length=LENGTHS,
+    layout=st.sampled_from(["pooled", "wide", "pooled-then-wide", "wide-then-pooled"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pool=EDGE_VALUES, length=10001, layout="pooled", seed=0)
+@example(pool=EDGE_VALUES, length=4097, layout="wide-then-pooled", seed=1)
+def test_rows_equal_the_per_row_format(pool, length, layout, seed):
+    # pooled chunks take the distinct-value table, wide random bit patterns the bulk %-format
+    rng = np.random.default_rng(seed)
+    pooled = np.array(pool)[rng.integers(0, len(pool), 2 * length)]
+    wide = _finite_components(rng, 2 * length)
+    split = 2 * (length // 2)
+    components = {
+        "pooled": pooled,
+        "wide": wide,
+        "pooled-then-wide": np.concatenate([pooled[:split], wide[split:]]),
+        "wide-then-pooled": np.concatenate([wide[:split], pooled[split:]]),
+    }[layout]
+    output = components.view(np.complex128)
+    rows = output.tolist()
+    csv = "".join(cli._rows(output, cli.CSV_ROW, "%.12e"))
+    expected = "".join("%d,%.12e,%.12e\n" % (i, v.real, v.imag) for i, v in enumerate(rows))
+    assert _first_difference(csv, expected) is None
+    elements = [{"index": i, "real": v.real, "imag": v.imag} for i, v in enumerate(rows)]
+    text = '{\n  "output": [' + "".join(cli._rows(output, cli.JSON_ROW, "%r"))[1:] + "\n  ]\n}"
+    assert _first_difference(text, json.dumps({"output": elements}, indent=2)) is None
 
 
 def test_fft_json_bytes_equal_per_scalar_rows(tmp_path):

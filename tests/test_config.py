@@ -123,6 +123,38 @@ class TestParsing:
         cfg = parse_config(text)
         assert cfg.per_stage == (QuantizerSpec("uniform", 6, 2.0), QuantizerSpec("off"))
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"mode": "off", "bits": "abc", "x_max": [1]}, "bits"),
+            ({"mode": "off", "bits": 8, "x_max": [1]}, "x_max"),
+            ({"mode": "off", "bits": True}, "bits"),
+        ],
+        ids=["bits-string", "x_max-list", "bits-bool"],
+    )
+    def test_off_per_stage_entry_checks_its_keys(self, entry, field):
+        text = json.dumps({"n": 4, "quantizer": {"per_stage": [entry, {"mode": "off"}]}})
+        with pytest.raises(ConfigError, match=rf"quantizer\.per_stage\[0\]\.{field}: expected"):
+            parse_config(text)
+
+    def test_off_per_stage_entry_ignores_well_formed_keys(self):
+        # the entry form to_dict writes for an off stage
+        entry = {"mode": "off", "bits": 0, "x_max": 1.0}
+        cfg = parse_config(json.dumps({"n": 2, "quantizer": {"per_stage": [entry]}}))
+        assert cfg.per_stage == (QuantizerSpec("off"),)
+
+    @pytest.mark.parametrize(
+        "n, trials, ok",
+        [(65536, 256, True), (65536, 257, False), (1024, 16384, True), (1024, 16385, False), (2, 10**30, False)],
+    )
+    def test_sweep_trials_times_n_bounded(self, n, trials, ok):
+        text = json.dumps({"n": n, "sweep": {"trials": trials}})
+        if ok:
+            assert parse_config(text).trials == trials
+        else:
+            with pytest.raises(ConfigError, match=r"sweep\.trials: trials \* n must be at most 16777216"):
+                parse_config(text)
+
     def test_per_stage_wrong_count(self):
         with pytest.raises(ConfigError, match="per_stage"):
             parse_config('{"n": 8, "quantizer": {"per_stage": [{"mode": "off"}]}}')
@@ -290,7 +322,11 @@ def config_documents(junk: bool = False):
             "bins": st.lists(st.integers(-1, 64), max_size=3),
             "amplitudes": st.lists(FLOATS, max_size=3),
         }
-        sweep = {"bits_lo": st.integers(0, 25), "bits_hi": st.integers(0, 25), "trials": st.integers(0, 30)}
+        sweep = {
+            "bits_lo": st.integers(0, 25),
+            "bits_hi": st.integers(0, 25),
+            "trials": st.integers(0, 30) | st.integers(0, 2**80),
+        }
         return _object(
             {
                 "n": st.just(1 << m) | st.integers(-2, 1 << 17),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfft.quantization import (
+    MAX_BITS,
     OFF,
     QuantizationStats,
     QuantizerSpec,
@@ -276,3 +279,44 @@ class TestApplyQuantizer:
         spec = QuantizerSpec("mantissa", 4)
         _, saturated = apply_quantizer(np.array([1e12 + 1e-12j]), spec)
         assert saturated == 0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BITS = st.integers(1, MAX_BITS)
+FULL_SCALES = st.floats(2.0**-100, 2.0**100)
+
+
+class TestQuantizerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(FINITE, min_size=1, max_size=16), bits=BITS, x_max=FULL_SCALES)
+    def test_uniform_idempotent(self, x, bits, x_max):
+        spec = QuantizerSpec("uniform", bits, x_max)
+        with np.errstate(over="ignore"):  # |x| / q past the double range clamps to full scale
+            once = quantize_uniform(np.array(x), spec)
+            assert quantize_uniform(once, spec).tobytes() == once.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(FINITE, min_size=1, max_size=16), bits=BITS)
+    def test_mantissa_idempotent(self, x, bits):
+        spec = QuantizerSpec("mantissa", bits)
+        with np.errstate(over="ignore"):  # rounding up past the largest double gives inf
+            once = quantize_mantissa(np.array(x), spec)
+            assert quantize_mantissa(once, spec).tobytes() == once.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bits=BITS, exponent=st.integers(-100, 100))
+    def test_uniform_error_within_half_step_at_power_of_two_full_scale(self, data, bits, exponent):
+        # x / q and q * level are exact, so the bound holds with no rounding allowance
+        x_max = 2.0**exponent
+        spec = QuantizerSpec("uniform", bits, x_max)
+        x = np.array(data.draw(st.lists(st.floats(-x_max, x_max), min_size=1, max_size=16)))
+        assert np.all(np.abs(x - quantize_uniform(x, spec)) <= spec.step / 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bits=BITS, x_max=FULL_SCALES)
+    def test_uniform_error_within_half_step(self, data, bits, x_max):
+        # x / q, q * level and the difference each round once, which can add
+        # up to about 3 * x_max * 2**-53 (0.5096 q at bits 51, x_max 1.2438e30)
+        spec = QuantizerSpec("uniform", bits, x_max)
+        x = np.array(data.draw(st.lists(st.floats(-x_max, x_max), min_size=1, max_size=16)))
+        assert np.all(np.abs(x - quantize_uniform(x, spec)) <= spec.step / 2 + x_max * 2.0**-51)
