@@ -8,8 +8,7 @@ CSV that the `qfft sweep` subcommand would emit.
 
 from dataclasses import replace
 
-from qfft import ExperimentConfig, emit_report, run_sweep
-from qfft.report import STANDARD_NOTES
+from qfft import ExperimentConfig, emit_report, report, run_sweep
 
 # the same description of a run that `qfft sweep` parses from its config file
 uniform = ExperimentConfig(
@@ -38,10 +37,5 @@ for row in mantissa_rows:
 print("  the mantissa curve sits lower and settles at fewer bits than the uniform one")
 
 destination = "sweep_uniform_1024.csv"
-emit_report(
-    uniform_rows,
-    destination=destination,
-    config=uniform.to_dict(),
-    notes=STANDARD_NOTES,
-)
+report.write([emit_report(uniform_rows, config=uniform.to_dict())], destination)
 print(f"\nwrote {destination} (same format as `qfft sweep --out ...`)")

@@ -43,7 +43,7 @@ from .quantization import (
     theory_variance_mantissa,
     theory_variance_uniform,
 )
-from .report import emit_characterization, emit_report
+from .report import emit_report
 from .signals import SignalSpec, generate_signal, magnitude_bound
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "bit_reverse_permute",
     "compare",
     "dft_naive",
-    "emit_characterization",
     "emit_report",
     "empirical_stats",
     "fft_reference",

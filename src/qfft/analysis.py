@@ -16,17 +16,18 @@ from . import core
 from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig
 from .pipeline import Pipeline
 from .quantization import (
+    SQNR_CAP_DB,  # noqa: F401  (importable from here as well)
     QuantizerSpec,
     quantize_mantissa,
     quantize_uniform,
     relative_error,
+    snr_db,
     theory_variance_mantissa,
     theory_variance_uniform,
 )
 from .signals import generate_signal
 
 SWEEP_MODES = ("uniform", "mantissa")
-SQNR_CAP_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,6 @@ def _pooled_components(vectors: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([stacked.real, stacked.imag])
 
 
-def _capped_sqnr_db(signal_variance: float, noise_variance: float) -> float:
-    if noise_variance == 0.0 or signal_variance / noise_variance > 10.0 ** (SQNR_CAP_DB / 10.0):
-        return SQNR_CAP_DB
-    if signal_variance == 0.0:
-        return -SQNR_CAP_DB
-    return 10.0 * math.log10(signal_variance / noise_variance)
-
-
 def compare(reference, test) -> tuple[np.ndarray, float, float]:
     """Error vector, percentage error and SQNR of a test run against a reference.
 
@@ -83,9 +76,7 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     if ref_norm == 0.0:
         raise ValueError("percent error is undefined for an all-zero reference")
     percent = 100.0 * float(np.linalg.norm(error)) / ref_norm
-    sqnr = _capped_sqnr_db(
-        float(_pooled_components([ref]).var()), float(_pooled_components([error]).var())
-    )
+    sqnr = snr_db(float(_pooled_components([ref]).var()), float(_pooled_components([error]).var()))
     return error, percent, sqnr
 
 
@@ -157,7 +148,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
                 error_std=math.sqrt(variance),
                 error_variance=variance,
                 percent_error=100.0 * math.sqrt(err_energy / ref_energy),
-                sqnr_db=_capped_sqnr_db(ref_variance, variance),
+                sqnr_db=snr_db(ref_variance, variance),
                 theory_variance=_row_theory(cfg.quantizer_mode, bits, base_x_max),
                 saturation_rate=saturations / (cfg.trials * components_per_run),
             )

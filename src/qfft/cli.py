@@ -5,27 +5,15 @@ quantized) transform and emits the output vector, ``sweep`` runs a
 bit-resolution sweep of the quantized pipeline against the ideal
 reference, ``quantizer`` characterizes a bare quantizer by Monte-Carlo,
 and ``selftest`` runs the built-in consistency checks. All randomness
-flows from a single seed; flags override config-file values.
-
-``fft`` writes its rows a chunk at a time. A quantized output takes few
-distinct values (a b-bit uniform stage has at most 2**b + 1 levels), so
-each chunk formats every distinct component bit pattern once, with
-Python's own %-format, and assembles the rows from that table. A vector
-whose first chunk is mostly distinct values skips the table and formats
-each chunk with one %-format over all its rows. Both give the bytes of
-one %-format per row, and the JSON rows are exactly those of
-``json.dumps(..., indent=2)``.
+flows from a single seed; flags override config-file values. ``report``
+renders and writes every report; this module only runs and dispatches.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
 import math
-import re
 import sys
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -91,95 +79,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _emit(parts: Iterable[str], out: str | None) -> None:
-    if out is None:
-        sys.stdout.writelines(parts)
-    else:
-        with open(out, "w", newline="") as handle:
-            handle.writelines(parts)
-
-
-CHUNK_ROWS = 4096
-CSV_ROW = "%d,%s,%s\n"
-# one element of json.dumps(..., indent=2)'s "output" list, with the separator in front
-JSON_ROW = ',\n    {\n      "index": %d,\n      "real": %s,\n      "imag": %s\n    }'
-
-
-def _rows(output: np.ndarray, template: str, value_format: str) -> Iterator[str]:
-    """``template % (index, real, imag)`` for every element of a complex vector.
-
-    ``template`` holds ``%d`` for the index and ``%s`` for each component,
-    which is written with ``value_format``. One string per ``CHUNK_ROWS``
-    rows, so memory stays bounded. A chunk with at most half as many
-    distinct component bit patterns as components is assembled from a
-    table of them (``_table_chunk``); from the first chunk with more, the
-    rest of the vector takes one %-format per chunk and no table, since a
-    table it would not use costs a sort per chunk.
-    """
-    literals = [np.frombuffer(part.encode("ascii"), np.uint8) for part in re.split("%d|%s", template)]
-    row_format = template.replace("%s", value_format)
-    components = output.view(np.float64)
-    tabulate = True
-    for start in range(0, output.size, CHUNK_ROWS):
-        chunk = components[2 * start : 2 * (start + CHUNK_ROWS)]
-        if tabulate:
-            # bit patterns, not values: 0.0 == -0.0 but they print differently
-            keys, inverse = np.unique(chunk.view(np.uint64), return_inverse=True)
-            tabulate = 2 * keys.size <= chunk.size
-        if tabulate:
-            yield _table_chunk(start, keys, inverse, literals, value_format)
-        else:
-            values = chunk.tolist()
-            count = len(values) // 2
-            fields = [0] * (3 * count)
-            fields[0::3] = range(start, start + count)
-            fields[1::3] = values[0::2]
-            fields[2::3] = values[1::2]
-            yield (row_format * count) % tuple(fields)
-
-
-def _table_chunk(
-    start: int, keys: np.ndarray, inverse: np.ndarray, literals: list[np.ndarray], value_format: str
-) -> str:
-    """Rows of one chunk, each distinct component formatted once.
-
-    The strings of the distinct values (from Python's own %-format, so the
-    bytes match the per-component path) sit in a NUL-padded table; a
-    ``uint8`` matrix of rows is filled from the literals, the index
-    digits and the table gathered by ``inverse``, and its NULs dropped.
-    """
-    table = np.array([value_format % v for v in keys.view(np.float64).tolist()], dtype=np.bytes_)
-    texts = np.take(table.view(np.uint8).reshape(keys.size, table.itemsize), inverse.reshape(-1, 2), axis=0)
-    count = texts.shape[0]
-    index = _decimal_digits(start, start + count)
-    pieces = (literals[0], index, literals[1], texts[:, 0], literals[2], texts[:, 1], literals[3])
-    rows = np.concatenate([np.broadcast_to(piece, (count, piece.shape[-1])) for piece in pieces], axis=1)
-    return rows[rows != 0].tobytes().decode("ascii")
-
-
-def _decimal_digits(start: int, stop: int) -> np.ndarray:
-    """ASCII digits of ``start..stop-1``, one right-aligned row each, NUL before shorter numbers."""
-    width = len(str(stop - 1))
-    numbers = np.arange(start, stop, dtype=np.uint32)  # transforms have at most 2**16 points
-    digits = np.empty((numbers.size, width), np.uint8)
-    rest = numbers
-    for column in range(width - 1, -1, -1):
-        quotient = rest // 10
-        digits[:, column] = rest - 10 * quotient
-        rest = quotient
-    digits += ord("0")
-    for column in range(width - 1):
-        digits[numbers < 10 ** (width - 1 - column), column] = 0
-    return digits
-
-
-def _header_config(cfg: ExperimentConfig) -> dict:
-    # the report must not depend on where it is written
-    doc = cfg.to_dict()
-    doc.pop("out", None)
-    return doc
-
-
 def _cmd_fft(cfg: ExperimentConfig) -> int:
     pipeline_cfg = cfg.pipeline_config()
     pipeline = Pipeline(pipeline_cfg)
@@ -188,27 +87,8 @@ def _cmd_fft(cfg: ExperimentConfig) -> int:
     if not np.all(np.isfinite(trace.output.view(np.float64))):
         print("error: transform produced non-finite values", file=sys.stderr)
         return 1
-
-    header = _header_config(cfg)
-    if cfg.format == "csv":
-        lines = report.csv_header(header, report.STANDARD_NOTES)
-        lines.append(f"# saturation_total: {trace.saturation_total}")
-        lines.append("index,real,imag")
-        parts = itertools.chain(["\n".join(lines) + "\n"], _rows(trace.output, CSV_ROW, "%.12e"))
-    else:
-        # json.dumps(payload, indent=2) with the rows spliced into its empty "output" list;
-        # "%r" is the float.__repr__ that json writes
-        payload = {
-            "config": header,
-            "notes": list(report.STANDARD_NOTES),
-            "saturation_total": trace.saturation_total,
-            "output": [],
-        }
-        head = json.dumps(payload, indent=2).removesuffix("]\n}")
-        rows = _rows(trace.output, JSON_ROW, "%r")
-        # the first row takes no separator: "[" is followed directly by "\n    {"
-        parts = itertools.chain([head, next(rows)[1:]], rows, ["\n  ]\n}\n"])
-    _emit(parts, cfg.out)
+    parts = report.emit_vector(trace.output, trace.saturation_total, cfg.format, cfg.to_dict())
+    report.write(parts, cfg.out)
     return 0
 
 
@@ -227,10 +107,7 @@ def _check_sweep_rows(rows) -> None:
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
     rows = analysis.run_sweep(cfg)
     _check_sweep_rows(rows)
-    text = report.emit_report(
-        rows, format=cfg.format, config=_header_config(cfg), notes=report.STANDARD_NOTES
-    )
-    _emit([text], cfg.out)
+    report.write([report.emit_report(rows, format=cfg.format, config=cfg.to_dict())], cfg.out)
     return 0
 
 
@@ -244,10 +121,7 @@ def _cmd_quantizer(cfg: ExperimentConfig, samples: int) -> int:
         seed=cfg.seed,
         x_max=cfg.quantizer_x_max if cfg.quantizer_x_max is not None else 1.0,
     )
-    text = report.emit_characterization(
-        rows, format=cfg.format, config=_header_config(cfg), notes=report.STANDARD_NOTES
-    )
-    _emit([text], cfg.out)
+    report.write([report.emit_report(rows, format=cfg.format, config=cfg.to_dict())], cfg.out)
     return 0
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from . import core
 from .pipeline import PipelineConfig, mantissa_stage_specs, uniform_stage_specs
-from .quantization import MAX_BITS, QuantizerSpec
-from .signals import SignalSpec, magnitude_bound
+from .quantization import MAX_BITS, MODES, QuantizerSpec
+from .signals import KINDS, SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
 # a sweep holds every trial's input, reference output and error as complex128
@@ -110,7 +110,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """Nested document form with every effective value filled in."""
+        """Nested document form with every effective value filled in; an off stage is its mode alone."""
         doc = {
             "n": self.n,
             "direction": self.direction,
@@ -135,7 +135,8 @@ class ExperimentConfig:
             doc["signal"]["amplitudes"] = list(self.signal_amplitudes)
         if self.per_stage is not None:
             doc["quantizer"]["per_stage"] = [
-                {"mode": s.mode, "bits": s.bits, "x_max": s.x_max} for s in self.per_stage
+                {"mode": s.mode} if s.mode == "off" else {"mode": s.mode, "bits": s.bits, "x_max": s.x_max}
+                for s in self.per_stage
             ]
         return doc
 
@@ -232,7 +233,7 @@ def _join(path: str, key: str) -> str:
 def _parse_quantizer_spec(entry, path: str) -> QuantizerSpec:
     entry = _require_mapping(entry, path)
     _check_keys(entry, path, ("mode", "bits", "x_max"))
-    mode = _get_str(entry, path, "mode", "uniform", ("off", "uniform", "mantissa"))
+    mode = _get_str(entry, path, "mode", "uniform", MODES)
     # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _get_int(entry, path, "bits", 8)
     x_max = _get_number(entry, path, "x_max", 1.0)
@@ -268,11 +269,11 @@ def parse_config(text: str) -> ExperimentConfig:
         core.validate_size(n)
     except ValueError as exc:
         raise ConfigError(f"n: {exc}") from exc
-    direction = _get_str(doc, "", "direction", "fft", ("fft", "ifft"))
+    direction = _get_str(doc, "", "direction", "fft", core.DIRECTIONS)
 
     quant = _require_mapping(doc.get("quantizer", {}), "quantizer")
     _check_keys(quant, "quantizer", ("mode", "bits", "x_max", "per_stage"))
-    quantizer_mode = _get_str(quant, "quantizer", "mode", "uniform", ("off", "uniform", "mantissa"))
+    quantizer_mode = _get_str(quant, "quantizer", "mode", "uniform", MODES)
     quantizer_bits = _get_int(quant, "quantizer", "bits", 8)
     if not 1 <= quantizer_bits <= MAX_BITS:
         raise ConfigError(f"quantizer.bits: must be in 1..{MAX_BITS}, got {quantizer_bits}")
@@ -301,7 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     sig = _require_mapping(doc.get("signal", {}), "signal")
     _check_keys(sig, "signal", ("kind", "bin", "bins", "amplitudes", "amplitude"))
-    signal_kind = _get_str(sig, "signal", "kind", "random", ("impulse", "sinusoid", "multitone", "random"))
+    signal_kind = _get_str(sig, "signal", "kind", "random", KINDS)
     signal_bin = _get_int(sig, "signal", "bin", 0)
     signal_amplitude = _get_number(sig, "signal", "amplitude", 1.0)
     for key in ("bins", "amplitudes"):

@@ -1,0 +1,40 @@
+"""The benchmark's traced runs still see every layer they wrap.
+
+``bench/tracer.py`` wraps ``qfft`` functions by the names their callers
+look up. A rename breaks those wrappers, or leaves a layer untraced so
+that the traced run counts no butterflies; both fail here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qfft import cli
+from qfft.pipeline import processing_cost
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    return tracer
+
+
+def test_traced_fft_and_sweep_count_every_butterfly(tmp_path, tracer):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 64, "sweep": {"trials": 2}}))
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        for op, command in enumerate(["fft", "sweep"]):
+            with t.op(op):
+                assert cli.main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+            assert t.op_counts[op]["core.butterflies"] > 0
+            assert t.check_butterflies(op, processing_cost) is None
+        assert tracer.summarize(t)["report.emit_ms"] > 0
+    finally:
+        t.set_active(False)

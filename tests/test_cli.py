@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfft
-from qfft import cli, core
+from qfft import core, report
 from qfft.cli import main
 from qfft.config import parse_config
 from qfft.pipeline import Pipeline
@@ -231,11 +231,11 @@ def test_rows_equal_the_per_row_format(pool, length, layout, seed):
     }[layout]
     output = components.view(np.complex128)
     rows = output.tolist()
-    csv = "".join(cli._rows(output, cli.CSV_ROW, "%.12e"))
+    csv = "".join(report._rows(output, report.CSV_ROW, "%.12e"))
     expected = "".join("%d,%.12e,%.12e\n" % (i, v.real, v.imag) for i, v in enumerate(rows))
     assert _first_difference(csv, expected) is None
     elements = [{"index": i, "real": v.real, "imag": v.imag} for i, v in enumerate(rows)]
-    text = '{\n  "output": [' + "".join(cli._rows(output, cli.JSON_ROW, "%r"))[1:] + "\n  ]\n}"
+    text = '{\n  "output": [' + "".join(report._rows(output, report.JSON_ROW, "%r"))[1:] + "\n  ]\n}"
     assert _first_difference(text, json.dumps({"output": elements}, indent=2)) is None
 
 
@@ -263,6 +263,14 @@ def test_fft_json_bytes_equal_per_scalar_rows(tmp_path):
         ],
     }
     assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_fft_header_echoes_an_off_stage_as_parsed(tmp_path, capsys):
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps({"n": 2, "quantizer": {"per_stage": [{"mode": "off", "bits": 7, "x_max": 3.0}]}}))
+    assert main(["fft", "--config", str(config)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(header.removeprefix("# config: "))["quantizer"]["per_stage"] == [{"mode": "off"}]
 
 
 def test_fft_json_output(tmp_path):

@@ -138,7 +138,7 @@ class TestParsing:
             parse_config(text)
 
     def test_off_per_stage_entry_ignores_well_formed_keys(self):
-        # the entry form to_dict writes for an off stage
+        # well-formed bits and x_max on an off entry parse and are dropped
         entry = {"mode": "off", "bits": 0, "x_max": 1.0}
         cfg = parse_config(json.dumps({"n": 2, "quantizer": {"per_stage": [entry]}}))
         assert cfg.per_stage == (QuantizerSpec("off"),)

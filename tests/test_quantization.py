@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qfft.quantization import (
     MAX_BITS,
     OFF,
+    SQNR_CAP_DB,
     QuantizationStats,
     QuantizerSpec,
     apply_quantizer,
@@ -217,11 +218,15 @@ class TestSnrDb:
         noise = theory_variance_uniform(QuantizerSpec("uniform", 8, 1.0))
         assert snr_db(1.0, noise) == pytest.approx(52.93601185343362, rel=1e-12)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            snr_db(0.0, 1.0)
-        with pytest.raises(ValueError):
-            snr_db(1.0, -1.0)
+    def test_caps_zero_and_rejects_negative(self):
+        assert snr_db(0.0, 1.0) == -SQNR_CAP_DB
+        assert snr_db(1.0, 0.0) == SQNR_CAP_DB
+        assert snr_db(0.0, 0.0) == SQNR_CAP_DB
+        assert snr_db(1.0, 1e-31) == SQNR_CAP_DB
+        assert snr_db(1e-300, 1e300) == -SQNR_CAP_DB
+        for variances in [(1.0, -1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                snr_db(*variances)
 
 
 class TestEmpiricalStats:

@@ -1,16 +1,10 @@
-import io
 import json
 import re
 
 import pytest
 
 from qfft.analysis import CharacterizationRow, ErrorReport
-from qfft.report import (
-    CSV_COLUMNS,
-    STANDARD_NOTES,
-    emit_characterization,
-    emit_report,
-)
+from qfft.report import CSV_COLUMNS, STANDARD_NOTES, emit_report, write
 
 
 def make_rows(count=3):
@@ -58,7 +52,7 @@ class TestCsv:
 
     def test_comment_block_with_config_and_notes(self):
         config = {"n": 64, "seed": 11}
-        text = emit_report(make_rows(2), config=config, notes=STANDARD_NOTES)
+        text = emit_report(make_rows(2), config=config)
         lines = text.splitlines()
         assert lines[0].startswith("# config: ")
         assert json.loads(lines[0].removeprefix("# config: ")) == config
@@ -70,13 +64,9 @@ class TestCsv:
 
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "report.csv"
-        text = emit_report(make_rows(2), destination=target)
+        text = emit_report(make_rows(2))
+        write([text], str(target))
         assert target.read_text() == text
-
-    def test_writes_to_file_object(self):
-        buffer = io.StringIO()
-        text = emit_report(make_rows(2), destination=buffer)
-        assert buffer.getvalue() == text
 
 
 class TestJson:
@@ -92,10 +82,10 @@ class TestJson:
 
     def test_wrapped_when_config_present(self):
         payload = json.loads(
-            emit_report(make_rows(1), format="json", config={"n": 8}, notes=("a note",))
+            emit_report(make_rows(1), format="json", config={"n": 8})
         )
         assert payload["config"] == {"n": 8}
-        assert payload["notes"] == ["a note"]
+        assert payload["notes"] == list(STANDARD_NOTES)
         assert len(payload["rows"]) == 1
 
 
@@ -113,12 +103,12 @@ class TestCharacterizationEmitter:
     ROWS = [CharacterizationRow(4, 1.3e-3, 1.302083e-3), CharacterizationRow(5, 3.2e-4, 3.255e-4)]
 
     def test_csv_columns(self):
-        lines = emit_characterization(self.ROWS).splitlines()
+        lines = emit_report(self.ROWS).splitlines()
         assert lines[0] == "bits,empirical_variance,theory_variance"
         assert len(lines) == 3
 
     def test_json(self):
-        payload = json.loads(emit_characterization(self.ROWS, format="json"))
+        payload = json.loads(emit_report(self.ROWS, format="json"))
         assert payload[0] == {
             "bits": 4,
             "empirical_variance": 1.3e-3,
