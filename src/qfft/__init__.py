@@ -15,21 +15,21 @@ from .analysis import (
     quantizer_characterization,
     run_sweep,
 )
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    mantissa_stage_specs,
+    parse_config,
+    serialize_config,
+    uniform_stage_specs,
+)
 from .core import (
     bit_reverse_permute,
     dft_naive,
     fft_reference,
     twiddle_table,
 )
-from .pipeline import (
-    Pipeline,
-    PipelineConfig,
-    RunTrace,
-    mantissa_stage_specs,
-    processing_cost,
-    uniform_stage_specs,
-)
+from .pipeline import Pipeline, PipelineConfig, RunTrace, processing_cost
 from .quantization import (
     OFF,
     QuantizationStats,

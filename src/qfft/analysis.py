@@ -101,8 +101,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     from ``cfg.seed``) are reused across rows so adjacent rows differ only
     in resolution. Deterministic for a fixed config.
 
-    Raises ``ConfigError`` for a config whose bits a sweep cannot vary:
-    ``quantizer.per_stage`` fixes them and mode ``off`` has none.
+    Raises ``ConfigError`` for a config whose bits a sweep cannot vary
+    (``quantizer.per_stage`` fixes them, mode ``off`` has none) or whose
+    reference outputs have zero energy (a multitone whose tones cancel).
     """
     if cfg.per_stage is not None:
         raise ConfigError(
@@ -120,14 +121,17 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     ref_variance = float(_pooled_components(references).var())
     ref_energy = float(sum(np.linalg.norm(r) ** 2 for r in references))
     if ref_energy == 0.0:
-        raise ValueError("sweep reference outputs are all zero; percent error undefined")
+        field = "signal.amplitudes" if cfg.signal_kind == "multitone" else "signal.amplitude"
+        raise ConfigError(f"{field}: the reference outputs have zero energy; percent error undefined")
 
-    components_per_run = 2 * cfg.n * stages
     # one row's pooled error components: every trial's real parts, then
     # every trial's imaginary parts, in trial order (as _pooled_components)
     err_components = np.empty(2 * cfg.trials * cfg.n)
     real_parts = err_components[: cfg.trials * cfg.n].reshape(cfg.trials, cfg.n)
     imag_parts = err_components[cfg.trials * cfg.n :].reshape(cfg.trials, cfg.n)
+    # one trial's error, rewritten in place by every trial
+    error = np.empty(cfg.n, dtype=np.complex128)
+    error_re, error_im = error.real, error.imag
     rows = []
     for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
         pipeline = Pipeline(cfg.pipeline_config(bits))
@@ -135,10 +139,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
         saturations = 0
         for trial, (x, ref) in enumerate(zip(signals, references)):
             trace = pipeline.run(x)
-            error = ref - trace.output
-            real_parts[trial] = error.real
-            imag_parts[trial] = error.imag
-            err_energy += float(np.linalg.norm(error) ** 2)
+            np.subtract(ref, trace.output, out=error)
+            real_parts[trial] = error_re
+            imag_parts[trial] = error_im
+            # the body of np.linalg.norm(error) ** 2, with its bits
+            err_energy += float(np.sqrt(error_re.dot(error_re) + error_im.dot(error_im)) ** 2)
             saturations += trace.saturation_total
         variance = float(err_components.var())
         rows.append(
@@ -150,7 +155,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
                 percent_error=100.0 * math.sqrt(err_energy / ref_energy),
                 sqnr_db=snr_db(ref_variance, variance),
                 theory_variance=_row_theory(cfg.quantizer_mode, bits, base_x_max),
-                saturation_rate=saturations / (cfg.trials * components_per_run),
+                saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )
         )
     return rows

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from . import core
-from .pipeline import PipelineConfig, mantissa_stage_specs, uniform_stage_specs
+from .pipeline import PipelineConfig
 from .quantization import MAX_BITS, MODES, QuantizerSpec
 from .signals import KINDS, SignalSpec, magnitude_bound
 
@@ -42,6 +42,25 @@ MAX_SWEEP_SAMPLES = 2**24
 
 class ConfigError(ValueError):
     """Configuration document error carrying a field-path diagnostic."""
+
+
+def uniform_stage_specs(n: int, bits: int, input_x_max: float) -> tuple[QuantizerSpec, ...]:
+    """Per-stage uniform quantizers with full scale doubling each stage.
+
+    Stage s gets x_max = input_x_max * 2**(s+1), tracking the worst-case
+    factor-2 magnitude growth per butterfly stage so saturation does not
+    drown the staircase noise.
+    """
+    stages = core.num_stages(n)
+    return tuple(
+        QuantizerSpec("uniform", bits, input_x_max * 2.0 ** (s + 1)) for s in range(stages)
+    )
+
+
+def mantissa_stage_specs(n: int, bits: int) -> tuple[QuantizerSpec, ...]:
+    """Per-stage mantissa quantizers (scale-free, no full-scale ladder needed)."""
+    stages = core.num_stages(n)
+    return tuple(QuantizerSpec("mantissa", bits) for _ in range(stages))
 
 
 @dataclass(frozen=True)

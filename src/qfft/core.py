@@ -13,9 +13,9 @@ that needs a modified table (conjugated, quantized) derives a new array
 from it, and an in-place write raises ``ValueError``.
 
 ``dit_stage`` keeps its numpy calls on long inner loops over contiguous
-operands: the early stages of a large transform (blocks of span 2 to 16,
-at least 1024 of them) run column by column over the (blocks, span) view
-instead of broadcasting over thousands of tiny rows, and the other stages
+operands: a stage of short blocks (span 2 to 16) with at least 64 blocks
+per butterfly column runs column by column over the (blocks, span) view
+instead of broadcasting over many tiny rows, and the other stages
 broadcast a contiguous copy of their twiddles instead of a strided slice
 of the half-circle table. Both paths perform the same multiplies and
 additions on the same operands, so the output bits do not depend on the
@@ -131,14 +131,16 @@ def bit_reverse_permute(x) -> np.ndarray:
     return vec[bit_reversal_indices(vec.size)]
 
 
-# A stage whose half-span is below COLUMN_MAX_HALF and which has at least
-# COLUMN_MIN_BLOCKS blocks runs column by column: one long strided ufunc
-# call per block offset instead of numpy broadcasting over thousands of
-# rows a few entries wide. Measured on one core, the column loop is slower
-# from a half-span of 16 up, and with fewer blocks (N=1024, 512 blocks at
-# stage 0) its Python loop costs more than the short rows it avoids.
+# A stage with half-span below COLUMN_MAX_HALF and at least
+# COLUMN_ROWS_PER_HALF blocks per half-span column runs column by column:
+# one long strided ufunc call per column instead of broadcasting over many
+# short rows. Per stage on one core, broadcast -> column: N=256 stage 0
+# 5.2 -> 3.6 us; N=1024 stage 0 9.1 -> 7.2, stage 1 23.0 -> 10.7; N=4096
+# stage 2 39.6 -> 28.1. Below the ratio the column loop loses (N=1024
+# stage 2 18.9 vs 15.9, N=4096 stage 3 32.6 vs 27.1), and from a half-span
+# of 16 up at every size. At N=65536, stages 0-3 take the column path.
 COLUMN_MAX_HALF = 16
-COLUMN_MIN_BLOCKS = 1024
+COLUMN_ROWS_PER_HALF = 64
 
 
 def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, int]:
@@ -150,12 +152,12 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     w[j * n / span]. All n/2 butterflies of the stage are performed.
 
     A stage of many short blocks (half-span below ``COLUMN_MAX_HALF``, at
-    least ``COLUMN_MIN_BLOCKS`` blocks) loops over the half-span columns
-    of the (blocks, span) view, one long strided call per column with its
-    twiddle as a scalar. Other stages copy their 2**stage twiddles from the
-    half-circle table into a contiguous vector (the last stage's slice
-    already is one) and broadcast it over the rows, so no block re-reads a
-    strided slice. Both paths compute the same t = w*b, a + t and a - t on
+    least ``COLUMN_ROWS_PER_HALF * half`` blocks) loops over the half-span
+    columns of the (blocks, span) view, one long strided call per column
+    with its twiddle as a scalar. Other stages copy their 2**stage
+    twiddles from the half-circle table into a contiguous vector (the last
+    stage's slice already is one) and broadcast it over the rows, so no
+    block re-reads a strided slice. Both paths compute the same t = w*b, a + t and a - t on
     the same operands, so the bits do not depend on the path.
 
     Returns
@@ -169,7 +171,7 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     rows = n // span
     w = twiddles[: rows * half : rows]
     blocks = data.reshape(rows, span)
-    if half < COLUMN_MAX_HALF and rows >= COLUMN_MIN_BLOCKS:
+    if half < COLUMN_MAX_HALF and rows >= COLUMN_ROWS_PER_HALF * half:
         columns = blocks.T
         for j in range(half):
             top, bottom = columns[j], columns[j + half]

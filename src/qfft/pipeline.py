@@ -106,7 +106,7 @@ class Pipeline:
         vec = core.as_signal(x)
         if vec.size != self.n:
             raise ValueError(f"expected length {self.n}, got {vec.size}")
-        if not np.all(np.isfinite(vec.view(np.float64))):
+        if not np.isfinite(vec.view(np.float64)).all():
             raise ValueError("input contains non-finite components")
 
         # scaling is componentwise, so it commutes with the permutation
@@ -120,11 +120,10 @@ class Pipeline:
         multiplies = 0
         additions = 0
         stage_outputs: list[np.ndarray] = []
-        for stage in range(self.stages):
+        for stage, spec in enumerate(self.config.stage_quantizers):
             muls, adds = core.dit_stage(data, self.twiddles, stage)
             multiplies += muls
             additions += adds
-            spec = self.config.stage_quantizers[stage]
             if spec.enabled:
                 saturations += apply_quantizer(data, spec, out=data)[1]
             if keep_stages:
@@ -148,21 +147,3 @@ def processing_cost(n: int) -> tuple[int, int]:
     stages = core.num_stages(n)
     return (n // 2) * stages, n * stages
 
-
-def uniform_stage_specs(n: int, bits: int, input_x_max: float) -> tuple[QuantizerSpec, ...]:
-    """Per-stage uniform quantizers with full scale doubling each stage.
-
-    Stage s gets x_max = input_x_max * 2**(s+1), tracking the worst-case
-    factor-2 magnitude growth per butterfly stage so saturation does not
-    drown the staircase noise.
-    """
-    stages = core.num_stages(n)
-    return tuple(
-        QuantizerSpec("uniform", bits, input_x_max * 2.0 ** (s + 1)) for s in range(stages)
-    )
-
-
-def mantissa_stage_specs(n: int, bits: int) -> tuple[QuantizerSpec, ...]:
-    """Per-stage mantissa quantizers (scale-free, no full-scale ladder needed)."""
-    stages = core.num_stages(n)
-    return tuple(QuantizerSpec("mantissa", bits) for _ in range(stages))

@@ -18,6 +18,7 @@ import numpy as np
 MODES = ("off", "uniform", "mantissa")
 MAX_BITS = 52  # double-precision mantissa width
 SQNR_CAP_DB = 300.0
+_KERNEL_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,15 @@ def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, 
     ``out`` receives the result when given and may be ``values`` itself;
     it must be a C-contiguous array of the input's shape and float64 or
     complex128 dtype. Mode "off" without ``out`` returns the input array
-    untouched.
+    untouched. An in-place call (``out is values``) on a C-contiguous
+    float64 or complex128 array goes straight to the kernel, with no
+    conversion or copy and one component view.
     """
+    if out is values is not None and out.dtype in _KERNEL_DTYPES and out.flags.c_contiguous:
+        if spec.mode != "off":
+            components = _components(out)
+            return out, _quantize_into(components, spec, components)
+        return out, 0
     if spec.mode == "off" and out is None:
         return values, 0
     dtype = np.complex128 if np.iscomplexobj(values) else np.float64

@@ -12,7 +12,8 @@ from qfft.analysis import (
 )
 from qfft.config import ConfigError, ExperimentConfig, parse_config
 from qfft.core import fft_reference
-from qfft.pipeline import Pipeline, PipelineConfig, uniform_stage_specs
+from qfft import uniform_stage_specs
+from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import QuantizerSpec, theory_variance_mantissa, theory_variance_uniform
 
 

@@ -143,18 +143,35 @@ def test_sweep_rows_equal_a_hand_run_of_the_config_pipeline(tmp_path, doc):
         assert values[1:6] + values[7:] == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
 
+CANCELLING_TONES = {"kind": "multitone", "bins": [1, 1], "amplitudes": [1.0, -1.0]}
+
+
 @pytest.mark.parametrize(
-    "quantizer, field",
-    [({"per_stage": [{"bits": 6}] * 6}, r"quantizer\.per_stage"), ({"mode": "off"}, r"quantizer\.mode")],
-    ids=["per_stage", "off"],
+    "change, field",
+    [
+        ({"quantizer": {"per_stage": [{"bits": 6}] * 6}}, r"quantizer\.per_stage"),
+        ({"quantizer": {"mode": "off"}}, r"quantizer\.mode"),
+        (
+            {
+                "quantizer": {"mode": "mantissa"},
+                "signal": {"kind": "multitone", "bins": [3], "amplitudes": [0.0]},
+            },
+            r"signal\.amplitudes",
+        ),
+        ({"quantizer": {"mode": "uniform"}, "signal": CANCELLING_TONES}, r"signal\.amplitudes"),
+        ({"quantizer": {"mode": "mantissa"}, "signal": CANCELLING_TONES}, r"signal\.amplitudes"),
+    ],
+    ids=["per_stage", "off", "mantissa-zero-tone", "uniform-cancelling", "mantissa-cancelling"],
 )
-def test_sweep_the_config_cannot_describe_is_a_config_error(tmp_path, capsys, quantizer, field):
+def test_sweep_the_config_cannot_describe_is_a_config_error(tmp_path, capsys, change, field):
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({**SMALL_SWEEP, "quantizer": quantizer}))
+    config.write_text(json.dumps({**SMALL_SWEEP, **change}))
     assert main(["sweep", "--config", str(config)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.match("config error: " + field + ": ", captured.err)
+    # the same config still describes a transform
+    assert main(["fft", "--config", str(config), "--out", str(tmp_path / "fft.csv")]) == 0
 
 
 def test_fft_impulse_spectrum_to_stdout(tmp_path, capsys):
@@ -353,16 +370,30 @@ def test_subcommand_required():
         main([])
 
 
-def test_console_entry_point_runs():
+def _run_in_child(argv: list[str]) -> subprocess.CompletedProcess:
     # the child imports the same qfft as this test, installed or not
     src = str(Path(qfft.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-m", "qfft.cli", "selftest"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "qfft.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_console_entry_point_runs():
+    result = _run_in_child(["selftest"])
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
+
+
+def test_parser_shared_across_calls_keeps_no_flag(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SMALL_SWEEP))
+    first = ["sweep", "--config", str(config), "--seed", "5", "--format", "json"]
+    assert main([*first, "--out", str(tmp_path / "first.json")]) == 0
+    assert main(["sweep", "--config", str(config)]) == 0
+    second = capsys.readouterr().out
+    fresh = _run_in_child(["sweep", "--config", str(config)])
+    assert fresh.returncode == 0
+    assert second == fresh.stdout
+    assert "# seed: 0" in second

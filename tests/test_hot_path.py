@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfft import core
+from qfft import core, mantissa_stage_specs, uniform_stage_specs
 from qfft.analysis import run_sweep
 from qfft.config import ExperimentConfig
-from qfft.pipeline import Pipeline, PipelineConfig, mantissa_stage_specs, uniform_stage_specs
+from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import QuantizerSpec, apply_quantizer, quantize_mantissa, quantize_uniform
 
 
@@ -84,7 +84,7 @@ def strided_dit_stage(data, twiddles, stage):
     return t.size, 2 * t.size
 
 
-# N >= 2048 takes the column path in its first stages, smaller N never does
+# N >= 128 takes the column path in its first stages, smaller N never does
 @pytest.mark.parametrize("m", range(1, 17))
 @pytest.mark.parametrize("table_kind", ["forward", "inverse", "5-bit-rom"])
 def test_every_stage_matches_the_strided_kernel(m, table_kind):

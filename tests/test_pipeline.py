@@ -3,14 +3,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from qfft import mantissa_stage_specs, uniform_stage_specs
 from qfft.core import dft_naive, fft_reference
-from qfft.pipeline import (
-    Pipeline,
-    PipelineConfig,
-    mantissa_stage_specs,
-    processing_cost,
-    uniform_stage_specs,
-)
+from qfft.pipeline import Pipeline, PipelineConfig, processing_cost
 from qfft.quantization import QuantizerSpec, apply_quantizer
 
 
