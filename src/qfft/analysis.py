@@ -59,24 +59,85 @@ def _pooled_components(vectors: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([stacked.real, stacked.imag])
 
 
+# Peak exponents e (largest magnitude in [2**(e-1), 2**e)) for which sums
+# of squares of up to 2**25 components cannot overflow, and every square
+# that can reach a result's last bit (within 2**-100 of the peak's) is a
+# normal number.
+_UNSCALED_EXPONENTS = range(-400, 401)
+
+
+def _normalize(values: np.ndarray) -> int:
+    """Scale ``values`` in place by a power of two when squaring them could under- or overflow.
+
+    ``values`` is a C-contiguous float64 or complex128 array. Returns the
+    exponent e of the scale applied (original = values * 2**e): 0 when the
+    largest component magnitude has its exponent in ``_UNSCALED_EXPONENTS``,
+    else the one that puts it in [1/2, 1). Scaling by a power of two is
+    exact, so second moments taken on the scaled values and scaled back by
+    4**e keep the bits the unscaled ones have inside that range, and keep
+    their value where the unscaled squares would underflow.
+    """
+    components = values.reshape(-1).view(np.float64)
+    if not components.size:
+        return 0
+    exponent = math.frexp(max(float(components.max()), -float(components.min())))[1]
+    if exponent in _UNSCALED_EXPONENTS:
+        return 0
+    np.ldexp(components, -exponent, out=components)
+    return exponent
+
+
+def _energy(vector: np.ndarray) -> float:
+    """||vector||**2: the body of ``np.linalg.norm(vector) ** 2``, with its bits."""
+    re, im = vector.real, vector.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
+
+
+def _total_energy(vectors) -> float:
+    """``_energy`` summed over ``vectors`` in order."""
+    total = 0.0
+    for v in vectors:
+        total += _energy(v)
+    return total
+
+
+def _reference_moments(references: list[np.ndarray]) -> tuple[int, float, float]:
+    """Exponent e of ``_normalize``, then variance and energy of the references scaled by 2**-e.
+
+    The variance pools every component as ``_pooled_components`` does.
+    """
+    pooled = _pooled_components(references)
+    exponent = _normalize(pooled)
+    if exponent:
+        references = [np.ldexp(r.view(np.float64), -exponent).view(np.complex128) for r in references]
+    return exponent, float(pooled.var()), _total_energy(references)
+
+
 def compare(reference, test) -> tuple[np.ndarray, float, float]:
     """Error vector, percentage error and SQNR of a test run against a reference.
 
     percent_error = 100 * ||reference - test|| / ||reference||; SQNR pools
     the real and imaginary parts of both vectors into real sample sets and
     takes 10*log10 of their variance ratio, capped at 300 dB so a perfect
-    match stays numeric.
+    match stays numeric. Both are taken on copies scaled by a power of two
+    where needed (see ``_normalize``), so they do not depend on the scale
+    of the inputs.
     """
-    ref = np.asarray(reference, dtype=np.complex128)
+    ref = np.array(reference, dtype=np.complex128)
     out = np.asarray(test, dtype=np.complex128)
     if ref.shape != out.shape:
         raise ValueError(f"length mismatch: {ref.shape} vs {out.shape}")
     error = ref - out
+    scaled_error = error.copy()
+    shift = _normalize(scaled_error) - _normalize(ref)
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ValueError("percent error is undefined for an all-zero reference")
-    percent = 100.0 * float(np.linalg.norm(error)) / ref_norm
-    sqnr = snr_db(float(_pooled_components([ref]).var()), float(_pooled_components([error]).var()))
+    percent = math.ldexp(100.0 * float(np.linalg.norm(scaled_error)) / ref_norm, shift)
+    sqnr = snr_db(
+        float(_pooled_components([ref]).var()),
+        math.ldexp(float(_pooled_components([scaled_error]).var()), 2 * shift),
+    )
     return error, percent, sqnr
 
 
@@ -118,8 +179,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     signal = cfg.signal_spec()
     signals = [generate_signal(signal, s) for s in trial_seeds]
     references = [core.fft_reference(x, cfg.direction) for x in signals]
-    ref_variance = float(_pooled_components(references).var())
-    ref_energy = float(sum(np.linalg.norm(r) ** 2 for r in references))
+    # every second moment below is taken on values scaled by a power of two
+    # where their squares could underflow or overflow (see _normalize), so
+    # a tiny signal gets the rows of a unit one
+    ref_exponent, ref_variance, ref_energy = _reference_moments(references)
     if ref_energy == 0.0:
         field = "signal.amplitudes" if cfg.signal_kind == "multitone" else "signal.amplitude"
         raise ConfigError(f"{field}: the reference outputs have zero energy; percent error undefined")
@@ -131,7 +194,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     imag_parts = err_components[cfg.trials * cfg.n :].reshape(cfg.trials, cfg.n)
     # one trial's error, rewritten in place by every trial
     error = np.empty(cfg.n, dtype=np.complex128)
-    error_re, error_im = error.real, error.imag
     rows = []
     for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
         pipeline = Pipeline(cfg.pipeline_config(bits))
@@ -140,20 +202,26 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
         for trial, (x, ref) in enumerate(zip(signals, references)):
             trace = pipeline.run(x)
             np.subtract(ref, trace.output, out=error)
-            real_parts[trial] = error_re
-            imag_parts[trial] = error_im
-            # the body of np.linalg.norm(error) ** 2, with its bits
-            err_energy += float(np.sqrt(error_re.dot(error_re) + error_im.dot(error_im)) ** 2)
+            real_parts[trial] = error.real
+            imag_parts[trial] = error.imag
+            err_energy += _energy(error)
             saturations += trace.saturation_total
-        variance = float(err_components.var())
+        exponent = _normalize(err_components)
+        if exponent:
+            scaled = np.empty((cfg.trials, cfg.n), dtype=np.complex128)
+            scaled.real, scaled.imag = real_parts, imag_parts
+            err_energy = _total_energy(scaled)
+        shift = exponent - ref_exponent
+        scaled_variance = float(err_components.var())
+        variance = math.ldexp(scaled_variance, 2 * exponent)
         rows.append(
             ErrorReport(
                 bits=bits,
-                error_mean=float(err_components.mean()),
-                error_std=math.sqrt(variance),
+                error_mean=math.ldexp(float(err_components.mean()), exponent),
+                error_std=math.ldexp(math.sqrt(scaled_variance), exponent),
                 error_variance=variance,
-                percent_error=100.0 * math.sqrt(err_energy / ref_energy),
-                sqnr_db=snr_db(ref_variance, variance),
+                percent_error=100.0 * math.sqrt(math.ldexp(err_energy / ref_energy, 2 * shift)),
+                sqnr_db=snr_db(ref_variance, math.ldexp(scaled_variance, 2 * shift)),
                 theory_variance=_row_theory(cfg.quantizer_mode, bits, base_x_max),
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )

@@ -1,25 +1,44 @@
 """Full-precision DFT/FFT/IFFT machinery.
 
 Holds the direct-summation DFT used as the golden oracle, the twiddle
-table, bit-reversal and the staged decimation-in-time transform. The
-staged kernel here is shared with the quantized pipeline so that a
-pipeline with all quantizers disabled is bit-identical to
-``fft_reference``. ``DIRECTIONS`` is the one direction vocabulary of
-the package.
+table, bit-reversal and the staged decimation-in-time transform.
+``DIRECTIONS`` is the one direction vocabulary of the package.
 
 ``twiddle_table`` and ``bit_reversal_indices`` are built once per size
 and cached; the arrays they return are shared and read-only, so a caller
 that needs a modified table (conjugated, quantized) derives a new array
 from it, and an in-place write raises ``ValueError``.
 
-``dit_stage`` keeps its numpy calls on long inner loops over contiguous
-operands: a stage of short blocks (span 2 to 16) with at least 64 blocks
-per butterfly column runs column by column over the (blocks, span) view
-instead of broadcasting over many tiny rows, and the other stages
-broadcast a contiguous copy of their twiddles instead of a strided slice
-of the half-circle table. Both paths perform the same multiplies and
-additions on the same operands, so the output bits do not depend on the
-path taken.
+``staged_transform`` is the one stage loop of the package: ``fft_reference``
+and ``Pipeline.run`` both run it, the pipeline with its stage quantizers
+as the ``after_stage`` hook, so a pipeline with all quantizers disabled is
+bit-identical to ``fft_reference`` by construction. Its stages run in one
+of two geometries, chosen from the size alone:
+
+- Constant geometry (Pease, JACM 15(2), 1968), for n up to
+  ``CONSTANT_GEOMETRY_MAX``. Every stage reads a = X[:n/2] and
+  b = X[n/2:], writes a + W_s*b to Y[0::2] and a - W_s*b to Y[1::2], and
+  swaps X and Y: three 1-D ufunc calls on flat vectors. The input enters
+  in natural order; before stage s, X[k] = D_s[bitrev_S(k >> s) +
+  bitrev_s(k mod 2**s)], where D_s is the in-place vector below,
+  S = log2(n) and bitrev_m reverses m bits, so the output is
+  X_S[bit_reversal_indices(n)]. W_s[k] = w_br[k mod 2**s], with w_br the
+  stage's half table in (S-1)-bit-reversed order; ``stage_twiddles``
+  tiles all stages into one read-only (S, n/2) array.
+- In place, above it. The input is bit-reversed once, and each stage
+  pairs the two halves of its blocks in the (blocks, span) view of one
+  vector. A stage of short blocks (span 2 to 16) with at least 64 blocks
+  per butterfly column runs column by column, the other stages broadcast
+  a contiguous copy of their twiddles over the rows.
+
+Every path computes the same t = w*b, a + t and a - t on the same
+operands, so the output bits do not depend on the path taken. Constant
+geometry over in place, medians of 15 alternating pairs on one pinned CPU
+of a 2-vCPU Xeon (4 MiB L2), numpy 2.4.6: ``Pipeline.run`` (mantissa ifft /
+uniform fft) 0.77 / 0.78 at N=256, 0.76 / 0.78 at 1024, 0.77 / 0.79 at
+8192, 0.87 / 0.83 at 16384, 0.96 / 0.92 at 32768 and 1.01 / 1.00 at
+65536; ``fft_reference`` 0.54, 0.55, 0.57, 0.62, 0.76 and 0.97. At N=65536
+the tiles would take 8 MiB for no gain, so that size stays in place.
 """
 
 from __future__ import annotations
@@ -131,34 +150,65 @@ def bit_reverse_permute(x) -> np.ndarray:
     return vec[bit_reversal_indices(vec.size)]
 
 
-# A stage with half-span below COLUMN_MAX_HALF and at least
+# Transforms of at most CONSTANT_GEOMETRY_MAX points run in constant
+# geometry, larger ones in place; see the module docstring for the timings.
+CONSTANT_GEOMETRY_MAX = 1 << 15
+
+# An in-place stage with half-span below COLUMN_MAX_HALF and at least
 # COLUMN_ROWS_PER_HALF blocks per half-span column runs column by column:
 # one long strided ufunc call per column instead of broadcasting over many
-# short rows. Per stage on one core, broadcast -> column: N=256 stage 0
-# 5.2 -> 3.6 us; N=1024 stage 0 9.1 -> 7.2, stage 1 23.0 -> 10.7; N=4096
-# stage 2 39.6 -> 28.1. Below the ratio the column loop loses (N=1024
-# stage 2 18.9 vs 15.9, N=4096 stage 3 32.6 vs 27.1), and from a half-span
-# of 16 up at every size. At N=65536, stages 0-3 take the column path.
+# short rows. Only N=65536 runs in place; there stages 0-3 take the column
+# path. Per stage on one pinned CPU, broadcast -> column: stage 0 128 ->
+# 123 us, stage 1 944 -> 172, stage 2 653 -> 221, stage 3 465 -> 263; at
+# stage 5 (half-span 32) the column loop loses, 440 vs 368 us.
 COLUMN_MAX_HALF = 16
 COLUMN_ROWS_PER_HALF = 64
 
 
-def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, int]:
-    """Apply one stage of the decimation-in-time flow graph in place.
+def stage_twiddles(table: np.ndarray) -> np.ndarray:
+    """Twiddle operand of ``staged_transform`` for the half-circle table ``table``.
 
-    ``data`` must be in bit-reversed order before stage 0. Stage ``stage``
-    (0-based) works on blocks of span 2**(stage+1), pairing entry j with
-    entry j + span/2 and multiplying the lower leg by the stage twiddle
-    w[j * n / span]. All n/2 butterflies of the stage are performed.
+    Above the crossover that is ``table`` itself. At or below it, row s of
+    a read-only (stages, n/2) array holds the constant-geometry twiddles
+    W_s[k] = w_br[k mod 2**s], where w_br is ``table`` (conjugated or
+    ROM-quantized as it is) in (log2(n) - 1)-bit-reversed order.
+    """
+    half = table.size
+    n = 2 * half
+    if n > CONSTANT_GEOMETRY_MAX:
+        return table
+    # for m < n/2 the log2(n)-bit reversal of m is even, and half of it
+    # is the (log2(n) - 1)-bit reversal
+    w_br = table[bit_reversal_indices(n)[:half] >> 1]
+    masks = (1 << np.arange(num_stages(n)))[:, None] - 1
+    tiles = w_br[np.arange(half) & masks]
+    tiles.setflags(write=False)
+    return tiles
 
-    A stage of many short blocks (half-span below ``COLUMN_MAX_HALF``, at
-    least ``COLUMN_ROWS_PER_HALF * half`` blocks) loops over the half-span
+
+def dit_stage(
+    data: np.ndarray, twiddles: np.ndarray, stage: int, out: np.ndarray | None = None
+) -> tuple[int, int]:
+    """Apply one stage of the decimation-in-time flow graph.
+
+    Without ``out`` the stage runs in place on ``data``, which must be in
+    bit-reversed order before stage 0, and ``twiddles`` is the half-circle
+    table. Stage ``stage`` (0-based) works on blocks of span 2**(stage+1),
+    pairing entry j with entry j + span/2 and multiplying the lower leg by
+    the stage twiddle w[j * n / span]. A stage of many short blocks
+    (half-span below ``COLUMN_MAX_HALF``, at least
+    ``COLUMN_ROWS_PER_HALF * half`` blocks) loops over the half-span
     columns of the (blocks, span) view, one long strided call per column
     with its twiddle as a scalar. Other stages copy their 2**stage
-    twiddles from the half-circle table into a contiguous vector (the last
-    stage's slice already is one) and broadcast it over the rows, so no
-    block re-reads a strided slice. Both paths compute the same t = w*b, a + t and a - t on
-    the same operands, so the bits do not depend on the path.
+    twiddles from the table into a contiguous vector (the last stage's
+    slice already is one) and broadcast it over the rows.
+
+    With ``out`` the stage runs in constant geometry: ``twiddles`` is the
+    (stages, n/2) array from ``stage_twiddles``, a = data[:n/2] and
+    b = data[n/2:] pair entry by entry, and a + t and a - t (t = W_s*b)
+    land in out[0::2] and out[1::2]. Every path computes the same t = w*b,
+    a + t and a - t on the same operands, so the bits do not depend on it.
+    All n/2 butterflies of the stage are performed.
 
     Returns
     -------
@@ -166,6 +216,12 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
         complex multiplies and complex additions actually performed
     """
     n = data.size
+    if out is not None:
+        a = data[: n >> 1]
+        t = np.multiply(twiddles[stage], data[n >> 1 :], out=out[1::2])
+        np.add(a, t, out=out[0::2])
+        np.subtract(a, t, out=t)
+        return n // 2, n
     span = 2 << stage
     half = span >> 1
     rows = n // span
@@ -188,6 +244,78 @@ def dit_stage(data: np.ndarray, twiddles: np.ndarray, stage: int) -> tuple[int, 
     return n // 2, n
 
 
+def staged_transform(x: np.ndarray, twiddles: np.ndarray, scale: float | None = None, after_stage=None):
+    """Run all log2(n) butterfly stages over the natural-order vector ``x``.
+
+    The one stage loop behind ``fft_reference`` and ``Pipeline.run``.
+    ``twiddles`` comes from ``stage_twiddles``; ``scale``, when given,
+    multiplies every component before stage 0 (an inverse transform's
+    1/N); ``x`` is left alone. ``after_stage(stage, data)``, when given,
+    runs after each stage's butterflies on the working vector, which it
+    may change in place. The vector's order follows the geometry, so a
+    hook that is not componentwise reorders a copy with ``in_place_order``.
+
+    Returns
+    -------
+    (numpy.ndarray, int, int)
+        the natural-order output, complex multiplies and complex additions
+    """
+    n = x.size
+    constant = n <= CONSTANT_GEOMETRY_MAX
+    if constant:
+        # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
+        buffers = (np.empty_like(x), np.empty_like(x))
+        data = x if scale is None else np.multiply(x, scale, out=buffers[1])
+    else:
+        buffers = (None, None)
+        data = x[bit_reversal_indices(n)]
+        if scale is not None:
+            data *= scale
+    multiplies = additions = 0
+    for stage in range(num_stages(n)):
+        out = buffers[stage & 1]
+        muls, adds = dit_stage(data, twiddles, stage, out=out)
+        multiplies += muls
+        additions += adds
+        if out is not None:
+            data = out
+        if after_stage is not None:
+            after_stage(stage, data)
+    if constant:
+        data = data[bit_reversal_indices(n)]
+    return data, multiplies, additions
+
+
+def in_place_order(data: np.ndarray, stages_done: int) -> np.ndarray:
+    """Copy of ``staged_transform``'s working vector in the in-place order.
+
+    ``data`` is the working vector after ``stages_done`` stages. In
+    constant geometry, entry k of it is entry
+    bitrev_S(k >> s) + bitrev_s(k mod 2**s) of the in-place vector
+    (s = ``stages_done``, S = log2(n), bitrev_m reverses m bits), so it is
+    scattered there; in place it is copied.
+    """
+    n = data.size
+    if n > CONSTANT_GEOMETRY_MAX:
+        return data.copy()
+    perm = bit_reversal_indices(n)
+    k = np.arange(n)
+    s = stages_done
+    order = np.empty_like(data)
+    order[perm[k >> s] + (perm[k & ((1 << s) - 1)] >> (num_stages(n) - s))] = data
+    return order
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_twiddles(n: int, direction: str) -> np.ndarray:
+    """``fft_reference``'s stage twiddles, cached per size and direction; read-only."""
+    table = twiddle_table(n)
+    if direction == "ifft":
+        table = np.conj(table)
+        table.setflags(write=False)
+    return stage_twiddles(table)
+
+
 def fft_reference(x, direction: str = "fft") -> np.ndarray:
     """Radix-2 DIT transform over log2(N) butterfly stages.
 
@@ -206,11 +334,9 @@ def fft_reference(x, direction: str = "fft") -> np.ndarray:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     vec = as_signal(x)
     n = vec.size
-    table = twiddle_table(n)
     if direction == "ifft":
+        # a fresh scaled vector rather than ``scale``: on sweep-64k that
+        # measured 1-2 ms per op faster, from fewer page faults in the
+        # large allocations that follow
         vec = vec * (1.0 / n)
-        table = np.conj(table)
-    data = bit_reverse_permute(vec)
-    for stage in range(num_stages(n)):
-        dit_stage(data, table, stage)
-    return data
+    return staged_transform(vec, _reference_twiddles(n, direction))[0]

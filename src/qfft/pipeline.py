@@ -1,12 +1,12 @@
 """Statically quantized staged FFT/IFFT processor model.
 
 The processor is modeled functionally, stage by stage: log2(N) butterfly
-stages over bit-reversed input, each followed by a statically configured
-per-stage quantizer applied to every real and imaginary component.
-Twiddle factors can be quantized once at build time (static ROM). Two
-controls mirror the hardware: the transform direction (fft/ifft) and the
-twiddle-quantization enable. With every quantizer off the output is
-bit-identical to ``core.fft_reference``.
+stages (``core.staged_transform``), each followed by a statically
+configured per-stage quantizer applied to every real and imaginary
+component. Twiddle factors can be quantized once at build time (static
+ROM). Two controls mirror the hardware: the transform direction
+(fft/ifft) and the twiddle-quantization enable. With every quantizer off
+the output is bit-identical to ``core.fft_reference``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ class RunTrace:
     after inverse 1/N scaling and bit-reversal) and
     ``stage_outputs`` (one copy per stage, taken after that stage's
     quantizer, the last equal to ``output``). Otherwise ``input`` is None
-    and ``stage_outputs`` is empty.
+    and ``stage_outputs`` is empty. Whatever geometry the stages ran in,
+    the snapshots are in the order of the in-place transform: bit-reversed
+    input, then each stage's butterfly pairs at distance 2**stage.
     """
 
     input: np.ndarray | None
@@ -91,47 +93,50 @@ class Pipeline:
             table, self.twiddle_saturations = apply_quantizer(table, tq)
         table.setflags(write=False)
         self.twiddles = table
+        self.stage_twiddles = core.stage_twiddles(table)
 
     def run(self, x, keep_stages: bool = False) -> RunTrace:
         """Push one vector through the staged processor.
 
-        Order of operations: inverse runs pre-scale the input by 1/N; the
-        vector is bit-reversed; then each stage performs its n/2 butterflies
-        and quantizes every component of the stage output. All of it works
-        in place on one fresh vector, which becomes ``output``.
-        ``keep_stages=True`` also copies the stage-1 input and every stage
-        output into the trace; sweeps and single transforms read only
-        ``output``, so by default the copies are skipped.
+        Order of operations: inverse runs pre-scale the input by 1/N; then
+        each stage performs its n/2 butterflies and quantizes every
+        component of the stage output; the output comes back in natural
+        order. The input is left alone. ``keep_stages=True`` also copies
+        the stage-1 input and every stage output into the trace; sweeps
+        and single transforms read only ``output``, so by default the
+        copies are skipped.
         """
         vec = core.as_signal(x)
         if vec.size != self.n:
             raise ValueError(f"expected length {self.n}, got {vec.size}")
         if not np.isfinite(vec.view(np.float64)).all():
             raise ValueError("input contains non-finite components")
+        scale = 1.0 / self.n if self.config.direction == "ifft" else None
 
-        # scaling is componentwise, so it commutes with the permutation
-        # and can run in place on its fresh output
-        data = core.bit_reverse_permute(vec)
-        if self.config.direction == "ifft":
-            data *= 1.0 / self.n
-
-        trace_input = data.copy() if keep_stages else None
+        specs = self.config.stage_quantizers
         saturations = 0
-        multiplies = 0
-        additions = 0
         stage_outputs: list[np.ndarray] = []
-        for stage, spec in enumerate(self.config.stage_quantizers):
-            muls, adds = core.dit_stage(data, self.twiddles, stage)
-            multiplies += muls
-            additions += adds
+
+        def after_stage(stage: int, data: np.ndarray) -> None:
+            nonlocal saturations
+            spec = specs[stage]
+            # the quantizer is componentwise, so the working vector's
+            # order (which follows the geometry) does not change its bits
             if spec.enabled:
                 saturations += apply_quantizer(data, spec, out=data)[1]
             if keep_stages:
-                stage_outputs.append(data.copy())
+                stage_outputs.append(core.in_place_order(data, stage + 1))
+
+        output, multiplies, additions = core.staged_transform(vec, self.stage_twiddles, scale, after_stage)
+        trace_input = None
+        if keep_stages:
+            trace_input = core.bit_reverse_permute(vec)
+            if scale is not None:
+                trace_input *= scale
         return RunTrace(
             input=trace_input,
             stage_outputs=stage_outputs,
-            output=data,
+            output=output,
             saturation_total=saturations,
             multiplies=multiplies,
             additions=additions,

@@ -23,6 +23,14 @@ def random_signal(n, seed):
 
 
 class TestCompare:
+    def test_tiny_vectors_compare_like_unit_vectors(self):
+        ref = random_signal(64, seed=2)
+        out = ref + 1e-4 * random_signal(64, seed=3)
+        _, percent, sqnr = compare(ref, out)
+        error, tiny_percent, tiny_sqnr = compare(ref * 2.0**-530, out * 2.0**-530)
+        assert (tiny_percent, tiny_sqnr) == (percent, sqnr)
+        assert error.tobytes() == ((ref - out) * 2.0**-530).tobytes()
+
     def test_perfect_match(self):
         x = random_signal(16, seed=1)
         error, percent, sqnr = compare(x, x)
@@ -88,6 +96,18 @@ class TestRunSweep:
         args = dict(n=256, bits_lo=6, bits_hi=14, signal_amplitude=1.0, trials=5, seed=0)
         args.update(kw)
         return run_sweep(ExperimentConfig(**args))
+
+    @pytest.mark.parametrize("mode", ["uniform", "mantissa"])
+    def test_tiny_signal_rows_match_the_unit_amplitude_rows(self, mode):
+        # every operation scales exactly by a power of two, so only the
+        # underflow of squared error components could tell the rows apart
+        unit, tiny = (
+            self.sweep(n=64, trials=2, bits_lo=10, bits_hi=10, quantizer_mode=mode, signal_amplitude=a)[0]
+            for a in (1.0, 2.0**-530)
+        )
+        assert tiny.percent_error == unit.percent_error
+        assert tiny.sqnr_db == unit.sqnr_db
+        assert tiny.error_std == math.ldexp(unit.error_std, -530)
 
     def test_one_row_per_bit(self):
         rows = self.sweep()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qfft import cli
+from qfft import cli, core
 from qfft.pipeline import processing_cost
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -27,9 +27,11 @@ def tracer(monkeypatch):
     return tracer
 
 
-def test_traced_fft_and_sweep_count_every_butterfly(tmp_path, tracer):
+# one size in constant geometry, and the first size that runs in place
+@pytest.mark.parametrize("n", [64, 2 * core.CONSTANT_GEOMETRY_MAX])
+def test_traced_fft_and_sweep_count_every_butterfly(tmp_path, tracer, n):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": 64, "sweep": {"trials": 2}}))
+    config.write_text(json.dumps({"n": n, "sweep": {"trials": 2}}))
     t = tracer.Tracer()
     try:
         tracer.install(t)

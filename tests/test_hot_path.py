@@ -101,6 +101,65 @@ def test_every_stage_matches_the_strided_kernel(m, table_kind):
         assert data.tobytes() == oracle.tobytes(), f"stage {stage}"
 
 
+def in_place_run(x, direction, table, specs):
+    """A pipeline run written out as in-place stages: output, saturations, snapshots.
+
+    The snapshots are the stage-1 input and every stage output, in the
+    in-place order ``RunTrace`` documents.
+    """
+    n = x.size
+    data = x[recurrence_indices(n)]
+    if direction == "ifft":
+        data *= 1.0 / n
+    snapshots = [data.copy()]
+    saturations = 0
+    for stage, spec in enumerate(specs):
+        core.dit_stage(data, table, stage)
+        if spec.enabled:
+            saturations += apply_quantizer(data, spec, out=data)[1]
+        snapshots.append(data.copy())
+    return data, saturations, snapshots
+
+
+STAGE_QUANTIZERS = {
+    "off": lambda n: (),
+    "uniform": lambda n: uniform_stage_specs(n, 9, 2.0),
+    "uniform-saturating": lambda n: uniform_stage_specs(n, 2, 0.05),
+    "mantissa": lambda n: mantissa_stage_specs(n, 5),
+}
+
+
+# constant geometry up to core.CONSTANT_GEOMETRY_MAX, in place above it
+@pytest.mark.parametrize("quantizer", sorted(STAGE_QUANTIZERS))
+@pytest.mark.parametrize("m", range(1, 17))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from(["fft", "ifft"]), rom=st.booleans())
+def test_both_geometries_match_the_in_place_stages(m, seed, direction, rom, quantizer):
+    n = 1 << m
+    x = random_signal(n, seed)
+    x[seed % n] = -0.0  # a signed zero through every stage
+    rom_spec = QuantizerSpec("uniform", 5, 1.0) if rom else None
+    specs = STAGE_QUANTIZERS[quantizer](n)
+    pipeline = Pipeline(PipelineConfig(n, direction, specs, rom_spec))
+    trace = pipeline.run(x, keep_stages=True)
+
+    output, saturations, snapshots = in_place_run(x, direction, pipeline.twiddles, pipeline.config.stage_quantizers)
+    assert trace.output.tobytes() == output.tobytes()
+    assert trace.saturation_total == saturations
+    assert trace.input.tobytes() == snapshots[0].tobytes()
+    assert [a.tobytes() for a in trace.stage_outputs] == [a.tobytes() for a in snapshots[1:]]
+    if not rom:
+        reference, _, _ = in_place_run(x, direction, pipeline.twiddles, [QuantizerSpec("off")] * m)
+        assert core.fft_reference(x, direction).tobytes() == reference.tobytes()
+
+
+def test_stage_twiddles_are_read_only():
+    for n in (8, 2 * core.CONSTANT_GEOMETRY_MAX):
+        pipeline = Pipeline(PipelineConfig(n=n, direction="ifft"))
+        with pytest.raises(ValueError):
+            pipeline.stage_twiddles[0] = 0.0
+
+
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]
 
 
