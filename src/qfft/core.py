@@ -4,8 +4,9 @@ Holds the direct-summation DFT used as the golden oracle, the twiddle
 table, bit-reversal and the staged decimation-in-time transform.
 ``DIRECTIONS`` is the one direction vocabulary of the package.
 
-``twiddle_table`` and ``bit_reversal_indices`` are built once per size
-and cached; the arrays they return are shared and read-only, so a caller
+``twiddle_table`` and ``bit_reversal_indices`` are built once per size,
+``direction_twiddles`` once per size and direction, and cached; the
+arrays they return are shared and read-only, so a caller
 that needs a modified table (conjugated, quantized) derives a new array
 from it, and an in-place write raises ``ValueError``.
 
@@ -306,14 +307,19 @@ def in_place_order(data: np.ndarray, stages_done: int) -> np.ndarray:
     return order
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_twiddles(n: int, direction: str) -> np.ndarray:
-    """``fft_reference``'s stage twiddles, cached per size and direction; read-only."""
+@functools.lru_cache(maxsize=None, typed=True)
+def direction_twiddles(n: int, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Half-circle table of ``direction`` (conjugated for ifft) and its ``stage_twiddles``.
+
+    The twiddles of ``fft_reference`` and of every pipeline without a
+    twiddle ROM. Cached per size and direction; both arrays are shared and
+    read-only.
+    """
     table = twiddle_table(n)
     if direction == "ifft":
         table = np.conj(table)
         table.setflags(write=False)
-    return stage_twiddles(table)
+    return table, stage_twiddles(table)
 
 
 def fft_reference(x, direction: str = "fft") -> np.ndarray:
@@ -339,4 +345,4 @@ def fft_reference(x, direction: str = "fft") -> np.ndarray:
         # measured 1-2 ms per op faster, from fewer page faults in the
         # large allocations that follow
         vec = vec * (1.0 / n)
-    return staged_transform(vec, _reference_twiddles(n, direction))[0]
+    return staged_transform(vec, direction_twiddles(n, direction)[1])[0]

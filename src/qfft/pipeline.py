@@ -84,16 +84,18 @@ class Pipeline:
         self.config = config
         self.n = config.n
         self.stages = config.stages
-        table = core.twiddle_table(config.n)
-        if config.direction == "ifft":
-            table = np.conj(table)
+        # without a ROM the twiddles are the shared cached ones of fft_reference
+        table, stage_twiddles = core.direction_twiddles(config.n, config.direction)
         self.twiddle_saturations = 0
         tq = config.twiddle_quantizer
         if tq is not None and tq.enabled:
             table, self.twiddle_saturations = apply_quantizer(table, tq)
-        table.setflags(write=False)
+            table.setflags(write=False)
+            stage_twiddles = core.stage_twiddles(table)
         self.twiddles = table
-        self.stage_twiddles = core.stage_twiddles(table)
+        self.stage_twiddles = stage_twiddles
+        # the specs of the stages that quantize, None for the others
+        self._stage_specs = tuple(spec if spec.enabled else None for spec in config.stage_quantizers)
 
     def run(self, x, keep_stages: bool = False) -> RunTrace:
         """Push one vector through the staged processor.
@@ -113,7 +115,7 @@ class Pipeline:
             raise ValueError("input contains non-finite components")
         scale = 1.0 / self.n if self.config.direction == "ifft" else None
 
-        specs = self.config.stage_quantizers
+        specs = self._stage_specs
         saturations = 0
         stage_outputs: list[np.ndarray] = []
 
@@ -122,7 +124,7 @@ class Pipeline:
             spec = specs[stage]
             # the quantizer is componentwise, so the working vector's
             # order (which follows the geometry) does not change its bits
-            if spec.enabled:
+            if spec is not None:
                 saturations += apply_quantizer(data, spec, out=data)[1]
             if keep_stages:
                 stage_outputs.append(core.in_place_order(data, stage + 1))

@@ -6,10 +6,24 @@ fraction M in [1/2, 1). Rounding is half-to-even in both, which keeps the
 empirical error mean near zero. Closed-form error variances:
 q^2/12 for the uniform staircase and q^2/6 for the mantissa relative
 error (the latter is twice, not half, the uniform value at equal step).
+
+The uniform kernel looks for saturation with ``argmax``/``argmin`` and
+counts only when one of those levels lies past x_max. On 2,048 floats
+(one N=1024 stage) that probe takes 2.0 us against 4.5 us for
+``np.maximum.reduce`` plus ``np.minimum.reduce``, most of which is fixed
+per-call cost; on 131,072 floats (N=65536) it takes 46.6 against
+40.9 us, about 0.1 ms over the 16 stages of a transform, so one probe
+serves every size. With it, ``QuantizerSpec.step`` computed once per
+spec and no reshape of a 1-D vector, an in-place ``apply_quantizer`` on
+2,048 components takes 9.2 us instead of 12.3, and a uniform
+``Pipeline.run`` 0.84x the time at N=1024 (168 against 199 us) and 1.00x
+at N=65536 (about 8 ms). Medians of 15 alternating rounds in one process
+(ratios taken per round), on one pinned CPU of a 2-vCPU Xeon, numpy 2.4.6.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +32,8 @@ import numpy as np
 MODES = ("off", "uniform", "mantissa")
 MAX_BITS = 52  # double-precision mantissa width
 SQNR_CAP_DB = 300.0
-_KERNEL_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+_FLOAT64 = np.dtype(np.float64)
+_KERNEL_DTYPES = (_FLOAT64, np.dtype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -46,8 +61,11 @@ class QuantizerSpec:
     def enabled(self) -> bool:
         return self.mode != "off"
 
-    @property
+    @functools.cached_property
     def step(self) -> float:
+        # computed on first read and kept in the instance ``__dict__``, which
+        # equality, hash, repr and ``asdict`` never look at; mode "off" raises
+        # on every read, since a raising call caches nothing
         if self.mode == "uniform":
             return 2.0 * self.x_max * 2.0 ** -self.bits
         if self.mode == "mantissa":
@@ -112,8 +130,12 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
     Returns the number of components the uniform clamp changed. The one
     kernel behind every quantizer entry point.
 
-    Uniform: divide by q, round, multiply by q; the magnitudes are counted
-    against x_max and clipped only when the extremes show a level past it.
+    Uniform: divide by q, round, multiply by q. A probe compares the levels
+    at ``argmax`` and ``argmin`` with +-x_max; only when one lies past it
+    are the magnitudes counted and the levels clipped, so a call that does
+    not saturate builds no |level| temporary and the count stays exact. A
+    NaN is both the ``argmax`` and the ``argmin`` of an array holding one
+    and compares false, so such an array is neither counted nor clipped.
     Mantissa: the fraction M from ``frexp`` is scaled by 2**bits instead of
     divided by q = 2**-bits, and the exponent of the final ``ldexp`` absorbs
     the multiply by q; scaling by a power of two is exact here, so the bits
@@ -124,13 +146,13 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
         np.divide(x, q, out=out)
         np.rint(out, out=out)
         np.multiply(out, q, out=out)
-        # two read-only reductions; the |level| temporary only when one hits
-        if not out.size or not (
-            np.maximum.reduce(out) > spec.x_max or np.minimum.reduce(out) < -spec.x_max
-        ):
+        # the probe of the module docstring; ``item`` takes the flat index
+        # for any shape, 0-d included
+        x_max = spec.x_max
+        if not out.size or not (out.item(out.argmax()) > x_max or out.item(out.argmin()) < -x_max):
             return 0
-        saturated = int(np.count_nonzero(np.abs(out) > spec.x_max))
-        np.clip(out, -spec.x_max, spec.x_max, out=out)
+        saturated = int(np.count_nonzero(np.abs(out) > x_max))
+        np.clip(out, -x_max, x_max, out=out)
         return saturated
     exp = np.empty(x.shape, dtype=np.intc)
     np.frexp(x, out=(out, exp))
@@ -245,4 +267,4 @@ def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, 
 
 def _components(a: np.ndarray) -> np.ndarray:
     """Flat float64 view of a C-contiguous array; complex entries as (re, im) pairs."""
-    return a.reshape(-1).view(np.float64)
+    return (a if a.ndim == 1 else a.reshape(-1)).view(_FLOAT64)

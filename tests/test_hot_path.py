@@ -5,14 +5,18 @@ and the reworked stage and quantizer kernels must leave every output bit
 where it was.
 """
 
+import dataclasses
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfft import core, mantissa_stage_specs, uniform_stage_specs
-from qfft.analysis import run_sweep
-from qfft.config import ExperimentConfig
+from qfft import core, emit_report, mantissa_stage_specs, uniform_stage_specs
+from qfft.analysis import ErrorReport, run_sweep
+from qfft.config import ExperimentConfig, parse_config
 from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import QuantizerSpec, apply_quantizer, quantize_mantissa, quantize_uniform
 
@@ -54,6 +58,7 @@ class TestCachedTables:
     def test_tables_built_once_per_size(self):
         core.bit_reversal_indices.cache_clear()
         core.twiddle_table.cache_clear()
+        core.direction_twiddles.cache_clear()
         for built, n in enumerate((16, 64), start=1):
             specs = uniform_stage_specs(n, 8, 2.0)
             for direction in ("fft", "ifft"):
@@ -65,6 +70,7 @@ class TestCachedTables:
             run_sweep(sweep)
             assert core.bit_reversal_indices.cache_info().misses == built
             assert core.twiddle_table.cache_info().misses == built
+            assert core.direction_twiddles.cache_info().misses == 2 * built
 
 
 def strided_dit_stage(data, twiddles, stage):
@@ -158,6 +164,20 @@ def test_stage_twiddles_are_read_only():
         pipeline = Pipeline(PipelineConfig(n=n, direction="ifft"))
         with pytest.raises(ValueError):
             pipeline.stage_twiddles[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [8, 2 * core.CONSTANT_GEOMETRY_MAX])
+@pytest.mark.parametrize("direction", core.DIRECTIONS)
+def test_pipelines_without_a_rom_share_the_reference_twiddles(n, direction):
+    first = Pipeline(PipelineConfig(n=n, direction=direction))
+    second = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=uniform_stage_specs(n, 6, 1.0)))
+    assert second.stage_twiddles is first.stage_twiddles
+    assert second.twiddles is first.twiddles
+    assert not first.stage_twiddles.flags.writeable and not first.twiddles.flags.writeable
+    rom = Pipeline(PipelineConfig(n=n, direction=direction, twiddle_quantizer=QuantizerSpec("uniform", 5, 1.0)))
+    assert rom.stage_twiddles is not first.stage_twiddles
+    assert not np.shares_memory(rom.twiddles, first.twiddles)
+    assert not rom.stage_twiddles.flags.writeable and not rom.twiddles.flags.writeable
 
 
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]
@@ -259,6 +279,114 @@ def test_uniform_saturations_count_levels_past_full_scale(ratios, x_max, bits):
     assert saturations == np.count_nonzero(np.abs(levels) > x_max)
     assert out.tobytes() == reference_quantize(x, spec).tobytes()
     assert quantize_uniform(x, spec).tobytes() == out.tobytes()
+
+
+# the uniform reference below, for every shape the entry points take: the
+# levels q*rint(x/q), the count of levels past x_max, then the clip. An
+# array holding a NaN is neither counted nor clipped (the saturation probe
+# reads a NaN as its extreme, and a NaN compares false). Entries are
+# multiples of x_max, the named values or, as an integer k, the midpoint
+# (k + 1/2) q between two levels, where rounding must go to the even one.
+SPECIAL_VALUES = ("x_max", "-x_max", "past", "-past", "inf", "-inf", "nan")
+
+
+def uniform_reference(x, spec):
+    components = np.ascontiguousarray(x).reshape(-1).view(np.float64)
+    q = spec.step
+    levels = q * np.rint(components / q)
+    if np.isnan(levels).any():
+        return levels, 0
+    saturated = int(np.count_nonzero(np.abs(levels) > spec.x_max))
+    return np.clip(levels, -spec.x_max, spec.x_max), saturated
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.sampled_from([(), (0,), (1,), (5,), (0, 3), (2, 3), (3, 1)]),
+    is_complex=st.booleans(),
+    entries=st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL_VALUES), st.integers(-70, 70)),
+        min_size=12,
+        max_size=12,
+    ),
+    x_max=st.one_of(st.integers(-60, 60).map(lambda e: 2.0**e), st.floats(1e-12, 1e12)),
+    bits=st.integers(1, 52),
+)
+def test_uniform_probe_matches_the_reference(shape, is_complex, entries, x_max, bits):
+    spec = QuantizerSpec("uniform", bits, x_max)
+    special = {
+        "x_max": x_max,
+        "-x_max": -x_max,
+        "past": x_max + spec.step,
+        "-past": -x_max - spec.step,
+        "inf": np.inf,
+        "-inf": -np.inf,
+        "nan": np.nan,
+    }
+
+    def value(entry):
+        if isinstance(entry, str):
+            return special[entry]
+        if isinstance(entry, int):
+            return (entry + 0.5) * spec.step
+        return entry * x_max
+
+    values = np.array([value(e) for e in entries])
+    size = int(np.prod(shape))
+    x = values[:size].reshape(shape)
+    if is_complex:
+        z = np.empty(shape, dtype=np.complex128)
+        z.real, z.imag = x, values[size : 2 * size].reshape(shape)
+        x = z
+    expected, expected_saturations = uniform_reference(x, spec)
+
+    out, saturations = apply_quantizer(x, spec)
+    assert out.shape == x.shape and out.dtype == x.dtype
+    assert saturations == expected_saturations
+    assert out.reshape(-1).view(np.float64).tobytes() == expected.tobytes()
+    inplace = x.copy()
+    assert apply_quantizer(inplace, spec, out=inplace)[1] == saturations
+    assert inplace.tobytes() == out.tobytes()
+    if not is_complex:
+        assert np.asarray(quantize_uniform(x, spec)).tobytes() == out.tobytes()
+
+
+QUANTIZER_SPECS = [
+    QuantizerSpec("uniform", 7, 0.3),
+    QuantizerSpec("uniform", 5, 2.0),
+    QuantizerSpec("mantissa", 6),
+    QuantizerSpec("off"),
+]
+
+
+@pytest.mark.parametrize("spec", QUANTIZER_SPECS, ids=["uniform-0.3", "uniform-2.0", "mantissa", "off"])
+def test_quantizer_spec_contract_survives_its_cached_constants(spec):
+    fresh = QuantizerSpec(spec.mode, spec.bits, spec.x_max)
+    cfg = parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": [dataclasses.asdict(spec)] * 2}}))
+    row = ErrorReport(6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def header():
+        return emit_report([row], "csv", cfg.to_dict()).splitlines()[0].encode()
+
+    before = header()
+    if spec.enabled:
+        assert spec.step == fresh.step
+        apply_quantizer(np.linspace(-1.0, 1.0, 8), spec)
+        assert all(stage_spec.step == spec.step for stage_spec in cfg.per_stage)
+        Pipeline(cfg.pipeline_config()).run(random_signal(4, seed=1))
+    else:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="undefined for mode 'off'"):
+                spec.step
+    assert spec == fresh and fresh == spec
+    assert hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
+    assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and hash(clone) == hash(spec) and repr(clone) == repr(spec)
+    if spec.enabled:
+        assert clone.step == spec.step
+    assert header() == before
 
 
 PIPELINES = {
