@@ -53,12 +53,6 @@ class CharacterizationRow:
     theory_variance: float
 
 
-def _pooled_components(vectors: list[np.ndarray]) -> np.ndarray:
-    """Real and imaginary parts of all vectors as one flat real sample set."""
-    stacked = np.concatenate(vectors)
-    return np.concatenate([stacked.real, stacked.imag])
-
-
 # Peak exponents e (largest magnitude in [2**(e-1), 2**e)) for which sums
 # of squares of up to 2**25 components cannot overflow, and every square
 # that can reach a result's last bit (within 2**-100 of the peak's) is a
@@ -66,51 +60,48 @@ def _pooled_components(vectors: list[np.ndarray]) -> np.ndarray:
 _UNSCALED_EXPONENTS = range(-400, 401)
 
 
-def _normalize(values: np.ndarray) -> int:
-    """Scale ``values`` in place by a power of two when squaring them could under- or overflow.
+def _moments(pooled: np.ndarray, scratch: np.ndarray) -> tuple[int, float, float, float]:
+    """Exponent e, then mean, variance and energy of the vectors in ``pooled`` scaled by 2**-e.
 
-    ``values`` is a C-contiguous float64 or complex128 array. Returns the
-    exponent e of the scale applied (original = values * 2**e): 0 when the
-    largest component magnitude has its exponent in ``_UNSCALED_EXPONENTS``,
-    else the one that puts it in [1/2, 1). Scaling by a power of two is
-    exact, so second moments taken on the scaled values and scaled back by
-    4**e keep the bits the unscaled ones have inside that range, and keep
-    their value where the unscaled squares would underflow.
+    ``pooled`` is a C-contiguous float64 (2, vectors, n) array: every
+    vector's real parts, then every vector's imaginary parts, which the
+    mean and variance pool as one real sample set. e is 0 when the largest
+    component magnitude has its exponent in ``_UNSCALED_EXPONENTS``, else
+    the one that puts it in [1/2, 1), and then a scaled copy is measured.
+    Scaling by a power of two is exact, so moments scaled back by 2**e
+    (4**e for second moments) keep the bits the unscaled ones have inside
+    that range, and keep their value where unscaled squares would
+    underflow or overflow. The energy is the sum over the vectors, in
+    order, of ``np.linalg.norm(vector) ** 2`` with its bits: each vector is
+    rebuilt in the complex n-vector ``scratch`` and its squares summed on
+    the stride-2 ``real`` and ``imag`` views, as ``norm`` sums them.
     """
-    components = values.reshape(-1).view(np.float64)
-    if not components.size:
-        return 0
+    components = pooled.reshape(-1)
     exponent = math.frexp(max(float(components.max()), -float(components.min())))[1]
     if exponent in _UNSCALED_EXPONENTS:
-        return 0
-    np.ldexp(components, -exponent, out=components)
-    return exponent
+        exponent = 0
+    else:
+        components = np.ldexp(components, -exponent)
+    re, im = scratch.real, scratch.imag
+    energy = 0.0
+    for real_parts, imag_parts in zip(*components.reshape(pooled.shape)):
+        re[:], im[:] = real_parts, imag_parts
+        energy += float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
+    return exponent, float(components.mean()), float(components.var()), energy
 
 
-def _energy(vector: np.ndarray) -> float:
-    """||vector||**2: the body of ``np.linalg.norm(vector) ** 2``, with its bits."""
-    re, im = vector.real, vector.imag
-    return float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
+def _percent_and_sqnr(reference: tuple, error: tuple) -> tuple[float, float]:
+    """Percent error and SQNR from the ``_moments`` of the references and of their errors.
 
-
-def _total_energy(vectors) -> float:
-    """``_energy`` summed over ``vectors`` in order."""
-    total = 0.0
-    for v in vectors:
-        total += _energy(v)
-    return total
-
-
-def _reference_moments(references: list[np.ndarray]) -> tuple[int, float, float]:
-    """Exponent e of ``_normalize``, then variance and energy of the references scaled by 2**-e.
-
-    The variance pools every component as ``_pooled_components`` does.
+    percent_error = 100 * sqrt(error energy / reference energy); SQNR is
+    10*log10 of the reference variance over the error variance, capped by
+    ``snr_db``.
     """
-    pooled = _pooled_components(references)
-    exponent = _normalize(pooled)
-    if exponent:
-        references = [np.ldexp(r.view(np.float64), -exponent).view(np.complex128) for r in references]
-    return exponent, float(pooled.var()), _total_energy(references)
+    ref_exponent, _, ref_variance, ref_energy = reference
+    exponent, _, variance, energy = error
+    shift = 2 * (exponent - ref_exponent)
+    percent = 100.0 * math.sqrt(math.ldexp(energy / ref_energy, shift))
+    return percent, snr_db(ref_variance, math.ldexp(variance, shift))
 
 
 def compare(reference, test) -> tuple[np.ndarray, float, float]:
@@ -119,25 +110,20 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     percent_error = 100 * ||reference - test|| / ||reference||; SQNR pools
     the real and imaginary parts of both vectors into real sample sets and
     takes 10*log10 of their variance ratio, capped at 300 dB so a perfect
-    match stays numeric. Both are taken on copies scaled by a power of two
-    where needed (see ``_normalize``), so they do not depend on the scale
-    of the inputs.
+    match stays numeric. Both come from the helpers of ``run_sweep``, so
+    they equal the row of a one-trial sweep bit for bit and do not depend
+    on the scale of the inputs.
     """
-    ref = np.array(reference, dtype=np.complex128)
+    ref = np.asarray(reference, dtype=np.complex128)
     out = np.asarray(test, dtype=np.complex128)
     if ref.shape != out.shape:
         raise ValueError(f"length mismatch: {ref.shape} vs {out.shape}")
-    error = ref - out
-    scaled_error = error.copy()
-    shift = _normalize(scaled_error) - _normalize(ref)
-    ref_norm = float(np.linalg.norm(ref))
-    if ref_norm == 0.0:
+    if not ref.any():
         raise ValueError("percent error is undefined for an all-zero reference")
-    percent = math.ldexp(100.0 * float(np.linalg.norm(scaled_error)) / ref_norm, shift)
-    sqnr = snr_db(
-        float(_pooled_components([ref]).var()),
-        math.ldexp(float(_pooled_components([scaled_error]).var()), 2 * shift),
-    )
+    error = ref - out
+    scratch = np.empty(ref.size, dtype=np.complex128)
+    moments = [_moments(np.stack((v.real, v.imag)).reshape(2, 1, -1), scratch) for v in (ref, error)]
+    percent, sqnr = _percent_and_sqnr(*moments)
     return error, percent, sqnr
 
 
@@ -178,50 +164,43 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     signal = cfg.signal_spec()
     signals = [generate_signal(signal, s) for s in trial_seeds]
-    references = [core.fft_reference(x, cfg.direction) for x in signals]
-    # every second moment below is taken on values scaled by a power of two
-    # where their squares could underflow or overflow (see _normalize), so
-    # a tiny signal gets the rows of a unit one
-    ref_exponent, ref_variance, ref_energy = _reference_moments(references)
-    if ref_energy == 0.0:
+    # the references and one row's errors as _moments takes them: every
+    # trial's real parts, then every trial's imaginary parts
+    references = np.empty((2, cfg.trials, cfg.n))
+    for trial, x in enumerate(signals):
+        ref = core.fft_reference(x, cfg.direction)
+        references[0, trial], references[1, trial] = ref.real, ref.imag
+    # neither the last reference nor, below, the last trace output stays
+    # alive while var() in _moments copies a buffer: that sets the peak
+    del ref
+    errors = np.empty_like(references)
+    scratch = np.empty(cfg.n, dtype=np.complex128)
+    reference_moments = _moments(references, scratch)
+    if reference_moments[3] == 0.0:
         field = "signal.amplitudes" if cfg.signal_kind == "multitone" else "signal.amplitude"
         raise ConfigError(f"{field}: the reference outputs have zero energy; percent error undefined")
 
-    # one row's pooled error components: every trial's real parts, then
-    # every trial's imaginary parts, in trial order (as _pooled_components)
-    err_components = np.empty(2 * cfg.trials * cfg.n)
-    real_parts = err_components[: cfg.trials * cfg.n].reshape(cfg.trials, cfg.n)
-    imag_parts = err_components[cfg.trials * cfg.n :].reshape(cfg.trials, cfg.n)
-    # one trial's error, rewritten in place by every trial
-    error = np.empty(cfg.n, dtype=np.complex128)
     rows = []
     for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
         pipeline = Pipeline(cfg.pipeline_config(bits))
-        err_energy = 0.0
         saturations = 0
-        for trial, (x, ref) in enumerate(zip(signals, references)):
+        for trial, x in enumerate(signals):
             trace = pipeline.run(x)
-            np.subtract(ref, trace.output, out=error)
-            real_parts[trial] = error.real
-            imag_parts[trial] = error.imag
-            err_energy += _energy(error)
+            np.subtract(references[0, trial], trace.output.real, out=errors[0, trial])
+            np.subtract(references[1, trial], trace.output.imag, out=errors[1, trial])
             saturations += trace.saturation_total
-        exponent = _normalize(err_components)
-        if exponent:
-            scaled = np.empty((cfg.trials, cfg.n), dtype=np.complex128)
-            scaled.real, scaled.imag = real_parts, imag_parts
-            err_energy = _total_energy(scaled)
-        shift = exponent - ref_exponent
-        scaled_variance = float(err_components.var())
-        variance = math.ldexp(scaled_variance, 2 * exponent)
+        del trace
+        error_moments = _moments(errors, scratch)
+        exponent, mean, variance = error_moments[:3]
+        percent, sqnr = _percent_and_sqnr(reference_moments, error_moments)
         rows.append(
             ErrorReport(
                 bits=bits,
-                error_mean=math.ldexp(float(err_components.mean()), exponent),
-                error_std=math.ldexp(math.sqrt(scaled_variance), exponent),
-                error_variance=variance,
-                percent_error=100.0 * math.sqrt(math.ldexp(err_energy / ref_energy, 2 * shift)),
-                sqnr_db=snr_db(ref_variance, math.ldexp(scaled_variance, 2 * shift)),
+                error_mean=math.ldexp(mean, exponent),
+                error_std=math.ldexp(math.sqrt(variance), exponent),
+                error_variance=math.ldexp(variance, 2 * exponent),
+                percent_error=percent,
+                sqnr_db=sqnr,
                 theory_variance=_row_theory(cfg.quantizer_mode, bits, base_x_max),
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )

@@ -21,14 +21,6 @@ import numpy as np
 from . import analysis, core, report
 from .config import ConfigError, ExperimentConfig, parse_config
 from .pipeline import Pipeline, PipelineConfig, processing_cost
-from .quantization import (
-    QuantizerSpec,
-    quantize_mantissa,
-    quantize_uniform,
-    relative_error,
-    theory_variance_mantissa,
-    theory_variance_uniform,
-)
 from .signals import generate_signal
 
 
@@ -155,25 +147,14 @@ def _selftest_checks(seed: int):
     ok = trace.output.tobytes() == core.fft_reference(x).tobytes()
     yield "quantizer bypass bit-exact n=64", ok, ""
     # Monte-Carlo vs closed forms
-    spec = QuantizerSpec("uniform", 8, 1.0)
-    x = rng.uniform(-1, 1, 200_000)
-    var = float((x - quantize_uniform(x, spec)).var())
-    theory = theory_variance_uniform(spec)
-    yield (
-        "uniform quantizer variance b=8",
-        abs(var - theory) / theory < 0.05,
-        f"empirical {var:.6e} vs theory {theory:.6e}",
-    )
-    spec = QuantizerSpec("mantissa", 6)
-    mant = rng.uniform(0.5, 1.0, 200_000)
-    err = relative_error(mant, quantize_mantissa(mant, spec))
-    var = float(err.var())
-    theory = theory_variance_mantissa(spec)
-    yield (
-        "mantissa quantizer variance b=6",
-        abs(var - theory) / theory < 0.05,
-        f"empirical {var:.6e} vs theory {theory:.6e}",
-    )
+    for mode, bits in (("uniform", 8), ("mantissa", 6)):
+        (row,) = analysis.quantizer_characterization(mode, bits, bits, 200_000, seed=seed)
+        empirical, theory = row.empirical_variance, row.theory_variance
+        yield (
+            f"{mode} quantizer variance b={bits}",
+            abs(empirical - theory) / theory < 0.05,
+            f"empirical {empirical:.6e} vs theory {theory:.6e}",
+        )
 
 
 def _cmd_selftest(seed: int) -> int:

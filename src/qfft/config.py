@@ -35,8 +35,9 @@ from .quantization import MAX_BITS, MODES, QuantizerSpec
 from .signals import KINDS, SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
-# a sweep holds every trial's input, reference output and error as complex128
-# (48 bytes per trials x n sample): 2**24 samples keep those buffers at 768 MiB
+# a sweep holds every trial's input, reference output and error (16 bytes each
+# per trials x n sample), and the variance of the errors copies them: it peaks
+# at about 40 MiB plus 64 bytes per sample, about 1.04 GiB at 2**24 samples
 MAX_SWEEP_SAMPLES = 2**24
 
 

@@ -28,9 +28,9 @@ of two geometries, chosen from the size alone:
   tiles all stages into one read-only (S, n/2) array.
 - In place, above it. The input is bit-reversed once, and each stage
   pairs the two halves of its blocks in the (blocks, span) view of one
-  vector. A stage of short blocks (span 2 to 16) with at least 64 blocks
-  per butterfly column runs column by column, the other stages broadcast
-  a contiguous copy of their twiddles over the rows.
+  vector. A stage of short blocks (span 2 to 16) runs column by column,
+  the other stages broadcast a contiguous copy of their twiddles over the
+  rows.
 
 Every path computes the same t = w*b, a + t and a - t on the same
 operands, so the output bits do not depend on the path taken. Constant
@@ -155,15 +155,14 @@ def bit_reverse_permute(x) -> np.ndarray:
 # geometry, larger ones in place; see the module docstring for the timings.
 CONSTANT_GEOMETRY_MAX = 1 << 15
 
-# An in-place stage with half-span below COLUMN_MAX_HALF and at least
-# COLUMN_ROWS_PER_HALF blocks per half-span column runs column by column:
-# one long strided ufunc call per column instead of broadcasting over many
-# short rows. Only N=65536 runs in place; there stages 0-3 take the column
-# path. Per stage on one pinned CPU, broadcast -> column: stage 0 128 ->
-# 123 us, stage 1 944 -> 172, stage 2 653 -> 221, stage 3 465 -> 263; at
-# stage 5 (half-span 32) the column loop loses, 440 vs 368 us.
+# An in-place stage with half-span below COLUMN_MAX_HALF runs column by
+# column: one long strided ufunc call per column instead of broadcasting
+# over many short rows. Only N=65536 runs in place; there stages 0-3 take
+# the column path, with 32768/half >= 4096 blocks per column. Per stage on
+# one pinned CPU, broadcast -> column: stage 0 128 -> 123 us, stage 1
+# 944 -> 172, stage 2 653 -> 221, stage 3 465 -> 263; at stage 5
+# (half-span 32) the column loop loses, 440 vs 368 us.
 COLUMN_MAX_HALF = 16
-COLUMN_ROWS_PER_HALF = 64
 
 
 def stage_twiddles(table: np.ndarray) -> np.ndarray:
@@ -196,11 +195,10 @@ def dit_stage(
     bit-reversed order before stage 0, and ``twiddles`` is the half-circle
     table. Stage ``stage`` (0-based) works on blocks of span 2**(stage+1),
     pairing entry j with entry j + span/2 and multiplying the lower leg by
-    the stage twiddle w[j * n / span]. A stage of many short blocks
-    (half-span below ``COLUMN_MAX_HALF``, at least
-    ``COLUMN_ROWS_PER_HALF * half`` blocks) loops over the half-span
-    columns of the (blocks, span) view, one long strided call per column
-    with its twiddle as a scalar. Other stages copy their 2**stage
+    the stage twiddle w[j * n / span]. A stage of short blocks (half-span
+    below ``COLUMN_MAX_HALF``) loops over the half-span columns of the
+    (blocks, span) view, one long strided call per column with its
+    twiddle as a scalar. Other stages copy their 2**stage
     twiddles from the table into a contiguous vector (the last stage's
     slice already is one) and broadcast it over the rows.
 
@@ -228,7 +226,7 @@ def dit_stage(
     rows = n // span
     w = twiddles[: rows * half : rows]
     blocks = data.reshape(rows, span)
-    if half < COLUMN_MAX_HALF and rows >= COLUMN_ROWS_PER_HALF * half:
+    if half < COLUMN_MAX_HALF:
         columns = blocks.T
         for j in range(half):
             top, bottom = columns[j], columns[j + half]

@@ -86,10 +86,10 @@ class Pipeline:
         self.stages = config.stages
         # without a ROM the twiddles are the shared cached ones of fft_reference
         table, stage_twiddles = core.direction_twiddles(config.n, config.direction)
-        self.twiddle_saturations = 0
         tq = config.twiddle_quantizer
         if tq is not None and tq.enabled:
-            table, self.twiddle_saturations = apply_quantizer(table, tq)
+            # no saturation count: the ROM a config builds has x_max = 1 >= |w|
+            table = apply_quantizer(table, tq)[0]
             table.setflags(write=False)
             stage_twiddles = core.stage_twiddles(table)
         self.twiddles = table

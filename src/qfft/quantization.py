@@ -8,8 +8,8 @@ q^2/12 for the uniform staircase and q^2/6 for the mantissa relative
 error (the latter is twice, not half, the uniform value at equal step).
 
 The uniform kernel looks for saturation with ``argmax``/``argmin`` and
-counts only when one of those levels lies past x_max. On 2,048 floats
-(one N=1024 stage) that probe takes 2.0 us against 4.5 us for
+counts only when one of those levels lies past x_max or is NaN. On 2,048
+floats (one N=1024 stage) that probe takes 2.0 us against 4.5 us for
 ``np.maximum.reduce`` plus ``np.minimum.reduce``, most of which is fixed
 per-call cost; on 131,072 floats (N=65536) it takes 46.6 against
 40.9 us, about 0.1 ms over the 16 stages of a transform, so one probe
@@ -97,7 +97,8 @@ def quantize_uniform(x, spec: QuantizerSpec):
     Ties round half-to-even, so |x| <= q/2 maps to exactly 0. Inside full
     scale the error is at most q/2 when x_max is a power of two; otherwise
     x / q and q * level each round once, and the bound is
-    q/2 + 3 * x_max * 2**-53 (0.5096 q has been seen at bits 51). Accepts
+    q/2 + 3 * x_max * 2**-53 (0.5096 q has been seen at bits 51). A NaN
+    stays NaN and leaves the clamp of the other values as it is. Accepts
     a scalar or an ndarray of reals.
     """
     if spec.mode != "uniform":
@@ -130,12 +131,14 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
     Returns the number of components the uniform clamp changed. The one
     kernel behind every quantizer entry point.
 
-    Uniform: divide by q, round, multiply by q. A probe compares the levels
-    at ``argmax`` and ``argmin`` with +-x_max; only when one lies past it
-    are the magnitudes counted and the levels clipped, so a call that does
-    not saturate builds no |level| temporary and the count stays exact. A
-    NaN is both the ``argmax`` and the ``argmin`` of an array holding one
-    and compares false, so such an array is neither counted nor clipped.
+    Uniform: divide by q, round, multiply by q. A probe checks that the
+    levels at ``argmax`` and ``argmin`` lie within +-x_max; only when one
+    does not are the magnitudes counted and the levels clipped, so a call
+    that does not saturate builds no |level| temporary and the count stays
+    exact. A NaN is both the ``argmax`` and the ``argmin`` of an array
+    holding one and fails both checks, so such an array takes the count
+    and clip too: the NaN is not counted and stays NaN, the levels past
+    full scale are counted and clipped.
     Mantissa: the fraction M from ``frexp`` is scaled by 2**bits instead of
     divided by q = 2**-bits, and the exponent of the final ``ldexp`` absorbs
     the multiply by q; scaling by a power of two is exact here, so the bits
@@ -149,7 +152,7 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
         # the probe of the module docstring; ``item`` takes the flat index
         # for any shape, 0-d included
         x_max = spec.x_max
-        if not out.size or not (out.item(out.argmax()) > x_max or out.item(out.argmin()) < -x_max):
+        if not out.size or (out.item(out.argmax()) <= x_max and out.item(out.argmin()) >= -x_max):
             return 0
         saturated = int(np.count_nonzero(np.abs(out) > x_max))
         np.clip(out, -x_max, x_max, out=out)

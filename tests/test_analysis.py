@@ -15,6 +15,7 @@ from qfft.core import fft_reference
 from qfft import uniform_stage_specs
 from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import QuantizerSpec, theory_variance_mantissa, theory_variance_uniform
+from qfft.signals import generate_signal
 
 
 def random_signal(n, seed):
@@ -73,6 +74,22 @@ class TestCompare:
         pooled_err = np.concatenate([diff.real, diff.imag])
         sqnr_direct = 10.0 * math.log10(pooled_ref.var() / pooled_err.var())
         assert sqnr == pytest.approx(sqnr_direct, rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 2.0**-530], ids=["unit", "tiny"])
+    @pytest.mark.parametrize("mode", ["uniform", "mantissa"])
+    @pytest.mark.parametrize("n", [2, 1024, 65536])
+    def test_equals_a_one_trial_sweep_row(self, n, mode, amplitude):
+        # bit for bit: compare and run_sweep share one statistics path
+        for seed in range(4):
+            cfg = ExperimentConfig(
+                n=n, bits_lo=9, bits_hi=9, trials=1, seed=seed, quantizer_mode=mode, signal_amplitude=amplitude
+            )
+            (row,) = run_sweep(cfg)
+            (trial_seed,) = np.random.SeedSequence(seed).spawn(1)
+            x = generate_signal(cfg.signal_spec(), trial_seed)
+            output = Pipeline(cfg.pipeline_config(9)).run(x).output
+            _, percent, sqnr = compare(fft_reference(x, cfg.direction), output)
+            assert (percent, sqnr) == (row.percent_error, row.sqnr_db)
 
 
 class TestSweepSpec:

@@ -282,11 +282,11 @@ def test_uniform_saturations_count_levels_past_full_scale(ratios, x_max, bits):
 
 
 # the uniform reference below, for every shape the entry points take: the
-# levels q*rint(x/q), the count of levels past x_max, then the clip. An
-# array holding a NaN is neither counted nor clipped (the saturation probe
-# reads a NaN as its extreme, and a NaN compares false). Entries are
-# multiples of x_max, the named values or, as an integer k, the midpoint
-# (k + 1/2) q between two levels, where rounding must go to the even one.
+# levels q*rint(x/q), the count of levels past x_max, then the clip. A NaN
+# level is not counted and stays NaN, and the other levels of its array are
+# counted and clipped as usual. Entries are multiples of x_max, the named
+# values or, as an integer k, the midpoint (k + 1/2) q between two levels,
+# where rounding must go to the even one.
 SPECIAL_VALUES = ("x_max", "-x_max", "past", "-past", "inf", "-inf", "nan")
 
 
@@ -294,8 +294,6 @@ def uniform_reference(x, spec):
     components = np.ascontiguousarray(x).reshape(-1).view(np.float64)
     q = spec.step
     levels = q * np.rint(components / q)
-    if np.isnan(levels).any():
-        return levels, 0
     saturated = int(np.count_nonzero(np.abs(levels) > spec.x_max))
     return np.clip(levels, -spec.x_max, spec.x_max), saturated
 
