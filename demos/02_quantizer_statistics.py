@@ -9,20 +9,15 @@ twice the uniform one, with the payoff that the error scales with the
 signal instead of the full scale.
 """
 
-import numpy as np
-
 from qfft import (
     QuantizerSpec,
-    empirical_stats,
     quantize_mantissa,
     quantize_uniform,
+    quantizer_characterization,
     relative_error,
     snr_db,
-    theory_variance_mantissa,
     theory_variance_uniform,
 )
-
-rng = np.random.default_rng(2)
 
 print("== mid-tread staircase, 2 bits on [-1, 1] (q = 0.5) ==")
 spec = QuantizerSpec("uniform", 2, 1.0)
@@ -38,26 +33,12 @@ for x in (0.5, 0.6875, 1.0, 3.14159, 100.0):
 print("  powers of two pass through untouched; the error is relative, not absolute")
 
 print("\n== Monte-Carlo vs closed form ==")
-samples = 500_000
-for bits in (4, 6, 8, 10):
-    spec = QuantizerSpec("uniform", bits, 1.0)
-    x = rng.uniform(-1, 1, samples)
-    stats = empirical_stats(x - quantize_uniform(x, spec))
-    theory = theory_variance_uniform(spec)
-    print(
-        f"  uniform  b={bits:2d}: measured {stats.error_variance:.3e}  "
-        f"q^2/12 = {theory:.3e}  mean {stats.error_mean:+.2e}"
-    )
-for bits in (4, 6, 8, 10):
-    spec = QuantizerSpec("mantissa", bits)
-    mant = rng.uniform(0.5, 1.0, samples)
-    eps = relative_error(mant, quantize_mantissa(mant, spec))
-    stats = empirical_stats(eps)
-    theory = theory_variance_mantissa(spec)
-    print(
-        f"  mantissa b={bits:2d}: measured {stats.error_variance:.3e}  "
-        f"q^2/6  = {theory:.3e}  mean {stats.error_mean:+.2e}"
-    )
+for mode, closed_form in (("uniform", "q^2/12"), ("mantissa", "q^2/6 ")):
+    for row in quantizer_characterization(mode, 4, 10, 500_000, seed=2):
+        print(
+            f"  {mode:8s} b={row.bits:2d}: measured {row.empirical_variance:.3e}  "
+            f"{closed_form} = {row.theory_variance:.3e}"
+        )
 
 print("\n== the quantization noise budget in dB ==")
 for bits in (8, 12, 16):

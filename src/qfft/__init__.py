@@ -32,10 +32,8 @@ from .core import (
 from .pipeline import Pipeline, PipelineConfig, RunTrace, processing_cost
 from .quantization import (
     OFF,
-    QuantizationStats,
     QuantizerSpec,
     apply_quantizer,
-    empirical_stats,
     quantize_mantissa,
     quantize_uniform,
     relative_error,
@@ -56,7 +54,6 @@ __all__ = [
     "OFF",
     "Pipeline",
     "PipelineConfig",
-    "QuantizationStats",
     "QuantizerSpec",
     "RunTrace",
     "SignalSpec",
@@ -65,7 +62,6 @@ __all__ = [
     "compare",
     "dft_naive",
     "emit_report",
-    "empirical_stats",
     "fft_reference",
     "generate_signal",
     "magnitude_bound",

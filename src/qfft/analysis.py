@@ -60,7 +60,7 @@ class CharacterizationRow:
 _UNSCALED_EXPONENTS = range(-400, 401)
 
 
-def _moments(pooled: np.ndarray, scratch: np.ndarray) -> tuple[int, float, float, float]:
+def _moments(pooled: np.ndarray) -> tuple[int, float, float, float]:
     """Exponent e, then mean, variance and energy of the vectors in ``pooled`` scaled by 2**-e.
 
     ``pooled`` is a C-contiguous float64 (2, vectors, n) array: every
@@ -73,8 +73,8 @@ def _moments(pooled: np.ndarray, scratch: np.ndarray) -> tuple[int, float, float
     that range, and keep their value where unscaled squares would
     underflow or overflow. The energy is the sum over the vectors, in
     order, of ``np.linalg.norm(vector) ** 2`` with its bits: each vector is
-    rebuilt in the complex n-vector ``scratch`` and its squares summed on
-    the stride-2 ``real`` and ``imag`` views, as ``norm`` sums them.
+    rebuilt in one complex n-vector and its squares summed on the stride-2
+    ``real`` and ``imag`` views, as ``norm`` sums them.
     """
     components = pooled.reshape(-1)
     exponent = math.frexp(max(float(components.max()), -float(components.min())))[1]
@@ -82,12 +82,16 @@ def _moments(pooled: np.ndarray, scratch: np.ndarray) -> tuple[int, float, float
         exponent = 0
     else:
         components = np.ldexp(components, -exponent)
+    # var() copies the pooled buffer; taken before the scratch vector
+    # exists, the copy and the scratch are never alive together
+    mean, variance = float(components.mean()), float(components.var())
+    scratch = np.empty(pooled.shape[-1], dtype=np.complex128)
     re, im = scratch.real, scratch.imag
     energy = 0.0
     for real_parts, imag_parts in zip(*components.reshape(pooled.shape)):
         re[:], im[:] = real_parts, imag_parts
         energy += float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
-    return exponent, float(components.mean()), float(components.var()), energy
+    return exponent, mean, variance, energy
 
 
 def _percent_and_sqnr(reference: tuple, error: tuple) -> tuple[float, float]:
@@ -121,8 +125,7 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     if not ref.any():
         raise ValueError("percent error is undefined for an all-zero reference")
     error = ref - out
-    scratch = np.empty(ref.size, dtype=np.complex128)
-    moments = [_moments(np.stack((v.real, v.imag)).reshape(2, 1, -1), scratch) for v in (ref, error)]
+    moments = [_moments(np.stack((v.real, v.imag)).reshape(2, 1, -1)) for v in (ref, error)]
     percent, sqnr = _percent_and_sqnr(*moments)
     return error, percent, sqnr
 
@@ -174,8 +177,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     # alive while var() in _moments copies a buffer: that sets the peak
     del ref
     errors = np.empty_like(references)
-    scratch = np.empty(cfg.n, dtype=np.complex128)
-    reference_moments = _moments(references, scratch)
+    reference_moments = _moments(references)
     if reference_moments[3] == 0.0:
         field = "signal.amplitudes" if cfg.signal_kind == "multitone" else "signal.amplitude"
         raise ConfigError(f"{field}: the reference outputs have zero energy; percent error undefined")
@@ -190,7 +192,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
             np.subtract(references[1, trial], trace.output.imag, out=errors[1, trial])
             saturations += trace.saturation_total
         del trace
-        error_moments = _moments(errors, scratch)
+        error_moments = _moments(errors)
         exponent, mean, variance = error_moments[:3]
         percent, sqnr = _percent_and_sqnr(reference_moments, error_moments)
         rows.append(

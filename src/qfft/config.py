@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import core
 from .pipeline import PipelineConfig
-from .quantization import MAX_BITS, MODES, QuantizerSpec
+from .quantization import MAX_BITS, MODES, OFF, QuantizerSpec
 from .signals import KINDS, SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
@@ -110,7 +110,7 @@ class ExperimentConfig:
             return self.per_stage
         b = self.quantizer_bits if bits is None else bits
         if self.quantizer_mode == "off":
-            return tuple(QuantizerSpec("off") for _ in range(core.num_stages(self.n)))
+            return (OFF,) * core.num_stages(self.n)
         if self.quantizer_mode == "uniform":
             return uniform_stage_specs(self.n, b, self.base_x_max())
         return mantissa_stage_specs(self.n, b)
@@ -258,7 +258,7 @@ def _parse_quantizer_spec(entry, path: str) -> QuantizerSpec:
     bits = _get_int(entry, path, "bits", 8)
     x_max = _get_number(entry, path, "x_max", 1.0)
     if mode == "off":
-        return QuantizerSpec("off")
+        return OFF
     try:
         spec = QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .quantization import QuantizerSpec, apply_quantizer
+from .quantization import OFF, QuantizerSpec, apply_quantizer
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class PipelineConfig:
         stages = core.num_stages(self.n)
         specs = tuple(self.stage_quantizers)
         if not specs:
-            specs = tuple(QuantizerSpec("off") for _ in range(stages))
+            specs = (OFF,) * stages
         if len(specs) != stages:
             raise ValueError(
                 f"stage_quantizers must hold exactly log2(n) = {stages} specs, got {len(specs)}"
@@ -64,9 +64,10 @@ class RunTrace:
     after inverse 1/N scaling and bit-reversal) and
     ``stage_outputs`` (one copy per stage, taken after that stage's
     quantizer, the last equal to ``output``). Otherwise ``input`` is None
-    and ``stage_outputs`` is empty. Whatever geometry the stages ran in,
-    the snapshots are in the order of the in-place transform: bit-reversed
-    input, then each stage's butterfly pairs at distance 2**stage.
+    and ``stage_outputs`` is empty. The snapshots are in the order of the
+    in-place transform, not of the constant-geometry stages that computed
+    them: bit-reversed input, then each stage's butterfly pairs at
+    distance 2**stage.
     """
 
     input: np.ndarray | None
@@ -84,16 +85,17 @@ class Pipeline:
         self.config = config
         self.n = config.n
         self.stages = config.stages
-        # without a ROM the twiddles are the shared cached ones of fft_reference
-        table, stage_twiddles = core.direction_twiddles(config.n, config.direction)
+        table = core.direction_table(config.n, config.direction)
         tq = config.twiddle_quantizer
         if tq is not None and tq.enabled:
             # no saturation count: the ROM a config builds has x_max = 1 >= |w|
             table = apply_quantizer(table, tq)[0]
             table.setflags(write=False)
-            stage_twiddles = core.stage_twiddles(table)
+            self.stage_twiddles = core.stage_twiddles(table)
+        else:
+            # without a ROM the rows are the shared cached ones of fft_reference
+            self.stage_twiddles = core.direction_twiddles(config.n, config.direction)
         self.twiddles = table
-        self.stage_twiddles = stage_twiddles
         # the specs of the stages that quantize, None for the others
         self._stage_specs = tuple(spec if spec.enabled else None for spec in config.stage_quantizers)
 
@@ -123,7 +125,7 @@ class Pipeline:
             nonlocal saturations
             spec = specs[stage]
             # the quantizer is componentwise, so the working vector's
-            # order (which follows the geometry) does not change its bits
+            # constant-geometry order does not change its bits
             if spec is not None:
                 saturations += apply_quantizer(data, spec, out=data)[1]
             if keep_stages:

@@ -76,21 +76,6 @@ class QuantizerSpec:
 OFF = QuantizerSpec("off")
 
 
-@dataclass(frozen=True)
-class QuantizationStats:
-    """Population statistics of a quantization-error sample."""
-
-    error_mean: float
-    error_std: float
-    error_variance: float
-    sample_count: int
-    saturation_count: int = 0
-
-    def __post_init__(self):
-        if self.saturation_count > self.sample_count:
-            raise ValueError("saturation_count cannot exceed sample_count")
-
-
 def quantize_uniform(x, spec: QuantizerSpec):
     """Mid-tread staircase Q(x) = q * round(x / q), clamped to [-x_max, x_max].
 
@@ -216,21 +201,6 @@ def snr_db(signal_variance: float, noise_variance: float) -> float:
     if signal_variance / noise_variance < 10.0 ** (-SQNR_CAP_DB / 10.0):
         return -SQNR_CAP_DB
     return 10.0 * math.log10(signal_variance / noise_variance)
-
-
-def empirical_stats(errors, saturation_count: int = 0) -> QuantizationStats:
-    """Population mean, standard deviation and variance of an error sample."""
-    arr = np.asarray(errors, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 samples, got {arr.size}")
-    variance = float(arr.var())
-    return QuantizationStats(
-        error_mean=float(arr.mean()),
-        error_std=math.sqrt(variance),
-        error_variance=variance,
-        sample_count=int(arr.size),
-        saturation_count=saturation_count,
-    )
 
 
 def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, int]:

@@ -27,8 +27,8 @@ def tracer(monkeypatch):
     return tracer
 
 
-# one size in constant geometry, and the first size that runs in place
-@pytest.mark.parametrize("n", [64, 2 * core.CONSTANT_GEOMETRY_MAX])
+# a small size, and the largest, where the twiddle rows are tiled and shorter than n/2
+@pytest.mark.parametrize("n", [64, core.MAX_SIZE])
 def test_traced_fft_and_sweep_count_every_butterfly(tmp_path, tracer, n):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": n, "sweep": {"trials": 2}}))
@@ -40,6 +40,9 @@ def test_traced_fft_and_sweep_count_every_butterfly(tmp_path, tracer, n):
                 assert cli.main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
             assert t.op_counts[op]["core.butterflies"] > 0
             assert t.check_butterflies(op, processing_cost) is None
+        # one qfft fft: one dit_stage call per stage, n/2 butterflies in each
+        fft_counts = t.op_counts[0]["core.stage_calls"], t.op_counts[0]["core.butterflies"]
+        assert fft_counts == {64: (6, 192), core.MAX_SIZE: (16, 524_288)}[n]
         assert tracer.summarize(t)["report.emit_ms"] > 0
     finally:
         t.set_active(False)

@@ -4,9 +4,11 @@ import pytest
 from qfft.core import (
     bit_reverse_permute,
     dft_naive,
+    bit_reversal_indices,
     dit_stage,
     fft_reference,
     num_stages,
+    stage_twiddles,
     twiddle_table,
     validate_size,
 )
@@ -138,9 +140,9 @@ class TestBitReversal:
 
 def butterfly(a, b, w):
     """One 2-point stage of the kernel: (a + w*b, a - w*b)."""
-    data = np.array([a, b], dtype=complex)
-    assert dit_stage(data, np.array([w], dtype=complex), 0) == (1, 2)
-    return tuple(data.tolist())
+    out = np.empty(2, dtype=complex)
+    assert dit_stage(np.array([a, b], dtype=complex), np.array([w], dtype=complex), 0, out) == (1, 2)
+    return tuple(out.tolist())
 
 
 class TestButterfly:
@@ -224,13 +226,13 @@ class TestFftReference:
 
 def test_dit_stage_reports_its_arithmetic():
     x = random_signal(16, seed=1)
-    data = bit_reverse_permute(x)
-    table = twiddle_table(16)
+    data, out = x.copy(), np.empty_like(x)
     total = [0, 0]
-    for stage in range(4):
-        muls, adds = dit_stage(data, table, stage)
+    for stage, row in enumerate(stage_twiddles(twiddle_table(16))):
+        muls, adds = dit_stage(data, row, stage, out)
         assert muls == 8 and adds == 16
         total[0] += muls
         total[1] += adds
+        data, out = out, data
     assert total == [32, 64]
-    assert np.max(np.abs(data - dft_naive(x))) < 1e-12
+    assert np.max(np.abs(data[bit_reversal_indices(16)] - dft_naive(x))) < 1e-12

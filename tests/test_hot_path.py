@@ -8,6 +8,7 @@ where it was.
 import dataclasses
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ class TestCachedTables:
     def test_tables_built_once_per_size(self):
         core.bit_reversal_indices.cache_clear()
         core.twiddle_table.cache_clear()
+        core.direction_table.cache_clear()
         core.direction_twiddles.cache_clear()
         for built, n in enumerate((16, 64), start=1):
             specs = uniform_stage_specs(n, 8, 2.0)
@@ -70,14 +72,16 @@ class TestCachedTables:
             run_sweep(sweep)
             assert core.bit_reversal_indices.cache_info().misses == built
             assert core.twiddle_table.cache_info().misses == built
+            assert core.direction_table.cache_info().misses == 2 * built
             assert core.direction_twiddles.cache_info().misses == 2 * built
 
 
 def strided_dit_stage(data, twiddles, stage):
-    """The stage kernel before contiguous twiddles and the column path.
+    """One in-place stage on ``data`` in the in-place order: the oracle of ``core.dit_stage``.
 
-    Every block reads the strided twiddle slice and numpy broadcasts over
-    the (blocks, span) rows, whatever their width.
+    Every block reads the strided slice of the half-circle table
+    ``twiddles`` and numpy broadcasts over the (blocks, span) rows,
+    whatever their width.
     """
     n = data.size
     span = 2 << stage
@@ -90,7 +94,8 @@ def strided_dit_stage(data, twiddles, stage):
     return t.size, 2 * t.size
 
 
-# N >= 128 takes the column path in its first stages, smaller N never does
+# tiled, one-period and full-length twiddle rows all occur from N=4096 up;
+# the strided kernel multiplies w*b, and a stage that multiplies b*w fails
 @pytest.mark.parametrize("m", range(1, 17))
 @pytest.mark.parametrize("table_kind", ["forward", "inverse", "5-bit-rom"])
 def test_every_stage_matches_the_strided_kernel(m, table_kind):
@@ -101,10 +106,12 @@ def test_every_stage_matches_the_strided_kernel(m, table_kind):
     elif table_kind == "5-bit-rom":
         table, _ = apply_quantizer(table, QuantizerSpec("uniform", 5, 1.0))
     data = random_signal(n, seed=m)
-    oracle = data.copy()
-    for stage in range(m):
-        assert core.dit_stage(data, table, stage) == strided_dit_stage(oracle, table, stage)
-        assert data.tobytes() == oracle.tobytes(), f"stage {stage}"
+    oracle = data[recurrence_indices(n)]
+    out = np.empty_like(data)
+    for stage, row in enumerate(core.stage_twiddles(table)):
+        assert core.dit_stage(data, row, stage, out) == strided_dit_stage(oracle, table, stage)
+        assert core.in_place_order(out, stage + 1).tobytes() == oracle.tobytes(), f"stage {stage}"
+        data, out = out, data
 
 
 def in_place_run(x, direction, table, specs):
@@ -120,7 +127,7 @@ def in_place_run(x, direction, table, specs):
     snapshots = [data.copy()]
     saturations = 0
     for stage, spec in enumerate(specs):
-        core.dit_stage(data, table, stage)
+        strided_dit_stage(data, table, stage)
         if spec.enabled:
             saturations += apply_quantizer(data, spec, out=data)[1]
         snapshots.append(data.copy())
@@ -135,7 +142,6 @@ STAGE_QUANTIZERS = {
 }
 
 
-# constant geometry up to core.CONSTANT_GEOMETRY_MAX, in place above it
 @pytest.mark.parametrize("quantizer", sorted(STAGE_QUANTIZERS))
 @pytest.mark.parametrize("m", range(1, 17))
 @settings(max_examples=4, deadline=None)
@@ -160,24 +166,59 @@ def test_both_geometries_match_the_in_place_stages(m, seed, direction, rom, quan
 
 
 def test_stage_twiddles_are_read_only():
-    for n in (8, 2 * core.CONSTANT_GEOMETRY_MAX):
-        pipeline = Pipeline(PipelineConfig(n=n, direction="ifft"))
-        with pytest.raises(ValueError):
-            pipeline.stage_twiddles[0] = 0.0
+    for n in (8, core.MAX_SIZE):
+        for twiddle_quantizer in (None, QuantizerSpec("uniform", 5, 1.0)):
+            pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", twiddle_quantizer=twiddle_quantizer))
+            assert len(pipeline.stage_twiddles) == core.num_stages(n)
+            for row in pipeline.stage_twiddles:
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
 
 
-@pytest.mark.parametrize("n", [8, 2 * core.CONSTANT_GEOMETRY_MAX])
+@pytest.mark.parametrize("n", [8, core.MAX_SIZE])
 @pytest.mark.parametrize("direction", core.DIRECTIONS)
 def test_pipelines_without_a_rom_share_the_reference_twiddles(n, direction):
     first = Pipeline(PipelineConfig(n=n, direction=direction))
     second = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=uniform_stage_specs(n, 6, 1.0)))
-    assert second.stage_twiddles is first.stage_twiddles
-    assert second.twiddles is first.twiddles
-    assert not first.stage_twiddles.flags.writeable and not first.twiddles.flags.writeable
+    assert second.stage_twiddles is first.stage_twiddles is core.direction_twiddles(n, direction)
+    assert second.twiddles is first.twiddles is core.direction_table(n, direction)
     rom = Pipeline(PipelineConfig(n=n, direction=direction, twiddle_quantizer=QuantizerSpec("uniform", 5, 1.0)))
-    assert rom.stage_twiddles is not first.stage_twiddles
     assert not np.shares_memory(rom.twiddles, first.twiddles)
-    assert not rom.stage_twiddles.flags.writeable and not rom.twiddles.flags.writeable
+    for rom_row, row in zip(rom.stage_twiddles, first.stage_twiddles):
+        assert not np.shares_memory(rom_row, row)
+        assert not np.shares_memory(rom_row, first.twiddles)
+
+
+@pytest.mark.parametrize("n", [2, 1024, 2048, 4096, core.MAX_SIZE])
+def test_stage_twiddle_rows_are_tiled_up_to_the_tile_length(n):
+    table = core.twiddle_table(n)
+    w_br = table[core.bit_reversal_indices(n)[: n // 2] >> 1]
+    rows = core.stage_twiddles(table)
+    for stage, row in enumerate(rows):
+        period = 1 << stage
+        assert row.size == max(period, min(n // 2, core.TILE))
+        assert row.tobytes() == np.tile(w_br[:period], row.size // period).tobytes()
+        if row.size == period:
+            assert np.shares_memory(row, rows[-1])  # a view of w_br, not a copy
+
+
+def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents():
+    # the two ping-pong buffers (2 MiB) and the quantizer's int32 exponents
+    # (512 KiB); a third vector, such as an output gather that does not go
+    # straight into the free buffer, adds 1 MiB
+    n = core.MAX_SIZE
+    pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=mantissa_stage_specs(n, 10)))
+    x = random_signal(n, seed=31)
+    pipeline.run(x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = pipeline.run(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert trace.output.nbytes == 1 << 20
+    assert peak <= 2816 * 1024
 
 
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]

@@ -9,10 +9,8 @@ from qfft.quantization import (
     MAX_BITS,
     OFF,
     SQNR_CAP_DB,
-    QuantizationStats,
     QuantizerSpec,
     apply_quantizer,
-    empirical_stats,
     quantize_mantissa,
     quantize_uniform,
     relative_error,
@@ -227,32 +225,6 @@ class TestSnrDb:
         for variances in [(1.0, -1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
             with pytest.raises(ValueError):
                 snr_db(*variances)
-
-
-class TestEmpiricalStats:
-    def test_symmetric_pair(self):
-        stats = empirical_stats([1.0, -1.0])
-        assert stats.error_mean == 0.0
-        assert stats.error_variance == 1.0  # population variance
-        assert stats.error_std == 1.0
-        assert stats.sample_count == 2
-
-    def test_constant_sequence(self):
-        stats = empirical_stats([0.75, 0.75, 0.75])
-        assert stats.error_variance == 0.0
-
-    def test_variance_equals_std_squared(self):
-        rng = np.random.default_rng(7)
-        stats = empirical_stats(rng.normal(size=1000))
-        assert math.isclose(stats.error_std**2, stats.error_variance, rel_tol=1e-12)
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            empirical_stats([1.0])
-
-    def test_rejects_impossible_saturation(self):
-        with pytest.raises(ValueError):
-            QuantizationStats(0.0, 1.0, 1.0, sample_count=5, saturation_count=6)
 
 
 class TestApplyQuantizer:
