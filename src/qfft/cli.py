@@ -12,6 +12,7 @@ renders and writes every report; this module only runs and dispatches.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -59,18 +60,9 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
         with open(args.config) as handle:
             text = handle.read()
-    cfg = parse_config(text)
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {args.seed}")
-        overrides["seed"] = args.seed
-    for key in ("out", "format"):  # selftest has neither flag
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if overrides:
-        cfg = ExperimentConfig(**{**cfg.__dict__, **overrides})
-    return cfg
+    # selftest has neither --out nor --format; replace checks the flags as it checks the file
+    flags = {key: getattr(args, key, None) for key in ("seed", "out", "format")}
+    return dataclasses.replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_fft(cfg: ExperimentConfig) -> int:

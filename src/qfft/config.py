@@ -3,31 +3,34 @@
 Schema (all keys optional, defaults applied):
 
     {
-      "n": 1024,
+      "n": 1024,  # a power of two in [2, 65536]
       "direction": "fft" | "ifft",
-      "quantizer": {"mode": "off"|"uniform"|"mantissa", "bits": 8,
-                    "x_max": 1.0 or null for automatic,
-                    "per_stage": [{"mode":..., "bits":..., "x_max":...}, ...]},
+      "quantizer": {"mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
+                    "x_max": null,  # a positive full scale, or null for automatic
+                    "per_stage": null},  # or log2(n) entries, each with mode, bits, x_max
       "twiddle_quantization": {"enabled": false, "bits": 8},
-      "signal": {"kind": "impulse"|"sinusoid"|"multitone"|"random",
+      "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
                  "bin": 0, "amplitude": 1.0,
-                 "bins": [...], "amplitudes": [...]},  # bins/amplitudes: multitone only
+                 "bins": [], "amplitudes": []},  # bins, amplitudes: multitone only
       "sweep": {"bits_lo": 6, "bits_hi": 14, "trials": 20},  # trials * n <= 2**24
       "seed": 0,
       "out": null,
       "format": "csv" | "json"
     }
 
-Unknown keys, type mismatches and constraint violations raise
-``ConfigError`` naming the offending field.
+Each ``ExperimentConfig`` field declares its document path, kind and bounds
+once; every instance, parsed or built in Python, is checked on construction.
+Unknown keys, type mismatches and constraint violations raise ``ConfigError``
+naming the offending path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 from . import core
 from .pipeline import PipelineConfig
@@ -64,29 +67,91 @@ def mantissa_stage_specs(n: int, bits: int) -> tuple[QuantizerSpec, ...]:
     return tuple(QuantizerSpec("mantissa", bits) for _ in range(stages))
 
 
+def _setting(path: str, default, kind: str, multitone: bool = False, **rules):
+    """A field at document ``path``: ``_checked`` checks its ``kind`` and ``rules``, and a
+    ``multitone`` field keeps its default unless the signal is a multitone."""
+    metadata = {"path": path, "multitone": multitone, "rules": {"kind": kind, **rules}}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment configuration with all defaults applied."""
+    """Validated experiment configuration with all defaults applied.
 
-    n: int = 1024
-    direction: str = "fft"
-    quantizer_mode: str = "uniform"
-    quantizer_bits: int = 8
-    quantizer_x_max: float | None = None
-    per_stage: tuple[QuantizerSpec, ...] | None = None
-    twiddle_enabled: bool = False
-    twiddle_bits: int = 8
-    signal_kind: str = "random"
-    signal_bin: int = 0
-    signal_bins: tuple[int, ...] = ()
-    signal_amplitudes: tuple[float, ...] = ()
-    signal_amplitude: float = 1.0
-    bits_lo: int = 6
-    bits_hi: int = 14
-    trials: int = 20
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
+    Construction checks every field and their relations, so a config built
+    in Python or by ``dataclasses.replace`` passes the same boundary as a
+    parsed one. Fields are declared in the order ``to_dict`` writes them.
+    """
+
+    n: int = _setting("n", 1024, "integer", valid=core.validate_size)
+    direction: str = _setting("direction", "fft", "string", choices=core.DIRECTIONS)
+    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", choices=MODES)
+    quantizer_bits: int = _setting("quantizer.bits", 8, "integer", low=1, high=MAX_BITS)
+    quantizer_x_max: float | None = _setting("quantizer.x_max", None, "number", nullable=True)
+    per_stage: tuple[QuantizerSpec, ...] | None = _setting(
+        "quantizer.per_stage", None, "list", items="stage", nullable=True
+    )
+    twiddle_enabled: bool = _setting("twiddle_quantization.enabled", False, "boolean")
+    twiddle_bits: int = _setting("twiddle_quantization.bits", 8, "integer", low=1, high=MAX_BITS)
+    signal_kind: str = _setting("signal.kind", "random", "string", choices=KINDS)
+    signal_bin: int = _setting("signal.bin", 0, "integer")
+    signal_amplitude: float = _setting("signal.amplitude", 1.0, "number")
+    signal_bins: tuple[int, ...] = _setting("signal.bins", (), "list", multitone=True, items="integer")
+    signal_amplitudes: tuple[float, ...] = _setting(
+        "signal.amplitudes", (), "list", multitone=True, items="number"
+    )
+    bits_lo: int = _setting("sweep.bits_lo", 6, "integer")
+    bits_hi: int = _setting("sweep.bits_hi", 14, "integer")
+    trials: int = _setting("sweep.trials", 20, "integer", low=1)
+    seed: int = _setting("seed", 0, "integer", low=0)
+    out: str | None = _setting("out", None, "string", nullable=True)
+    format: str = _setting("format", "csv", "string", choices=("csv", "json"))
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            path = f.metadata["path"]
+            # any value but the default empty tuple, a parsed [] included, was given
+            if f.metadata["multitone"] and self.signal_kind != "multitone" and value != ():
+                key = path.rpartition(".")[2]
+                raise ConfigError(
+                    f"{path}: only a multitone signal has {key}, got kind {self.signal_kind!r}"
+                )
+            object.__setattr__(self, f.name, _checked(value, path, **f.metadata["rules"]))
+        if not 1 <= self.bits_lo <= self.bits_hi <= MAX_SWEEP_BITS:
+            raise ConfigError(
+                f"sweep: need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}, got {self.bits_lo}..{self.bits_hi}"
+            )
+        if self.trials * self.n > MAX_SWEEP_SAMPLES:
+            raise ConfigError(
+                f"sweep.trials: trials * n must be at most {MAX_SWEEP_SAMPLES} (2**24), "
+                f"got {self.trials} * {self.n}; at n = {self.n} at most {MAX_SWEEP_SAMPLES // self.n} trials"
+            )
+        if self.per_stage is not None:
+            if len(self.per_stage) != core.num_stages(self.n):
+                raise ConfigError(
+                    f"quantizer.per_stage: need exactly log2(n) = {core.num_stages(self.n)} entries, "
+                    f"got {len(self.per_stage)}"
+                )
+            for i, spec in enumerate(self.per_stage):
+                if spec.mode == "uniform":
+                    _check_step_is_normal(spec.x_max, f"quantizer.per_stage[{i}].x_max", spec.bits)
+        try:
+            signal = self.signal_spec()
+        except ValueError as exc:
+            # SignalSpec messages open with the field they name
+            raise ConfigError(f"signal.{exc}") from exc
+        x_max = self.quantizer_x_max
+        if x_max is not None:
+            if not x_max > 0:
+                raise ConfigError(f"quantizer.x_max: must be positive, got {x_max}")
+            _check_ladder_overflow(x_max, "quantizer.x_max", self.n)
+        signal_field = "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
+        _check_ladder_overflow(magnitude_bound(signal), signal_field, self.n)
+        if self.quantizer_mode != "mantissa":
+            # the uniform ladder of `qfft fft` and of the sweep rows, at its finest
+            where = signal_field if x_max is None else "quantizer.x_max"
+            _check_step_is_normal(self.base_x_max(), where, max(self.quantizer_bits, self.bits_hi))
 
     def signal_spec(self) -> SignalSpec:
         return SignalSpec(
@@ -131,61 +196,63 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Nested document form with every effective value filled in; an off stage is its mode alone."""
-        doc = {
-            "n": self.n,
-            "direction": self.direction,
-            "quantizer": {
-                "mode": self.quantizer_mode,
-                "bits": self.quantizer_bits,
-                "x_max": self.quantizer_x_max,
-            },
-            "twiddle_quantization": {"enabled": self.twiddle_enabled, "bits": self.twiddle_bits},
-            "signal": {
-                "kind": self.signal_kind,
-                "bin": self.signal_bin,
-                "amplitude": self.signal_amplitude,
-            },
-            "sweep": {"bits_lo": self.bits_lo, "bits_hi": self.bits_hi, "trials": self.trials},
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
-        if self.signal_kind == "multitone":
-            doc["signal"]["bins"] = list(self.signal_bins)
-            doc["signal"]["amplitudes"] = list(self.signal_amplitudes)
-        if self.per_stage is not None:
-            doc["quantizer"]["per_stage"] = [
-                {"mode": s.mode} if s.mode == "off" else {"mode": s.mode, "bits": s.bits, "x_max": s.x_max}
-                for s in self.per_stage
-            ]
+        doc: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "per_stage":
+                if value is None:
+                    continue
+                value = [asdict(s) if s.enabled else {"mode": "off"} for s in value]
+            elif f.metadata["multitone"]:
+                if self.signal_kind != "multitone":
+                    continue
+                value = list(value)
+            section, _, key = f.metadata["path"].rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = value
         return doc
 
 
-def _require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+def _checked(
+    value, path: str, kind: str, items=None, choices=(), low=None, high=None, valid=None, nullable=False
+):
+    """``value`` as its declared kind (numbers as floats, lists as tuples), or ``ConfigError``.
 
-
-def _check_keys(mapping: dict, path: str, allowed: tuple[str, ...]) -> None:
-    for key in mapping:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: unknown key (allowed: {', '.join(allowed)})")
-
-
-def _get_int(mapping: dict, path: str, key: str, default: int) -> int:
-    value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{_join(path, key)}: expected an integer, got {value!r}")
-    return value
-
-
-def _get_number(mapping: dict, path: str, key: str, default):
-    value = mapping.get(key, default)
-    if value is None:
+    A list holds ``items`` of that kind, ``nullable`` admits None (automatic
+    or absent), ``choices`` lists the admitted strings, ``low`` and ``high``
+    bound an integer, and ``valid`` raises ``ValueError`` for a value outside
+    the field's domain. A stage is a ``QuantizerSpec``, as ``parse_config``
+    makes from a document's ``per_stage`` entry.
+    """
+    if value is None and nullable:
         return None
-    return _finite_number(value, _join(path, key))
+    if kind == "integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    elif kind == "number":
+        value = _finite_number(value, path)
+    elif kind == "string":
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+    elif kind == "boolean":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true/false, got {value!r}")
+    elif kind == "list":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        value = tuple(_checked(item, f"{path}[{i}]", items) for i, item in enumerate(value))
+    elif not isinstance(value, QuantizerSpec):  # kind "stage"
+        raise ConfigError(f"{path}: expected a QuantizerSpec, got {value!r}")
+    if choices and value not in choices:
+        raise ConfigError(f"{path}: must be one of {', '.join(choices)}; got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{path}: must be {bound}, got {value}")
+    if valid is not None:
+        try:
+            valid(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return value
 
 
 def _finite_number(value, where: str) -> float:
@@ -230,46 +297,54 @@ def _check_step_is_normal(value: float, where: str, bits: int) -> None:
         )
 
 
-def _get_str(mapping: dict, path: str, key: str, default: str, choices: tuple[str, ...]) -> str:
-    value = mapping.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{_join(path, key)}: expected a string, got {value!r}")
-    if value not in choices:
-        raise ConfigError(f"{_join(path, key)}: must be one of {', '.join(choices)}; got {value!r}")
+# document path -> field name, in declaration order
+_FIELDS = {f.metadata["path"]: f.name for f in fields(ExperimentConfig)}
+_STAGE_KEYS = ("mode", "bits", "x_max")
+
+
+def _require_mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
     return value
 
 
-def _get_bool(mapping: dict, path: str, key: str, default: bool) -> bool:
-    value = mapping.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{_join(path, key)}: expected true/false, got {value!r}")
-    return value
+@functools.cache
+def _section_keys(prefix: str) -> tuple[str, ...]:
+    # the keys of the section at prefix ("" for the top level), in declaration order
+    return tuple(dict.fromkeys(p[len(prefix) :].split(".")[0] for p in _FIELDS if p.startswith(prefix)))
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def _decode(section, prefix: str, values: dict) -> None:
+    """Gather the values of the document ``section`` at ``prefix`` into ``values`` by field name."""
+    allowed = _section_keys(prefix)
+    for key, value in _require_mapping(section, prefix.rstrip(".") or "config").items():
+        path = prefix + key
+        if key not in allowed:
+            raise ConfigError(f"{path}: unknown key (allowed: {', '.join(allowed)})")
+        if path in _FIELDS:
+            values[_FIELDS[path]] = value
+        else:
+            _decode(value, path + ".", values)
 
 
-def _parse_quantizer_spec(entry, path: str) -> QuantizerSpec:
-    entry = _require_mapping(entry, path)
-    _check_keys(entry, path, ("mode", "bits", "x_max"))
-    mode = _get_str(entry, path, "mode", "uniform", MODES)
+def _parse_stage(entry, path: str) -> QuantizerSpec:
+    for key in _require_mapping(entry, path):
+        if key not in _STAGE_KEYS:
+            raise ConfigError(f"{path}.{key}: unknown key (allowed: {', '.join(_STAGE_KEYS)})")
+    mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=MODES)
     # an off entry ignores bits and x_max, but a malformed one is still an error
-    bits = _get_int(entry, path, "bits", 8)
-    x_max = _get_number(entry, path, "x_max", 1.0)
+    bits = _checked(entry.get("bits", 8), f"{path}.bits", "integer")
+    x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number", nullable=True)
     if mode == "off":
         return OFF
     try:
-        spec = QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
+        return QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if mode == "uniform":
-        _check_step_is_normal(spec.x_max, f"{path}.x_max", bits)
-    return spec
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON configuration document."""
+    """Parse a JSON configuration document into a (checked) ``ExperimentConfig``."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
@@ -277,133 +352,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except (ValueError, RecursionError) as exc:
         # integers past the interpreter's digit limit, nesting past its recursion limit
         raise ConfigError(f"unreadable JSON: {exc}") from exc
-    doc = _require_mapping(doc, "config")
-    _check_keys(
-        doc,
-        "",
-        ("n", "direction", "quantizer", "twiddle_quantization", "signal", "sweep", "seed", "out", "format"),
-    )
-
-    n = _get_int(doc, "", "n", 1024)
-    try:
-        core.validate_size(n)
-    except ValueError as exc:
-        raise ConfigError(f"n: {exc}") from exc
-    direction = _get_str(doc, "", "direction", "fft", core.DIRECTIONS)
-
-    quant = _require_mapping(doc.get("quantizer", {}), "quantizer")
-    _check_keys(quant, "quantizer", ("mode", "bits", "x_max", "per_stage"))
-    quantizer_mode = _get_str(quant, "quantizer", "mode", "uniform", MODES)
-    quantizer_bits = _get_int(quant, "quantizer", "bits", 8)
-    if not 1 <= quantizer_bits <= MAX_BITS:
-        raise ConfigError(f"quantizer.bits: must be in 1..{MAX_BITS}, got {quantizer_bits}")
-    quantizer_x_max = _get_number(quant, "quantizer", "x_max", None)
-    if quantizer_x_max is not None and not quantizer_x_max > 0:
-        raise ConfigError(f"quantizer.x_max: must be positive, got {quantizer_x_max}")
-    per_stage = None
-    if "per_stage" in quant:
-        raw = quant["per_stage"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"quantizer.per_stage: expected a list, got {type(raw).__name__}")
-        per_stage = tuple(
-            _parse_quantizer_spec(entry, f"quantizer.per_stage[{i}]") for i, entry in enumerate(raw)
+    values: dict = {}
+    _decode(doc, "", values)
+    stages = values.get("per_stage")
+    if isinstance(stages, list):
+        values["per_stage"] = tuple(
+            _parse_stage(entry, f"quantizer.per_stage[{i}]") for i, entry in enumerate(stages)
         )
-        if len(per_stage) != core.num_stages(n):
-            raise ConfigError(
-                f"quantizer.per_stage: need exactly log2(n) = {core.num_stages(n)} entries, got {len(per_stage)}"
-            )
-
-    twiddle = _require_mapping(doc.get("twiddle_quantization", {}), "twiddle_quantization")
-    _check_keys(twiddle, "twiddle_quantization", ("enabled", "bits"))
-    twiddle_enabled = _get_bool(twiddle, "twiddle_quantization", "enabled", False)
-    twiddle_bits = _get_int(twiddle, "twiddle_quantization", "bits", 8)
-    if not 1 <= twiddle_bits <= MAX_BITS:
-        raise ConfigError(f"twiddle_quantization.bits: must be in 1..{MAX_BITS}, got {twiddle_bits}")
-
-    sig = _require_mapping(doc.get("signal", {}), "signal")
-    _check_keys(sig, "signal", ("kind", "bin", "bins", "amplitudes", "amplitude"))
-    signal_kind = _get_str(sig, "signal", "kind", "random", KINDS)
-    signal_bin = _get_int(sig, "signal", "bin", 0)
-    signal_amplitude = _get_number(sig, "signal", "amplitude", 1.0)
-    for key in ("bins", "amplitudes"):
-        if key in sig and signal_kind != "multitone":
-            raise ConfigError(
-                f"signal.{key}: only a multitone signal has {key}, got kind {signal_kind!r}"
-            )
-    if signal_amplitude is None:
-        raise ConfigError("signal.amplitude: expected a number, got null")
-    bins_raw = sig.get("bins", [])
-    if not isinstance(bins_raw, list) or any(isinstance(b, bool) or not isinstance(b, int) for b in bins_raw):
-        raise ConfigError(f"signal.bins: expected a list of integers, got {bins_raw!r}")
-    amps_raw = sig.get("amplitudes", [])
-    if not isinstance(amps_raw, list):
-        raise ConfigError(f"signal.amplitudes: expected a list of numbers, got {amps_raw!r}")
-    signal_amplitudes = tuple(
-        _finite_number(a, f"signal.amplitudes[{i}]") for i, a in enumerate(amps_raw)
-    )
-
-    sweep = _require_mapping(doc.get("sweep", {}), "sweep")
-    _check_keys(sweep, "sweep", ("bits_lo", "bits_hi", "trials"))
-    bits_lo = _get_int(sweep, "sweep", "bits_lo", 6)
-    bits_hi = _get_int(sweep, "sweep", "bits_hi", 14)
-    if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
-        raise ConfigError(
-            f"sweep: need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}, got {bits_lo}..{bits_hi}"
-        )
-    trials = _get_int(sweep, "sweep", "trials", 20)
-    if trials < 1:
-        raise ConfigError(f"sweep.trials: must be >= 1, got {trials}")
-    if trials * n > MAX_SWEEP_SAMPLES:
-        raise ConfigError(
-            f"sweep.trials: trials * n must be at most {MAX_SWEEP_SAMPLES} (2**24), "
-            f"got {trials} * {n}; at n = {n} at most {MAX_SWEEP_SAMPLES // n} trials"
-        )
-
-    seed = _get_int(doc, "", "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed: must be nonnegative, got {seed}")
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out: expected a string path, got {out!r}")
-    fmt = _get_str(doc, "", "format", "csv", ("csv", "json"))
-
-    cfg = ExperimentConfig(
-        n=n,
-        direction=direction,
-        quantizer_mode=quantizer_mode,
-        quantizer_bits=quantizer_bits,
-        quantizer_x_max=quantizer_x_max,
-        per_stage=per_stage,
-        twiddle_enabled=twiddle_enabled,
-        twiddle_bits=twiddle_bits,
-        signal_kind=signal_kind,
-        signal_bin=signal_bin,
-        signal_bins=tuple(bins_raw),
-        signal_amplitudes=signal_amplitudes,
-        signal_amplitude=signal_amplitude,
-        bits_lo=bits_lo,
-        bits_hi=bits_hi,
-        trials=trials,
-        seed=seed,
-        out=out,
-        format=fmt,
-    )
-    try:
-        signal = cfg.signal_spec()
-    except ValueError as exc:
-        raise ConfigError(f"signal: {exc}") from exc
-    if quantizer_x_max is not None:
-        _check_ladder_overflow(quantizer_x_max, "quantizer.x_max", n)
-    signal_field = "signal.amplitudes" if signal_kind == "multitone" else "signal.amplitude"
-    _check_ladder_overflow(magnitude_bound(signal), signal_field, n)
-    if quantizer_mode != "mantissa":
-        # the uniform ladder of `qfft fft` and of the sweep rows, at its finest
-        _check_step_is_normal(
-            cfg.base_x_max(),
-            "quantizer.x_max" if quantizer_x_max is not None else signal_field,
-            max(quantizer_bits, bits_hi),
-        )
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -16,7 +16,8 @@ class SignalSpec:
     """What to feed the processor.
 
     kind-specific parameters: ``bin`` for sinusoid, ``bins``/``amplitudes``
-    for multitone, ``amplitude`` as the uniform bound for random.
+    for multitone, ``amplitude`` as the uniform bound for random. A
+    ``ValueError`` message opens with the name of the field it rejects.
     """
 
     kind: str
@@ -28,21 +29,21 @@ class SignalSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         core.validate_size(self.n)
         if self.kind == "sinusoid" and not 0 <= self.bin < self.n:
-            raise ValueError(f"bin must be in [0, {self.n}), got {self.bin}")
+            raise ValueError(f"bin: must be in [0, {self.n}), got {self.bin}")
         if self.kind == "multitone":
             if not self.bins:
-                raise ValueError("multitone needs at least one bin")
+                raise ValueError("bins: a multitone needs at least one bin")
             if any(not 0 <= b < self.n for b in self.bins):
-                raise ValueError(f"multitone bins must be in [0, {self.n}), got {self.bins}")
+                raise ValueError(f"bins: must be in [0, {self.n}), got {self.bins}")
             amps = tuple(self.amplitudes) or tuple(1.0 for _ in self.bins)
             if len(amps) != len(self.bins):
-                raise ValueError("amplitudes must match bins one-to-one")
+                raise ValueError("amplitudes: must match bins one-to-one")
             object.__setattr__(self, "amplitudes", amps)
         if self.kind == "random" and not self.amplitude > 0:
-            raise ValueError(f"amplitude bound must be positive, got {self.amplitude}")
+            raise ValueError(f"amplitude: the uniform bound must be positive, got {self.amplitude}")
 
 
 def generate_signal(spec: SignalSpec, seed=0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -298,6 +299,45 @@ def test_fft_json_output(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["output"]) == 4
     assert payload["saturation_total"] == 0
+
+
+# a multitone through a twiddle ROM and one stage of each mode
+SMALL_FFT = {
+    "n": 64,
+    "direction": "ifft",
+    "quantizer": {
+        "per_stage": [
+            {"mode": "uniform", "bits": 10, "x_max": 4.0},
+            {"mode": "off"},
+            {"mode": "mantissa", "bits": 8},
+            {"mode": "uniform", "bits": 12, "x_max": 16.0},
+            {"mode": "mantissa", "bits": 6},
+            {"mode": "uniform", "bits": 9, "x_max": 64.0},
+        ]
+    },
+    "twiddle_quantization": {"enabled": True, "bits": 10},
+    "signal": {"kind": "multitone", "bins": [3, 17, 40], "amplitudes": [1.0, 0.5, 0.25]},
+    "seed": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, digest",
+    [
+        (["sweep", "--seed", "3", "--format", "json"], {}, "2cec53731b9d50ffba217d6ab4bb37a1f6e3c1293635b42c117b5e44f2e8fe5b"),
+        (["quantizer", "--seed", "7"], {}, "c3eb18a5e04acd4eecee480264061de82f9d676eea4535a6aaa87ae06a1ed4ec"),
+        (["fft", "--format", "json"], SMALL_FFT, "9db804c257a6a169a55128aae9f8402ebe35c493d929079712bc66db295067f5"),
+    ],
+    ids=["sweep-json", "quantizer-csv", "fft-json-per-stage"],
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, argv, doc, digest):
+    # sha256 of reports no benchmark golden covers; a JSON report's "config"
+    # object is not key-sorted, so these also pin the field order of to_dict.
+    # At n <= 1024 the bytes do not depend on the BLAS thread count.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main([*argv, "--config", str(config)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_quantizer_subcommand(tmp_path, capsys):

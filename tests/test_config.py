@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfft import config
 from qfft.analysis import run_sweep
 from qfft.config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from qfft.quantization import QuantizerSpec
@@ -240,6 +243,76 @@ class TestParsing:
         assert cfg.quantizer_x_max == x_max
         with pytest.raises(ConfigError, match=r"quantizer\.x_max"):
             parse_config(json.dumps({"quantizer": {"x_max": 2 * x_max}}))
+
+
+class TestOneBoundary:
+    """A config built in Python or by ``dataclasses.replace`` passes the checks a parsed one does."""
+
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"trials": 0}, r"sweep\.trials"),
+            ({"bits_lo": 9, "bits_hi": 3}, "sweep"),
+            ({"n": 1000}, "n"),
+            ({"n": 16.0}, "n"),
+            ({"signal_kind": "sine"}, r"signal\.kind"),
+            ({"trials": 2**15}, r"sweep\.trials"),
+        ],
+        ids=["no-trials", "empty-bit-range", "n-not-power-of-two", "n-float", "unknown-kind", "past-sample-cap"],
+    )
+    def test_python_construction_names_the_path(self, fields, path):
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            ExperimentConfig(**fields)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
+            dataclasses.replace(ExperimentConfig(), seed=-1)
+
+    def test_python_values_take_their_document_kinds(self):
+        # lists become tuples and integer numbers floats, as when parsed
+        built = ExperimentConfig(
+            n=64, quantizer_x_max=2, signal_kind="multitone", signal_bins=[3, 5], signal_amplitudes=[1, 0.5]
+        )
+        doc = {"n": 64, "quantizer": {"x_max": 2}, "signal": {"kind": "multitone", "bins": [3, 5], "amplitudes": [1, 0.5]}}
+        assert built == parse_config(json.dumps(doc))
+        assert built.signal_amplitudes == (1.0, 0.5) and isinstance(built.quantizer_x_max, float)
+
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            ({"amplitude": -1}, "signal.amplitude: the uniform bound must be positive, got -1.0"),
+            ({"kind": "sinusoid", "bin": 5000}, "signal.bin: must be in [0, 1024), got 5000"),
+            ({"kind": "multitone", "bins": [1, 2], "amplitudes": [1]}, "signal.amplitudes: must match bins one-to-one"),
+            ({"kind": "multitone"}, "signal.bins: a multitone needs at least one bin"),
+        ],
+        ids=["amplitude", "bin", "amplitudes", "bins"],
+    )
+    def test_signal_errors_name_their_field(self, signal, message):
+        with pytest.raises(ConfigError) as raised:
+            parse_config(json.dumps({"signal": signal}))
+        assert str(raised.value) == message
+
+    def test_unknown_keys_list_the_declared_keys(self):
+        with pytest.raises(ConfigError) as raised:
+            parse_config('{"window": "hann"}')
+        allowed = "n, direction, quantizer, twiddle_quantization, signal, sweep, seed, out, format"
+        assert str(raised.value) == f"window: unknown key (allowed: {allowed})"
+        with pytest.raises(ConfigError) as raised:
+            parse_config('{"signal": {"phase": 0}}')
+        assert str(raised.value) == "signal.phase: unknown key (allowed: kind, bin, amplitude, bins, amplitudes)"
+
+    def test_module_docstring_schema_names_every_declared_path(self):
+        schema = config.__doc__
+        body = re.sub(r"#.*", "", schema[schema.index("{") + 1 : schema.rindex("}")])
+        sections, paths = [], []
+        for key, opens, closes in re.findall(r'"(\w+)":\s*(\{)?|(\})', body):
+            if closes:
+                sections.pop()
+            elif opens:
+                sections.append(key)
+            else:
+                paths.append(".".join([*sections, key]))
+        assert paths == [f.metadata["path"] for f in dataclasses.fields(ExperimentConfig)]
 
 
 class TestRoundTrip:
