@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -70,6 +71,10 @@ def _cmd_fft(cfg: ExperimentConfig) -> int:
     pipeline = Pipeline(pipeline_cfg)
     x = generate_signal(cfg.signal_spec(), cfg.seed)
     trace = pipeline.run(x)
+    # the transform left this thread a spare working vector; without the
+    # input, the process holds no more than it did before while the report
+    # is formatted (without the del, 1 MiB more peak at N=65536)
+    del x
     if not np.all(np.isfinite(trace.output.view(np.float64))):
         print("error: transform produced non-finite values", file=sys.stderr)
         return 1
@@ -165,12 +170,22 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if args.command == "selftest":
-            return _cmd_selftest(cfg.seed)
-        if args.command == "fft":
-            return _cmd_fft(cfg)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg)
-        return _cmd_quantizer(cfg, args.samples)
+            status = _cmd_selftest(cfg.seed)
+        elif args.command == "fft":
+            status = _cmd_fft(cfg)
+        elif args.command == "sweep":
+            status = _cmd_sweep(cfg)
+        else:
+            status = _cmd_quantizer(cfg, args.samples)
+        # a report still buffered is written here, where a closed pipe is caught
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader went away (``qfft fft | head``): as the Python docs advise
+        # for SIGPIPE, point stdout at devnull so the flush at exit cannot
+        # fail again, and exit nonzero without a message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,8 @@ Schema (all keys optional, defaults applied):
       "n": 1024,  # a power of two in [2, 65536]
       "direction": "fft" | "ifft",
       "quantizer": {"mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
-                    "x_max": null,  # a positive full scale, or null for automatic
-                    "per_stage": null},  # or log2(n) entries, each with mode, bits, x_max
+                    "x_max": null,  # a positive full scale, or null for automatic; uniform only
+                    "per_stage": null},  # or log2(n) entries, each with mode, bits, x_max (uniform only)
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
                  "bin": 0, "amplitude": 1.0,
@@ -134,8 +134,11 @@ class ExperimentConfig:
                     f"got {len(self.per_stage)}"
                 )
             for i, spec in enumerate(self.per_stage):
+                where = f"quantizer.per_stage[{i}].x_max"
                 if spec.mode == "uniform":
-                    _check_step_is_normal(spec.x_max, f"quantizer.per_stage[{i}].x_max", spec.bits)
+                    _check_step_is_normal(spec.x_max, where, spec.bits)
+                elif spec.mode == "mantissa" and spec.x_max != QuantizerSpec.x_max:
+                    raise _scale_free(where)
         try:
             signal = self.signal_spec()
         except ValueError as exc:
@@ -143,6 +146,8 @@ class ExperimentConfig:
             raise ConfigError(f"signal.{exc}") from exc
         x_max = self.quantizer_x_max
         if x_max is not None:
+            if self.quantizer_mode == "mantissa":
+                raise _scale_free("quantizer.x_max")
             if not x_max > 0:
                 raise ConfigError(f"quantizer.x_max: must be positive, got {x_max}")
             _check_ladder_overflow(x_max, "quantizer.x_max", self.n)
@@ -195,14 +200,14 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """Nested document form with every effective value filled in; an off stage is its mode alone."""
+        """Nested document form with every effective value filled in; a stage echoes what its mode reads."""
         doc: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "per_stage":
                 if value is None:
                     continue
-                value = [asdict(s) if s.enabled else {"mode": "off"} for s in value]
+                value = [{k: v for k, v in asdict(s).items() if k in _STAGE_READS[s.mode]} for s in value]
             elif f.metadata["multitone"]:
                 if self.signal_kind != "multitone":
                     continue
@@ -283,6 +288,10 @@ def _check_ladder_overflow(value: float, where: str, n: int) -> None:
         )
 
 
+def _scale_free(where: str) -> ConfigError:
+    return ConfigError(f"{where}: a mantissa quantizer is scale-free and reads no full scale; remove it")
+
+
 def _check_step_is_normal(value: float, where: str, bits: int) -> None:
     """Reject a uniform full scale whose finest step 2 * value * 2**-bits is not normal.
 
@@ -300,6 +309,8 @@ def _check_step_is_normal(value: float, where: str, bits: int) -> None:
 # document path -> field name, in declaration order
 _FIELDS = {f.metadata["path"]: f.name for f in fields(ExperimentConfig)}
 _STAGE_KEYS = ("mode", "bits", "x_max")
+# the keys of a per_stage entry that its mode's quantizer reads
+_STAGE_READS = {"off": ("mode",), "uniform": _STAGE_KEYS, "mantissa": ("mode", "bits")}
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -332,6 +343,8 @@ def _parse_stage(entry, path: str) -> QuantizerSpec:
         if key not in _STAGE_KEYS:
             raise ConfigError(f"{path}.{key}: unknown key (allowed: {', '.join(_STAGE_KEYS)})")
     mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=MODES)
+    if mode == "mantissa" and "x_max" in entry:
+        raise _scale_free(f"{path}.x_max")
     # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _checked(entry.get("bits", 8), f"{path}.bits", "integer")
     x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number", nullable=True)

@@ -326,7 +326,7 @@ SMALL_FFT = {
     [
         (["sweep", "--seed", "3", "--format", "json"], {}, "2cec53731b9d50ffba217d6ab4bb37a1f6e3c1293635b42c117b5e44f2e8fe5b"),
         (["quantizer", "--seed", "7"], {}, "c3eb18a5e04acd4eecee480264061de82f9d676eea4535a6aaa87ae06a1ed4ec"),
-        (["fft", "--format", "json"], SMALL_FFT, "9db804c257a6a169a55128aae9f8402ebe35c493d929079712bc66db295067f5"),
+        (["fft", "--format", "json"], SMALL_FFT, "cda4dd27b813b38a173a8131ac3dce56d8029361f28580801ea6e54b0c1148e8"),
     ],
     ids=["sweep-json", "quantizer-csv", "fft-json-per-stage"],
 )
@@ -410,14 +410,29 @@ def test_subcommand_required():
         main([])
 
 
-def _run_in_child(argv: list[str]) -> subprocess.CompletedProcess:
+def _child_env() -> dict:
     # the child imports the same qfft as this test, installed or not
     src = str(Path(qfft.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_in_child(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "qfft.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qfft.cli", *argv], capture_output=True, text=True, env=_child_env()
     )
+
+
+def test_a_closed_pipe_ends_the_command_quietly(tmp_path):
+    # the reader takes 100 bytes of a 3 MB report and goes away, as ``| head -c 100`` does
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps({"n": 65536, "quantizer": {"mode": "off"}}))
+    argv = [sys.executable, "-m", "qfft.cli", "fft", "--config", str(config)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+    assert child.returncode == 1
+    assert err == b""
 
 
 def test_console_entry_point_runs():

@@ -17,7 +17,7 @@ FULL_SWEEP_CONFIG = """
 {
   "n": 256,
   "direction": "ifft",
-  "quantizer": {"mode": "mantissa", "bits": 10, "x_max": 2.5},
+  "quantizer": {"mode": "mantissa", "bits": 10},
   "twiddle_quantization": {"enabled": true, "bits": 12},
   "signal": {"kind": "multitone", "bins": [3, 17], "amplitudes": [1.0, 0.5]},
   "sweep": {"bits_lo": 5, "bits_hi": 12, "trials": 7},
@@ -232,8 +232,9 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"quantizer\.x_max"):
             parse_config(json.dumps({"quantizer": {"x_max": smaller, "bits": 52}}))
         # mantissa stages have no full scale, and the per-stage rule follows each entry's bits
-        assert parse_config(json.dumps({"quantizer": {"mode": "mantissa", "x_max": smaller}}))
-        per_stage = [{"x_max": smaller, "bits": 51}, {"mode": "mantissa", "x_max": 1e-320}]
+        with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa quantizer is scale-free"):
+            parse_config(json.dumps({"quantizer": {"mode": "mantissa", "x_max": smaller}}))
+        per_stage = [{"x_max": smaller, "bits": 51}, {"mode": "mantissa"}]
         assert parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": per_stage}}))
 
     def test_largest_full_scale_with_finite_ladder_step_accepted(self):
@@ -263,6 +264,36 @@ class TestOneBoundary:
     def test_python_construction_names_the_path(self, fields, path):
         with pytest.raises(ConfigError, match=rf"^{path}: "):
             ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"quantizer": {"mode": "mantissa", "x_max": 5.0}}, r"quantizer\.x_max"),
+            (
+                {"n": 4, "quantizer": {"per_stage": [{"mode": "off"}, {"mode": "mantissa", "x_max": 1.0}]}},
+                r"quantizer\.per_stage\[1\]\.x_max",
+            ),
+        ],
+        ids=["x_max", "per_stage"],
+    )
+    def test_a_mantissa_full_scale_is_rejected(self, doc, path):
+        # no mantissa quantizer reads x_max, so a header must not echo one
+        with pytest.raises(ConfigError, match=rf"^{path}: a mantissa quantizer is scale-free"):
+            parse_config(json.dumps(doc))
+
+    def test_a_built_mantissa_stage_with_a_full_scale_is_rejected(self):
+        stages = (QuantizerSpec("mantissa", 8), QuantizerSpec("mantissa", 8, 5.0))
+        with pytest.raises(ConfigError, match=r"^quantizer\.per_stage\[1\]\.x_max: a mantissa"):
+            ExperimentConfig(n=4, per_stage=stages)
+        with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa"):
+            ExperimentConfig(quantizer_mode="mantissa", quantizer_x_max=5.0)
+
+    def test_a_mantissa_stage_echoes_no_full_scale(self):
+        cfg = ExperimentConfig(n=4, per_stage=(QuantizerSpec("mantissa", 8), QuantizerSpec("uniform", 6, 2.0)))
+        assert cfg.to_dict()["quantizer"]["per_stage"] == [
+            {"mode": "mantissa", "bits": 8},
+            {"mode": "uniform", "bits": 6, "x_max": 2.0},
+        ]
 
     def test_replace_checks_again(self):
         with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):

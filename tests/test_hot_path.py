@@ -8,6 +8,8 @@ where it was.
 import dataclasses
 import json
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfft import core, emit_report, mantissa_stage_specs, uniform_stage_specs
+from qfft import pipeline as pipeline_module
 from qfft.analysis import ErrorReport, run_sweep
 from qfft.config import ExperimentConfig, parse_config
 from qfft.pipeline import Pipeline, PipelineConfig
@@ -203,8 +206,9 @@ def test_stage_twiddle_rows_are_tiled_up_to_the_tile_length(n):
 
 
 def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents():
-    # the two ping-pong buffers (2 MiB) and the quantizer's int32 exponents
-    # (512 KiB); a third vector, such as an output gather that does not go
+    # one fresh ping-pong buffer beside the thread's spare (1 MiB), the
+    # gather's index copy and the quantizer's int32 exponents (512 KiB
+    # each); a third vector, such as an output gather that does not go
     # straight into the free buffer, adds 1 MiB
     n = core.MAX_SIZE
     pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=mantissa_stage_specs(n, 10)))
@@ -219,6 +223,83 @@ def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents(
         tracemalloc.stop()
     assert trace.output.nbytes == 1 << 20
     assert peak <= 2816 * 1024
+
+
+def _peak_of_a_second_call(call) -> int:
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["reference", "uniform-run"])
+def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
+    # the thread keeps one working vector between transforms, so a call
+    # allocates one fresh vector (1 MiB) and the gather's index copy
+    # (512 KiB); two fresh ping-pong buffers would take 2.5 MiB
+    n = core.MAX_SIZE
+    x = random_signal(n, seed=37)
+    if kind == "reference":
+        call = lambda: core.fft_reference(x)  # noqa: E731
+    else:
+        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 12, 1.0)))
+        call = lambda: pipeline.run(x)  # noqa: E731
+    assert _peak_of_a_second_call(call) < 2 * n * 16
+
+
+def test_two_threads_transform_concurrently_as_they_do_in_turn():
+    n = 4096
+    pipelines = [
+        Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 10, 1.0))),
+        Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=mantissa_stage_specs(n, 8))),
+    ]
+    inputs = [random_signal(n, seed=41), random_signal(n, seed=43, scale=3.0)]
+    expected = [p.run(x).output.tobytes() for p, x in zip(pipelines, inputs)]
+    start = threading.Barrier(2)
+    results: list[list[bytes]] = [[], []]
+
+    def work(i):
+        start.wait()
+        for _ in range(40):
+            results[i].append(pipelines[i].run(inputs[i]).output.tobytes())
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(2):
+        assert results[i] == [expected[i]] * 40
+
+
+def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(monkeypatch):
+    n = 1024
+    pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 10, 1.0)))
+    x = random_signal(n, seed=47)
+    expected = pipeline.run(x).output.tobytes()
+    seen, nested = [], []
+
+    def quantize_and_transform(values, spec, out=None):
+        # an n-point transform of the working vector between two stages
+        seen.append(values.copy())
+        nested.append(core.fft_reference(values))
+        return apply_quantizer(values, spec, out=out)
+
+    monkeypatch.setattr(pipeline_module, "apply_quantizer", quantize_and_transform)
+    assert pipeline.run(x).output.tobytes() == expected
+    assert len(nested) == core.num_stages(n)
+    for values, result in zip(seen, nested):
+        assert result.tobytes() == core.fft_reference(values).tobytes()
 
 
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]
@@ -401,7 +482,8 @@ QUANTIZER_SPECS = [
 @pytest.mark.parametrize("spec", QUANTIZER_SPECS, ids=["uniform-0.3", "uniform-2.0", "mantissa", "off"])
 def test_quantizer_spec_contract_survives_its_cached_constants(spec):
     fresh = QuantizerSpec(spec.mode, spec.bits, spec.x_max)
-    cfg = parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": [dataclasses.asdict(spec)] * 2}}))
+    entry = ExperimentConfig(n=2, per_stage=(spec,)).to_dict()["quantizer"]["per_stage"][0]
+    cfg = parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": [entry] * 2}}))
     row = ErrorReport(6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def header():
