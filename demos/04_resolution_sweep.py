@@ -3,10 +3,13 @@
 
 Sweeps the per-stage resolution of the 1024-point processor in both
 quantizer modes, prints the dispersion table, and writes the plot-ready
-CSV that the `qfft sweep` subcommand would emit.
+CSV that the `qfft sweep` subcommand would emit (into a temporary
+directory, whose first rows it prints).
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 from qfft import ExperimentConfig, emit_report, report, run_sweep
 
@@ -36,6 +39,11 @@ for row in mantissa_rows:
     )
 print("  the mantissa curve sits lower and settles at fewer bits than the uniform one")
 
-destination = "sweep_uniform_1024.csv"
-report.write([emit_report(uniform_rows, config=uniform.to_dict())], destination)
-print(f"\nwrote {destination} (same format as `qfft sweep --out ...`)")
+# a temporary directory, so running the demo leaves the working tree as it was
+with tempfile.TemporaryDirectory() as tmp:
+    destination = Path(tmp) / "sweep_uniform_1024.csv"
+    report.write([emit_report(uniform_rows, config=uniform.to_dict())], str(destination))
+    rows = [line for line in destination.read_text().splitlines() if not line.startswith("#")]
+print(f"\nwrote {len(rows) - 1} rows as `qfft sweep --out ...` would; its header and first two rows:")
+for line in rows[:3]:
+    print(f"  {line}")

@@ -152,15 +152,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     in resolution. Deterministic for a fixed config.
 
     Raises ``ConfigError`` for a config whose bits a sweep cannot vary
-    (``quantizer.per_stage`` fixes them, mode ``off`` has none) or whose
-    reference outputs have zero energy (a multitone whose tones cancel).
+    (``ExperimentConfig.swept_mode``) or whose reference outputs have zero
+    energy (a multitone whose tones cancel).
     """
-    if cfg.per_stage is not None:
-        raise ConfigError(
-            "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
-        )
-    if cfg.quantizer_mode == "off":
-        raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
+    mode = cfg.swept_mode()
     base_x_max = cfg.base_x_max()
     stages = core.num_stages(cfg.n)
 
@@ -203,7 +198,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
                 error_variance=math.ldexp(variance, 2 * exponent),
                 percent_error=percent,
                 sqnr_db=sqnr,
-                theory_variance=_row_theory(cfg.quantizer_mode, bits, base_x_max),
+                theory_variance=_row_theory(mode, bits, base_x_max),
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )
         )

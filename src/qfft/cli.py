@@ -103,9 +103,8 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_quantizer(cfg: ExperimentConfig, samples: int) -> int:
-    mode = cfg.quantizer_mode if cfg.quantizer_mode != "off" else "uniform"
     rows = analysis.quantizer_characterization(
-        mode,
+        cfg.swept_mode(),
         cfg.bits_lo,
         cfg.bits_hi,
         samples,

@@ -5,9 +5,10 @@ Schema (all keys optional, defaults applied):
     {
       "n": 1024,  # a power of two in [2, 65536]
       "direction": "fft" | "ifft",
-      "quantizer": {"mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
-                    "x_max": null,  # a positive full scale, or null for automatic; uniform only
-                    "per_stage": null},  # or log2(n) entries, each with mode, bits, x_max (uniform only)
+      "quantizer": {"per_stage": null,  # or log2(n) entries, each with mode, bits, x_max (uniform only)
+                    # mode, bits and x_max set every stage where per_stage is null, and only there
+                    "mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
+                    "x_max": null},  # a positive full scale, or null for automatic; uniform only
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
                  "bin": 0, "amplitude": 1.0,
@@ -67,11 +68,24 @@ def mantissa_stage_specs(n: int, bits: int) -> tuple[QuantizerSpec, ...]:
     return tuple(QuantizerSpec("mantissa", bits) for _ in range(stages))
 
 
-def _setting(path: str, default, kind: str, multitone: bool = False, **rules):
-    """A field at document ``path``: ``_checked`` checks its ``kind`` and ``rules``, and a
-    ``multitone`` field keeps its default unless the signal is a multitone."""
-    metadata = {"path": path, "multitone": multitone, "rules": {"kind": kind, **rules}}
+def _setting(path: str, default, kind: str, unread=None, **rules):
+    """A field at document ``path``: ``_checked`` checks its ``kind`` and ``rules``. Where
+    ``unread(config, key)`` gives a reason, no run reads the field: it must keep its
+    default, and ``to_dict`` leaves it out."""
+    metadata = {"path": path, "unread": unread, "rules": {"kind": kind, **rules}}
     return field(default=default, metadata=metadata)
+
+
+def _multitone_only(cfg, key: str) -> str | None:
+    if cfg.signal_kind != "multitone":
+        return f"only a multitone signal has {key}, got kind {cfg.signal_kind!r}"
+    return None
+
+
+def _without_per_stage(cfg, key: str) -> str | None:
+    if cfg.per_stage is not None:
+        return f"quantizer.per_stage sets every stage's quantizer, so {key} is not read; remove it"
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,25 +94,29 @@ class ExperimentConfig:
 
     Construction checks every field and their relations, so a config built
     in Python or by ``dataclasses.replace`` passes the same boundary as a
-    parsed one. Fields are declared in the order ``to_dict`` writes them.
+    parsed one. Fields are declared in the order ``to_dict`` writes them;
+    ``per_stage`` comes first, as the top-level quantizer fields are
+    checked against it, and a document holds either it or them.
     """
 
     n: int = _setting("n", 1024, "integer", valid=core.validate_size)
     direction: str = _setting("direction", "fft", "string", choices=core.DIRECTIONS)
-    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", choices=MODES)
-    quantizer_bits: int = _setting("quantizer.bits", 8, "integer", low=1, high=MAX_BITS)
-    quantizer_x_max: float | None = _setting("quantizer.x_max", None, "number", nullable=True)
     per_stage: tuple[QuantizerSpec, ...] | None = _setting(
         "quantizer.per_stage", None, "list", items="stage", nullable=True
+    )
+    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", _without_per_stage, choices=MODES)
+    quantizer_bits: int = _setting("quantizer.bits", 8, "integer", _without_per_stage, low=1, high=MAX_BITS)
+    quantizer_x_max: float | None = _setting(
+        "quantizer.x_max", None, "number", _without_per_stage, nullable=True
     )
     twiddle_enabled: bool = _setting("twiddle_quantization.enabled", False, "boolean")
     twiddle_bits: int = _setting("twiddle_quantization.bits", 8, "integer", low=1, high=MAX_BITS)
     signal_kind: str = _setting("signal.kind", "random", "string", choices=KINDS)
     signal_bin: int = _setting("signal.bin", 0, "integer")
     signal_amplitude: float = _setting("signal.amplitude", 1.0, "number")
-    signal_bins: tuple[int, ...] = _setting("signal.bins", (), "list", multitone=True, items="integer")
+    signal_bins: tuple[int, ...] = _setting("signal.bins", (), "list", _multitone_only, items="integer")
     signal_amplitudes: tuple[float, ...] = _setting(
-        "signal.amplitudes", (), "list", multitone=True, items="number"
+        "signal.amplitudes", (), "list", _multitone_only, items="number"
     )
     bits_lo: int = _setting("sweep.bits_lo", 6, "integer")
     bits_hi: int = _setting("sweep.bits_hi", 14, "integer")
@@ -111,12 +129,11 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             path = f.metadata["path"]
-            # any value but the default empty tuple, a parsed [] included, was given
-            if f.metadata["multitone"] and self.signal_kind != "multitone" and value != ():
-                key = path.rpartition(".")[2]
-                raise ConfigError(
-                    f"{path}: only a multitone signal has {key}, got kind {self.signal_kind!r}"
-                )
+            unread = f.metadata["unread"]
+            # any value but the default (a parsed [] for a default () included) was given
+            reason = unread and value != f.default and unread(self, path.rpartition(".")[2])
+            if reason:
+                raise ConfigError(f"{path}: {reason}")
             object.__setattr__(self, f.name, _checked(value, path, **f.metadata["rules"]))
         if not 1 <= self.bits_lo <= self.bits_hi <= MAX_SWEEP_BITS:
             raise ConfigError(
@@ -153,7 +170,7 @@ class ExperimentConfig:
             _check_ladder_overflow(x_max, "quantizer.x_max", self.n)
         signal_field = "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
         _check_ladder_overflow(magnitude_bound(signal), signal_field, self.n)
-        if self.quantizer_mode != "mantissa":
+        if self.per_stage is None and self.quantizer_mode != "mantissa":
             # the uniform ladder of `qfft fft` and of the sweep rows, at its finest
             where = signal_field if x_max is None else "quantizer.x_max"
             _check_step_is_normal(self.base_x_max(), where, max(self.quantizer_bits, self.bits_hi))
@@ -185,6 +202,16 @@ class ExperimentConfig:
             return uniform_stage_specs(self.n, b, self.base_x_max())
         return mantissa_stage_specs(self.n, b)
 
+    def swept_mode(self) -> str:
+        """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
+        if self.per_stage is not None:
+            raise ConfigError(
+                "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
+            )
+        if self.quantizer_mode == "off":
+            raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
+        return self.quantizer_mode
+
     def twiddle_quantizer(self) -> QuantizerSpec | None:
         # twiddle components live in [-1, 1]: a uniform ROM grid with x_max=1
         if not self.twiddle_enabled:
@@ -200,19 +227,20 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """Nested document form with every effective value filled in; a stage echoes what its mode reads."""
+        """Nested document form with every value a run reads filled in; a stage echoes what its mode reads."""
         doc: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
+            section, _, key = f.metadata["path"].rpartition(".")
+            unread = f.metadata["unread"]
+            if unread and unread(self, key):
+                continue
             if f.name == "per_stage":
                 if value is None:
                     continue
                 value = [{k: v for k, v in asdict(s).items() if k in _STAGE_READS[s.mode]} for s in value]
-            elif f.metadata["multitone"]:
-                if self.signal_kind != "multitone":
-                    continue
+            elif isinstance(value, tuple):
                 value = list(value)
-            section, _, key = f.metadata["path"].rpartition(".")
             (doc.setdefault(section, {}) if section else doc)[key] = value
         return doc
 

@@ -326,7 +326,7 @@ SMALL_FFT = {
     [
         (["sweep", "--seed", "3", "--format", "json"], {}, "2cec53731b9d50ffba217d6ab4bb37a1f6e3c1293635b42c117b5e44f2e8fe5b"),
         (["quantizer", "--seed", "7"], {}, "c3eb18a5e04acd4eecee480264061de82f9d676eea4535a6aaa87ae06a1ed4ec"),
-        (["fft", "--format", "json"], SMALL_FFT, "cda4dd27b813b38a173a8131ac3dce56d8029361f28580801ea6e54b0c1148e8"),
+        (["fft", "--format", "json"], SMALL_FFT, "f9e7ed734e0bf7414020d056dca7f5a6e5b78483ba5adefc6991e4545f336d6d"),
     ],
     ids=["sweep-json", "quantizer-csv", "fft-json-per-stage"],
 )
@@ -347,6 +347,35 @@ def test_quantizer_subcommand(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert lines[0] == "bits,empirical_variance,theory_variance"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "quantizer, field",
+    [({"mode": "off"}, r"quantizer\.mode"), ({"per_stage": [{"bits": 6}] * 10}, r"quantizer\.per_stage")],
+    ids=["off", "per_stage"],
+)
+def test_quantizer_subcommand_rejects_what_qfft_sweep_rejects(tmp_path, capsys, quantizer, field):
+    # one check for both: there is no quantizer mode whose bits to sweep
+    config = tmp_path / "q.json"
+    config.write_text(json.dumps({"quantizer": quantizer}))
+    errors = []
+    for argv in (["quantizer", "--samples", "20000"], ["sweep"]):
+        assert main([*argv, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert re.match("config error: " + field + ": ", errors[0])
+
+
+def test_fft_with_mantissa_stages_needs_no_uniform_ladder(tmp_path, capsys):
+    # the default uniform ladder's finest step at this amplitude would be subnormal
+    stages = [{"mode": "mantissa", "bits": 5}] * 2
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps({"n": 4, "signal": {"amplitude": 1e-305}, "quantizer": {"per_stage": stages}}))
+    assert main(["fft", "--config", str(config)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(header.removeprefix("# config: "))["quantizer"] == {"per_stage": stages}
 
 
 def test_selftest_passes(capsys):

@@ -295,6 +295,38 @@ class TestOneBoundary:
             {"mode": "uniform", "bits": 6, "x_max": 2.0},
         ]
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("mode", "mantissa", "quantizer_mode"),
+            ("bits", 3, "quantizer_bits"),
+            ("x_max", 1000.0, "quantizer_x_max"),
+        ],
+    )
+    def test_per_stage_leaves_no_top_level_quantizer_field_unread(self, key, value, field):
+        # per_stage sets every stage, so no run reads the top-level quantizer fields
+        stages = [{"mode": "uniform", "bits": 6, "x_max": 2.0}, {"mode": "mantissa", "bits": 5}]
+        message = rf"^quantizer\.{key}: quantizer\.per_stage sets every stage's quantizer, so {key} is not"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"n": 4, "quantizer": {key: value, "per_stage": stages}}))
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(n=4, per_stage=(QuantizerSpec("mantissa", 5),) * 2, **{field: value})
+
+    def test_per_stage_echoes_only_itself(self):
+        # a top-level value equal to its default is no value a run could read
+        stages = [{"mode": "mantissa", "bits": 5}] * 2
+        doc = {"n": 4, "quantizer": {"mode": "uniform", "bits": 8, "per_stage": stages}}
+        assert parse_config(json.dumps(doc)).to_dict()["quantizer"] == {"per_stage": stages}
+
+    def test_per_stage_skips_the_checks_of_a_ladder_it_does_not_build(self):
+        # the default uniform ladder's finest step at this amplitude is subnormal
+        signal = {"amplitude": 1e-305}
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: .* ladder step"):
+            parse_config(json.dumps({"n": 4, "signal": signal}))
+        stages = [{"mode": "mantissa", "bits": 5}] * 2
+        cfg = parse_config(json.dumps({"n": 4, "signal": signal, "quantizer": {"per_stage": stages}}))
+        assert cfg.stage_quantizers() == (QuantizerSpec("mantissa", 5),) * 2
+
     def test_replace_checks_again(self):
         with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
             dataclasses.replace(ExperimentConfig(), seed=-1)

@@ -350,25 +350,32 @@ class TestInPlaceQuantizer:
         out, saturations = apply_quantizer(np.empty(0), spec)
         assert out.shape == (0,) and saturations == 0
 
-    def test_off_with_out_copies(self):
-        x = random_signal(8, seed=13)
-        out = np.empty_like(x)
-        result, saturations = apply_quantizer(x, QuantizerSpec("off"), out=out)
-        assert result is out and saturations == 0
-        assert out.tobytes() == x.tobytes()
-
     @pytest.mark.parametrize(
         "out",
         [
             np.empty(8, dtype=np.complex64),
             np.empty(4, dtype=np.complex128),
             np.empty(16, dtype=np.complex128)[::2],
+            np.empty(8, dtype=np.complex128),
         ],
-        ids=["dtype", "shape", "strided"],
+        ids=["dtype", "shape", "strided", "another"],
     )
     def test_unusable_out_rejected(self, out):
+        # out is the input itself or absent; an array of the right shape and dtype is no exception
         with pytest.raises(ValueError, match="out must be"):
             apply_quantizer(random_signal(8, seed=14), QUANTIZERS[0], out=out)
+
+    def test_off_checks_out_as_the_other_modes_do(self):
+        x = random_signal(8, seed=13)
+        result, saturations = apply_quantizer(x, QuantizerSpec("off"), out=x)
+        assert result is x and saturations == 0
+        with pytest.raises(ValueError, match="out must be"):
+            apply_quantizer(x, QuantizerSpec("off"), out=np.empty_like(x))
+
+    @pytest.mark.parametrize("values", [np.ones(8, dtype=np.complex64), np.ones(8, dtype=np.float32)])
+    def test_in_place_needs_a_kernel_dtype(self, values):
+        with pytest.raises(ValueError, match="out must be"):
+            apply_quantizer(values, QUANTIZERS[0], out=values)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
