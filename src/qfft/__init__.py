@@ -31,7 +31,6 @@ from .core import (
 )
 from .pipeline import Pipeline, PipelineConfig, RunTrace, processing_cost
 from .quantization import (
-    OFF,
     QuantizerSpec,
     apply_quantizer,
     quantize_mantissa,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfigError",
     "ErrorReport",
     "ExperimentConfig",
-    "OFF",
     "Pipeline",
     "PipelineConfig",
     "QuantizerSpec",

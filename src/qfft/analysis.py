@@ -16,6 +16,7 @@ from . import core
 from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig
 from .pipeline import Pipeline
 from .quantization import (
+    MODES,
     SQNR_CAP_DB,  # noqa: F401  (importable from here as well)
     QuantizerSpec,
     quantize_mantissa,
@@ -26,8 +27,6 @@ from .quantization import (
     theory_variance_uniform,
 )
 from .signals import generate_signal
-
-SWEEP_MODES = ("uniform", "mantissa")
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,8 @@ def quantizer_characterization(
     fraction uniform on [1/2, 1) with random sign and exponent and
     measures the relative-error variance against q^2/6.
     """
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
         raise ValueError(f"need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}")
     if sample_count < 10_000:

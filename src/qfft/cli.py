@@ -103,15 +103,20 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_quantizer(cfg: ExperimentConfig, samples: int) -> int:
+    mode = cfg.swept_mode()
+    x_max = cfg.quantizer_x_max if cfg.quantizer_x_max is not None else 1.0
     rows = analysis.quantizer_characterization(
-        cfg.swept_mode(),
-        cfg.bits_lo,
-        cfg.bits_hi,
-        samples,
-        seed=cfg.seed,
-        x_max=cfg.quantizer_x_max if cfg.quantizer_x_max is not None else 1.0,
+        mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=x_max
     )
-    report.write([report.emit_report(rows, format=cfg.format, config=cfg.to_dict())], cfg.out)
+    # the header holds only what the characterization reads: no transform, signal or trial count
+    header = {
+        "quantizer": {"mode": mode, "x_max": x_max} if mode == "uniform" else {"mode": mode},
+        "sweep": {"bits_lo": cfg.bits_lo, "bits_hi": cfg.bits_hi},
+        "samples": samples,
+        "seed": cfg.seed,
+        "format": cfg.format,
+    }
+    report.write([report.emit_report(rows, format=cfg.format, config=header)], cfg.out)
     return 0
 
 

@@ -9,9 +9,10 @@ Schema (all keys optional, defaults applied):
                     # mode, bits and x_max set every stage where per_stage is null, and only there
                     "mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
                     "x_max": null},  # a positive full scale, or null for automatic; uniform only
+                    # "off" is no quantizer: a None stage in the PipelineConfig
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
-                 "bin": 0, "amplitude": 1.0,
+                 "bin": 0, "amplitude": 1.0,  # amplitude: random only
                  "bins": [], "amplitudes": []},  # bins, amplitudes: multitone only
       "sweep": {"bits_lo": 6, "bits_hi": 14, "trials": 20},  # trials * n <= 2**24
       "seed": 0,
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import core
 from .pipeline import PipelineConfig
-from .quantization import MAX_BITS, MODES, OFF, QuantizerSpec
+from .quantization import MAX_BITS, MODES, QuantizerSpec
 from .signals import KINDS, SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
@@ -43,6 +44,10 @@ MAX_SWEEP_BITS = 24
 # per trials x n sample), and the variance of the errors copies them: it peaks
 # at about 40 MiB plus 64 bytes per sample, about 1.04 GiB at 2**24 samples
 MAX_SWEEP_SAMPLES = 2**24
+# the one signal kind that reads each kind-specific signal key
+_SIGNAL_READERS = {"amplitude": "random", "bins": "multitone", "amplitudes": "multitone"}
+# the modes a document names: "off" is no quantizer (a None stage), then the quantizer MODES
+_MODES = ("off", *MODES)
 
 
 class ConfigError(ValueError):
@@ -76,9 +81,10 @@ def _setting(path: str, default, kind: str, unread=None, **rules):
     return field(default=default, metadata=metadata)
 
 
-def _multitone_only(cfg, key: str) -> str | None:
-    if cfg.signal_kind != "multitone":
-        return f"only a multitone signal has {key}, got kind {cfg.signal_kind!r}"
+def _signal_only(cfg, key: str) -> str | None:
+    kind = _SIGNAL_READERS[key]
+    if cfg.signal_kind != kind:
+        return f"only a {kind} signal has {key}, got kind {cfg.signal_kind!r}"
     return None
 
 
@@ -101,10 +107,10 @@ class ExperimentConfig:
 
     n: int = _setting("n", 1024, "integer", valid=core.validate_size)
     direction: str = _setting("direction", "fft", "string", choices=core.DIRECTIONS)
-    per_stage: tuple[QuantizerSpec, ...] | None = _setting(
+    per_stage: tuple[QuantizerSpec | None, ...] | None = _setting(
         "quantizer.per_stage", None, "list", items="stage", nullable=True
     )
-    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", _without_per_stage, choices=MODES)
+    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", _without_per_stage, choices=_MODES)
     quantizer_bits: int = _setting("quantizer.bits", 8, "integer", _without_per_stage, low=1, high=MAX_BITS)
     quantizer_x_max: float | None = _setting(
         "quantizer.x_max", None, "number", _without_per_stage, nullable=True
@@ -113,10 +119,10 @@ class ExperimentConfig:
     twiddle_bits: int = _setting("twiddle_quantization.bits", 8, "integer", low=1, high=MAX_BITS)
     signal_kind: str = _setting("signal.kind", "random", "string", choices=KINDS)
     signal_bin: int = _setting("signal.bin", 0, "integer")
-    signal_amplitude: float = _setting("signal.amplitude", 1.0, "number")
-    signal_bins: tuple[int, ...] = _setting("signal.bins", (), "list", _multitone_only, items="integer")
+    signal_amplitude: float = _setting("signal.amplitude", 1.0, "number", _signal_only)
+    signal_bins: tuple[int, ...] = _setting("signal.bins", (), "list", _signal_only, items="integer")
     signal_amplitudes: tuple[float, ...] = _setting(
-        "signal.amplitudes", (), "list", _multitone_only, items="number"
+        "signal.amplitudes", (), "list", _signal_only, items="number"
     )
     bits_lo: int = _setting("sweep.bits_lo", 6, "integer")
     bits_hi: int = _setting("sweep.bits_hi", 14, "integer")
@@ -151,11 +157,8 @@ class ExperimentConfig:
                     f"got {len(self.per_stage)}"
                 )
             for i, spec in enumerate(self.per_stage):
-                where = f"quantizer.per_stage[{i}].x_max"
-                if spec.mode == "uniform":
-                    _check_step_is_normal(spec.x_max, where, spec.bits)
-                elif spec.mode == "mantissa" and spec.x_max != QuantizerSpec.x_max:
-                    raise _scale_free(where)
+                if spec is not None and spec.mode == "uniform":
+                    _check_step_is_normal(spec.x_max, f"quantizer.per_stage[{i}].x_max", spec.bits)
         try:
             signal = self.signal_spec()
         except ValueError as exc:
@@ -191,13 +194,13 @@ class ExperimentConfig:
             return self.quantizer_x_max
         return magnitude_bound(self.signal_spec())
 
-    def stage_quantizers(self, bits: int | None = None) -> tuple[QuantizerSpec, ...]:
-        """Stage quantizers at ``bits`` (default ``quantizer.bits``); ``per_stage`` fixes them."""
+    def stage_quantizers(self, bits: int | None = None) -> tuple[QuantizerSpec | None, ...]:
+        """Stage quantizers at ``bits`` (default ``quantizer.bits``), None if off; per_stage fixes them."""
         if self.per_stage is not None:
             return self.per_stage
         b = self.quantizer_bits if bits is None else bits
         if self.quantizer_mode == "off":
-            return (OFF,) * core.num_stages(self.n)
+            return (None,) * core.num_stages(self.n)
         if self.quantizer_mode == "uniform":
             return uniform_stage_specs(self.n, b, self.base_x_max())
         return mantissa_stage_specs(self.n, b)
@@ -227,7 +230,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """Nested document form with every value a run reads filled in; a stage echoes what its mode reads."""
+        """Nested document form with every value a run reads; a stage echoes its set fields or mode "off"."""
         doc: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -238,7 +241,10 @@ class ExperimentConfig:
             if f.name == "per_stage":
                 if value is None:
                     continue
-                value = [{k: v for k, v in asdict(s).items() if k in _STAGE_READS[s.mode]} for s in value]
+                value = [
+                    {"mode": "off"} if s is None else {k: v for k, v in asdict(s).items() if v is not None}
+                    for s in value
+                ]
             elif isinstance(value, tuple):
                 value = list(value)
             (doc.setdefault(section, {}) if section else doc)[key] = value
@@ -253,8 +259,8 @@ def _checked(
     A list holds ``items`` of that kind, ``nullable`` admits None (automatic
     or absent), ``choices`` lists the admitted strings, ``low`` and ``high``
     bound an integer, and ``valid`` raises ``ValueError`` for a value outside
-    the field's domain. A stage is a ``QuantizerSpec``, as ``parse_config``
-    makes from a document's ``per_stage`` entry.
+    the field's domain. A stage is a ``QuantizerSpec``, or None for no
+    quantizer, as ``parse_config`` makes from a document's ``per_stage`` entry.
     """
     if value is None and nullable:
         return None
@@ -273,8 +279,8 @@ def _checked(
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         value = tuple(_checked(item, f"{path}[{i}]", items) for i, item in enumerate(value))
-    elif not isinstance(value, QuantizerSpec):  # kind "stage"
-        raise ConfigError(f"{path}: expected a QuantizerSpec, got {value!r}")
+    elif value is not None and not isinstance(value, QuantizerSpec):  # kind "stage"
+        raise ConfigError(f"{path}: expected a QuantizerSpec or None, got {value!r}")
     if choices and value not in choices:
         raise ConfigError(f"{path}: must be one of {', '.join(choices)}; got {value!r}")
     if (low is not None and value < low) or (high is not None and value > high):
@@ -337,8 +343,6 @@ def _check_step_is_normal(value: float, where: str, bits: int) -> None:
 # document path -> field name, in declaration order
 _FIELDS = {f.metadata["path"]: f.name for f in fields(ExperimentConfig)}
 _STAGE_KEYS = ("mode", "bits", "x_max")
-# the keys of a per_stage entry that its mode's quantizer reads
-_STAGE_READS = {"off": ("mode",), "uniform": _STAGE_KEYS, "mantissa": ("mode", "bits")}
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -366,20 +370,20 @@ def _decode(section, prefix: str, values: dict) -> None:
             _decode(value, path + ".", values)
 
 
-def _parse_stage(entry, path: str) -> QuantizerSpec:
+def _parse_stage(entry, path: str) -> QuantizerSpec | None:
     for key in _require_mapping(entry, path):
         if key not in _STAGE_KEYS:
             raise ConfigError(f"{path}.{key}: unknown key (allowed: {', '.join(_STAGE_KEYS)})")
-    mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=MODES)
+    mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=_MODES)
     if mode == "mantissa" and "x_max" in entry:
         raise _scale_free(f"{path}.x_max")
     # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _checked(entry.get("bits", 8), f"{path}.bits", "integer")
-    x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number", nullable=True)
+    x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number")
     if mode == "off":
-        return OFF
+        return None
     try:
-        return QuantizerSpec(mode, bits, 1.0 if x_max is None else x_max)
+        return QuantizerSpec(mode, bits, x_max if mode == "uniform" else None)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

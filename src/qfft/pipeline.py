@@ -5,8 +5,8 @@ stages (``core.staged_transform``), each followed by a statically
 configured per-stage quantizer applied to every real and imaginary
 component. Twiddle factors can be quantized once at build time (static
 ROM). Two controls mirror the hardware: the transform direction
-(fft/ifft) and the twiddle-quantization enable. With every quantizer off
-the output is bit-identical to ``core.fft_reference``.
+(fft/ifft) and the twiddle-quantization enable. With no quantizer at
+all the output is bit-identical to ``core.fft_reference``.
 """
 
 from __future__ import annotations
@@ -16,22 +16,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .quantization import OFF, QuantizerSpec, apply_quantizer
+from .quantization import QuantizerSpec, apply_quantizer
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Static configuration of the staged processor.
 
-    ``stage_quantizers`` must hold one spec per stage (log2(n) of them);
-    an empty tuple is filled with all-off specs. ``twiddle_quantizer``
-    None disables twiddle quantization. The input is not quantized: the
-    processor quantizes only after each butterfly stage.
+    ``stage_quantizers`` must hold one entry per stage (log2(n) of them):
+    a spec, or None for a stage with no quantizer; an empty tuple means
+    no stage quantizes. ``twiddle_quantizer`` None disables twiddle
+    quantization. The input is not quantized: the processor quantizes
+    only after each butterfly stage.
     """
 
     n: int
     direction: str = "fft"
-    stage_quantizers: tuple[QuantizerSpec, ...] = ()
+    stage_quantizers: tuple[QuantizerSpec | None, ...] = ()
     twiddle_quantizer: QuantizerSpec | None = None
 
     def __post_init__(self):
@@ -41,7 +42,7 @@ class PipelineConfig:
         stages = core.num_stages(self.n)
         specs = tuple(self.stage_quantizers)
         if not specs:
-            specs = (OFF,) * stages
+            specs = (None,) * stages
         if len(specs) != stages:
             raise ValueError(
                 f"stage_quantizers must hold exactly log2(n) = {stages} specs, got {len(specs)}"
@@ -87,7 +88,7 @@ class Pipeline:
         self.stages = config.stages
         table = core.direction_table(config.n, config.direction)
         tq = config.twiddle_quantizer
-        if tq is not None and tq.enabled:
+        if tq is not None:
             # no saturation count: the ROM a config builds has x_max = 1 >= |w|
             table = apply_quantizer(table, tq)[0]
             table.setflags(write=False)
@@ -96,8 +97,6 @@ class Pipeline:
             # without a ROM the rows are the shared cached ones of fft_reference
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)
         self.twiddles = table
-        # the specs of the stages that quantize, None for the others
-        self._stage_specs = tuple(spec if spec.enabled else None for spec in config.stage_quantizers)
 
     def run(self, x, keep_stages: bool = False) -> RunTrace:
         """Push one vector through the staged processor.
@@ -117,7 +116,7 @@ class Pipeline:
             raise ValueError("input contains non-finite components")
         scale = 1.0 / self.n if self.config.direction == "ifft" else None
 
-        specs = self._stage_specs
+        specs = self.config.stage_quantizers
         saturations = 0
         stage_outputs: list[np.ndarray] = []
 

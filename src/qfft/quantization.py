@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODES = ("off", "uniform", "mantissa")
+MODES = ("uniform", "mantissa")
 MAX_BITS = 52  # double-precision mantissa width
 SQNR_CAP_DB = 300.0
 _FLOAT64 = np.dtype(np.float64)
@@ -41,42 +41,36 @@ _KERNEL_DTYPES = (_FLOAT64, np.dtype(np.complex128))
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Quantizer configuration: mode, bit count and full scale.
+    """One working quantizer: mode, bit count and, for uniform mode only, full scale.
 
     The step follows from the bits: uniform mode quantizes [-x_max, x_max]
     into 2**bits intervals (q = 2 * x_max * 2**-bits), mantissa mode grids
-    the normalized fraction with q = 2**-bits.
+    the normalized fraction with q = 2**-bits and is scale-free, so its
+    x_max is None. Where there is no quantizer (a stage or the twiddle
+    ROM of a ``PipelineConfig``), the spec is None.
     """
 
     mode: str
-    bits: int = 0
-    x_max: float = 1.0
+    bits: int
+    x_max: float | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode != "off" and not 1 <= self.bits <= MAX_BITS:
+        if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.bits}")
+        if (self.mode == "mantissa") != (self.x_max is None):
+            raise ValueError(f"x_max must be set for uniform and None for mantissa mode, got {self.x_max}")
         if self.mode == "uniform" and not self.x_max > 0:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
 
     @functools.cached_property
     def step(self) -> float:
         # computed on first read and kept in the instance ``__dict__``, which
-        # equality, hash, repr and ``asdict`` never look at; mode "off" raises
-        # on every read, since a raising call caches nothing
+        # equality, hash, repr and ``asdict`` never look at
         if self.mode == "uniform":
             return 2.0 * self.x_max * 2.0 ** -self.bits
-        if self.mode == "mantissa":
-            return 2.0 ** -self.bits
-        raise ValueError("step is undefined for mode 'off'")
-
-
-OFF = QuantizerSpec("off")
+        return 2.0 ** -self.bits
 
 
 def quantize_uniform(x, spec: QuantizerSpec):
@@ -207,16 +201,15 @@ def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, 
     Complex arrays are quantized on real and imaginary parts separately,
     through a float64 view of the interleaved components. Returns the
     quantized array and the number of components the uniform clamp
-    actually changed (always 0 for off/mantissa). Two call forms:
-    without ``out`` the result is a new float64 or complex128 array (mode
-    "off" returns the input untouched); with ``out=values``, a C-contiguous
-    float64 or complex128 array is quantized in place, with one component
-    view and no copy. Any other ``out`` raises ``ValueError``.
+    actually changed (always 0 for mantissa). ``spec`` is a working
+    quantizer; a stage without one does not call this. Two call forms:
+    without ``out`` the result is a new float64 or complex128 array; with
+    ``out=values``, a C-contiguous float64 or complex128 array is
+    quantized in place, with one component view and no copy. Any other
+    ``out`` raises ``ValueError``.
     """
     if out is not None and not (out is values and out.dtype in _KERNEL_DTYPES and out.flags.c_contiguous):
         raise ValueError("out must be the input itself, a C-contiguous float64 or complex128 array")
-    if spec.mode == "off":
-        return values, 0
     if out is None:
         src = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64, order="C")
         out = np.empty_like(src)

@@ -325,8 +325,8 @@ SMALL_FFT = {
     "argv, doc, digest",
     [
         (["sweep", "--seed", "3", "--format", "json"], {}, "2cec53731b9d50ffba217d6ab4bb37a1f6e3c1293635b42c117b5e44f2e8fe5b"),
-        (["quantizer", "--seed", "7"], {}, "c3eb18a5e04acd4eecee480264061de82f9d676eea4535a6aaa87ae06a1ed4ec"),
-        (["fft", "--format", "json"], SMALL_FFT, "f9e7ed734e0bf7414020d056dca7f5a6e5b78483ba5adefc6991e4545f336d6d"),
+        (["quantizer", "--seed", "7"], {}, "d008d018f524b07f791756a077a1003a2b0ba6f7521ac21668b28d0f25bf768c"),
+        (["fft", "--format", "json"], SMALL_FFT, "832d441d16fedf992917f821be84de5cf9e2bac7efc473ee6e1b6dd8c303af3e"),
     ],
     ids=["sweep-json", "quantizer-csv", "fft-json-per-stage"],
 )
@@ -347,6 +347,31 @@ def test_quantizer_subcommand(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert lines[0] == "bits,empirical_variance,theory_variance"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "quantizer, echoed",
+    [
+        ({"mode": "uniform"}, {"mode": "uniform", "x_max": 1.0}),
+        ({"mode": "uniform", "x_max": 2.0}, {"mode": "uniform", "x_max": 2.0}),
+        ({"mode": "mantissa"}, {"mode": "mantissa"}),
+    ],
+    ids=["uniform-automatic", "uniform", "mantissa"],
+)
+def test_quantizer_header_echoes_only_what_the_command_reads(tmp_path, capsys, quantizer, echoed):
+    # no transform, signal, twiddle ROM, quantizer.bits or trial count reaches the rows; --samples does
+    doc = {"n": 64, "quantizer": {**quantizer, "bits": 9}, "sweep": {"bits_lo": 6, "bits_hi": 7, "trials": 3}}
+    config = tmp_path / "q.json"
+    config.write_text(json.dumps(doc))
+    assert main(["quantizer", "--config", str(config), "--samples", "20000", "--seed", "7"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(header.removeprefix("# config: ")) == {
+        "quantizer": echoed,
+        "sweep": {"bits_lo": 6, "bits_hi": 7},
+        "samples": 20000,
+        "seed": 7,
+        "format": "csv",
+    }
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unreadable JSON"):
             parse_config(text)
 
+    @pytest.mark.parametrize("kind", ["impulse", "sinusoid", "multitone"])
+    def test_amplitude_needs_a_random_signal(self, kind):
+        # no other kind reads amplitude, so its header leaves it out
+        signal = {"kind": kind, "bins": [1]} if kind == "multitone" else {"kind": kind}
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: only a random signal has amplitude"):
+            parse_config(json.dumps({"signal": {**signal, "amplitude": 5.0}}))
+        assert "amplitude" not in parse_config(json.dumps({"signal": signal})).to_dict()["signal"]
+
     @pytest.mark.parametrize(
         "signal, field",
         [
@@ -124,7 +132,7 @@ class TestParsing:
             }
         )
         cfg = parse_config(text)
-        assert cfg.per_stage == (QuantizerSpec("uniform", 6, 2.0), QuantizerSpec("off"))
+        assert cfg.per_stage == (QuantizerSpec("uniform", 6, 2.0), None)
 
     @pytest.mark.parametrize(
         "entry, field",
@@ -132,8 +140,9 @@ class TestParsing:
             ({"mode": "off", "bits": "abc", "x_max": [1]}, "bits"),
             ({"mode": "off", "bits": 8, "x_max": [1]}, "x_max"),
             ({"mode": "off", "bits": True}, "bits"),
+            ({"mode": "off", "x_max": None}, "x_max"),
         ],
-        ids=["bits-string", "x_max-list", "bits-bool"],
+        ids=["bits-string", "x_max-list", "bits-bool", "x_max-null"],
     )
     def test_off_per_stage_entry_checks_its_keys(self, entry, field):
         text = json.dumps({"n": 4, "quantizer": {"per_stage": [entry, {"mode": "off"}]}})
@@ -144,7 +153,7 @@ class TestParsing:
         # well-formed bits and x_max on an off entry parse and are dropped
         entry = {"mode": "off", "bits": 0, "x_max": 1.0}
         cfg = parse_config(json.dumps({"n": 2, "quantizer": {"per_stage": [entry]}}))
-        assert cfg.per_stage == (QuantizerSpec("off"),)
+        assert cfg.per_stage == (None,)
 
     @pytest.mark.parametrize(
         "n, trials, ok",
@@ -282,11 +291,19 @@ class TestOneBoundary:
             parse_config(json.dumps(doc))
 
     def test_a_built_mantissa_stage_with_a_full_scale_is_rejected(self):
-        stages = (QuantizerSpec("mantissa", 8), QuantizerSpec("mantissa", 8, 5.0))
-        with pytest.raises(ConfigError, match=r"^quantizer\.per_stage\[1\]\.x_max: a mantissa"):
-            ExperimentConfig(n=4, per_stage=stages)
+        with pytest.raises(ValueError, match="x_max must be set for uniform and None for mantissa mode"):
+            QuantizerSpec("mantissa", 8, 5.0)
         with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa"):
             ExperimentConfig(quantizer_mode="mantissa", quantizer_x_max=5.0)
+
+    def test_a_null_stage_full_scale_is_rejected(self):
+        # a null quantizer.x_max means automatic, but a stage has no automatic full scale
+        stages = [{"mode": "uniform", "bits": 6, "x_max": None}, {"mode": "mantissa", "bits": 5}]
+        with pytest.raises(ConfigError, match=r"^quantizer\.per_stage\[0\]\.x_max: expected a number, got None"):
+            parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": stages}}))
+        del stages[0]["x_max"]
+        cfg = parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": stages}}))
+        assert cfg.per_stage[0] == QuantizerSpec("uniform", 6, 1.0)
 
     def test_a_mantissa_stage_echoes_no_full_scale(self):
         cfg = ExperimentConfig(n=4, per_stage=(QuantizerSpec("mantissa", 8), QuantizerSpec("uniform", 6, 2.0)))
@@ -407,7 +424,7 @@ class TestDerivedObjects:
 
     def test_pipeline_config_off_mode(self):
         cfg = parse_config('{"n": 16, "quantizer": {"mode": "off"}}')
-        assert all(s.mode == "off" for s in cfg.pipeline_config().stage_quantizers)
+        assert cfg.pipeline_config().stage_quantizers == (None,) * 4
 
     def test_twiddle_quantizer_only_when_enabled(self):
         assert parse_config("{}").twiddle_quantizer() is None

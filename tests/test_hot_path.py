@@ -131,7 +131,7 @@ def in_place_run(x, direction, table, specs):
     saturations = 0
     for stage, spec in enumerate(specs):
         strided_dit_stage(data, table, stage)
-        if spec.enabled:
+        if spec is not None:
             saturations += apply_quantizer(data, spec, out=data)[1]
         snapshots.append(data.copy())
     return data, saturations, snapshots
@@ -164,7 +164,7 @@ def test_both_geometries_match_the_in_place_stages(m, seed, direction, rom, quan
     assert trace.input.tobytes() == snapshots[0].tobytes()
     assert [a.tobytes() for a in trace.stage_outputs] == [a.tobytes() for a in snapshots[1:]]
     if not rom:
-        reference, _, _ = in_place_run(x, direction, pipeline.twiddles, [QuantizerSpec("off")] * m)
+        reference, _, _ = in_place_run(x, direction, pipeline.twiddles, [None] * m)
         assert core.fft_reference(x, direction).tobytes() == reference.tobytes()
 
 
@@ -365,13 +365,6 @@ class TestInPlaceQuantizer:
         with pytest.raises(ValueError, match="out must be"):
             apply_quantizer(random_signal(8, seed=14), QUANTIZERS[0], out=out)
 
-    def test_off_checks_out_as_the_other_modes_do(self):
-        x = random_signal(8, seed=13)
-        result, saturations = apply_quantizer(x, QuantizerSpec("off"), out=x)
-        assert result is x and saturations == 0
-        with pytest.raises(ValueError, match="out must be"):
-            apply_quantizer(x, QuantizerSpec("off"), out=np.empty_like(x))
-
     @pytest.mark.parametrize("values", [np.ones(8, dtype=np.complex64), np.ones(8, dtype=np.float32)])
     def test_in_place_needs_a_kernel_dtype(self, values):
         with pytest.raises(ValueError, match="out must be"):
@@ -482,37 +475,33 @@ QUANTIZER_SPECS = [
     QuantizerSpec("uniform", 7, 0.3),
     QuantizerSpec("uniform", 5, 2.0),
     QuantizerSpec("mantissa", 6),
-    QuantizerSpec("off"),
+    None,
 ]
 
 
 @pytest.mark.parametrize("spec", QUANTIZER_SPECS, ids=["uniform-0.3", "uniform-2.0", "mantissa", "off"])
 def test_quantizer_spec_contract_survives_its_cached_constants(spec):
-    fresh = QuantizerSpec(spec.mode, spec.bits, spec.x_max)
     entry = ExperimentConfig(n=2, per_stage=(spec,)).to_dict()["quantizer"]["per_stage"][0]
     cfg = parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": [entry] * 2}}))
+    assert cfg.per_stage == (spec, spec)
     row = ErrorReport(6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def header():
         return emit_report([row], "csv", cfg.to_dict()).splitlines()[0].encode()
 
     before = header()
-    if spec.enabled:
+    Pipeline(cfg.pipeline_config()).run(random_signal(4, seed=1))
+    if spec is not None:
+        fresh = QuantizerSpec(spec.mode, spec.bits, spec.x_max)
         assert spec.step == fresh.step
         apply_quantizer(np.linspace(-1.0, 1.0, 8), spec)
         assert all(stage_spec.step == spec.step for stage_spec in cfg.per_stage)
-        Pipeline(cfg.pipeline_config()).run(random_signal(4, seed=1))
-    else:
-        for _ in range(2):
-            with pytest.raises(ValueError, match="undefined for mode 'off'"):
-                spec.step
-    assert spec == fresh and fresh == spec
-    assert hash(spec) == hash(fresh)
-    assert repr(spec) == repr(fresh)
-    assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
-    clone = pickle.loads(pickle.dumps(spec))
-    assert clone == spec and hash(clone) == hash(spec) and repr(clone) == repr(spec)
-    if spec.enabled:
+        assert spec == fresh and fresh == spec
+        assert hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh)
+        assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and hash(clone) == hash(spec) and repr(clone) == repr(spec)
         assert clone.step == spec.step
     assert header() == before
 

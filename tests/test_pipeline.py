@@ -17,12 +17,11 @@ def random_signal(n, seed):
 class TestConfig:
     def test_empty_stage_list_fills_with_off(self):
         cfg = PipelineConfig(n=16)
-        assert len(cfg.stage_quantizers) == 4
-        assert all(s.mode == "off" for s in cfg.stage_quantizers)
+        assert cfg.stage_quantizers == (None,) * 4
 
     def test_wrong_stage_count_rejected(self):
         with pytest.raises(ValueError):
-            PipelineConfig(n=16, stage_quantizers=(QuantizerSpec("off"),) * 3)
+            PipelineConfig(n=16, stage_quantizers=(None,) * 3)
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +121,7 @@ class TestRun:
     def test_saturation_counted(self):
         n = 4
         spec = QuantizerSpec("uniform", 3, 0.5)
-        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=(spec, QuantizerSpec("off"))))
+        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=(spec, None)))
         trace = pipeline.run(np.array([0.9, 0.0, 0.0, -0.9], dtype=complex))
         # bit-reversed to [0.9, 0, 0, -0.9]; stage 1 gives [0.9, 0.9, -0.9, 0.9],
         # four real parts past 0.5

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qfft.quantization import (
     MAX_BITS,
-    OFF,
     SQNR_CAP_DB,
     QuantizerSpec,
     apply_quantizer,
@@ -28,17 +27,17 @@ class TestQuantizerSpec:
     def test_mantissa_step(self):
         assert QuantizerSpec("mantissa", 3).step == 0.125
 
-    def test_off_has_no_step(self):
-        with pytest.raises(ValueError):
-            OFF.step
-
     @pytest.mark.parametrize("bad", [
-        dict(mode="nearest"),
+        dict(mode="nearest", bits=8),
         dict(mode="uniform", bits=0),
         dict(mode="uniform", bits=53),
         dict(mode="mantissa", bits=-1),
         dict(mode="uniform", bits=8, x_max=0.0),
         dict(mode="uniform", bits=8, x_max=-2.0),
+        # no quantizer is None, not a mode; a mantissa quantizer is scale-free
+        dict(mode="off", bits=8),
+        dict(mode="mantissa", bits=8, x_max=2.0),
+        dict(mode="uniform", bits=8),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -228,12 +227,6 @@ class TestSnrDb:
 
 
 class TestApplyQuantizer:
-    def test_off_is_identity(self):
-        x = np.array([0.1 + 0.9j, -3.0 + 0.0j])
-        out, saturated = apply_quantizer(x, OFF)
-        assert out is x
-        assert saturated == 0
-
     def test_complex_components_quantized_independently(self):
         spec = QuantizerSpec("uniform", 2, 1.0)
         out, saturated = apply_quantizer(np.array([0.2 + 0.3j]), spec)
