@@ -129,17 +129,6 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     return error, percent, sqnr
 
 
-def _row_theory(mode: str, bits: int, base_x_max: float) -> float:
-    """Theory column: closed form of a single quantizer at the row's bits.
-
-    Uniform rows use the input-stage full scale of the doubling ladder as
-    the reference quantizer; mantissa rows are scale-free.
-    """
-    if mode == "uniform":
-        return theory_variance_uniform(QuantizerSpec("uniform", bits, base_x_max))
-    return theory_variance_mantissa(QuantizerSpec("mantissa", bits))
-
-
 def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     """Sweep the per-stage bit resolution and report one error row per bit count.
 
@@ -155,7 +144,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     energy (a multitone whose tones cancel).
     """
     mode = cfg.swept_mode()
-    base_x_max = cfg.base_x_max()
+    # the theory column: one quantizer at the row's bits, uniform at the ladder's input full scale
+    x_max = cfg.base_x_max() if mode == "uniform" else None
+    theory = theory_variance_uniform if mode == "uniform" else theory_variance_mantissa
     stages = core.num_stages(cfg.n)
 
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
@@ -197,7 +188,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
                 error_variance=math.ldexp(variance, 2 * exponent),
                 percent_error=percent,
                 sqnr_db=sqnr,
-                theory_variance=_row_theory(mode, bits, base_x_max),
+                theory_variance=theory(QuantizerSpec(mode, bits, x_max)),
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )
         )

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import analysis, core, report
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_characterization, parse_config
 from .pipeline import Pipeline, PipelineConfig, processing_cost
 from .signals import generate_signal
 
@@ -56,14 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args) -> tuple[ExperimentConfig, float | None]:
+    """The config with the flags applied, and the full scale of ``qfft quantizer`` (None otherwise)."""
     text = "{}"
     if args.config is not None:
         with open(args.config) as handle:
             text = handle.read()
+    cfg, x_max = parse_characterization(text) if args.command == "quantizer" else (parse_config(text), None)
     # selftest has neither --out nor --format; replace checks the flags as it checks the file
     flags = {key: getattr(args, key, None) for key in ("seed", "out", "format")}
-    return dataclasses.replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None}), x_max
 
 
 def _cmd_fft(cfg: ExperimentConfig) -> int:
@@ -102,13 +104,11 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_quantizer(cfg: ExperimentConfig, samples: int) -> int:
+def _cmd_quantizer(cfg: ExperimentConfig, x_max: float, samples: int) -> int:
     mode = cfg.swept_mode()
-    x_max = cfg.quantizer_x_max if cfg.quantizer_x_max is not None else 1.0
     rows = analysis.quantizer_characterization(
         mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=x_max
     )
-    # the header holds only what the characterization reads: no transform, signal or trial count
     header = {
         "quantizer": {"mode": mode, "x_max": x_max} if mode == "uniform" else {"mode": mode},
         "sweep": {"bits_lo": cfg.bits_lo, "bits_hi": cfg.bits_hi},
@@ -172,7 +172,7 @@ def _cmd_selftest(seed: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg, x_max = _load_config(args)
         if args.command == "selftest":
             status = _cmd_selftest(cfg.seed)
         elif args.command == "fft":
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             status = _cmd_sweep(cfg)
         else:
-            status = _cmd_quantizer(cfg, args.samples)
+            status = _cmd_quantizer(cfg, x_max, args.samples)
         # a report still buffered is written here, where a closed pipe is caught
         sys.stdout.flush()
         return status

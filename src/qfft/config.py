@@ -48,6 +48,7 @@ MAX_SWEEP_SAMPLES = 2**24
 _SIGNAL_READERS = {"amplitude": "random", "bins": "multitone", "amplitudes": "multitone"}
 # the modes a document names: "off" is no quantizer (a None stage), then the quantizer MODES
 _MODES = ("off", *MODES)
+_FIXED_BITS = "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
 
 
 class ConfigError(ValueError):
@@ -208,9 +209,7 @@ class ExperimentConfig:
     def swept_mode(self) -> str:
         """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
         if self.per_stage is not None:
-            raise ConfigError(
-                "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
-            )
+            raise ConfigError(_FIXED_BITS)
         if self.quantizer_mode == "off":
             raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
         return self.quantizer_mode
@@ -342,6 +341,8 @@ def _check_step_is_normal(value: float, where: str, bits: int) -> None:
 
 # document path -> field name, in declaration order
 _FIELDS = {f.metadata["path"]: f.name for f in fields(ExperimentConfig)}
+# the document paths `qfft quantizer` reads
+CHARACTERIZATION_PATHS = ("quantizer.mode", "quantizer.x_max", "sweep.bits_lo", "sweep.bits_hi", "seed", "out", "format")
 _STAGE_KEYS = ("mode", "bits", "x_max")
 
 
@@ -388,8 +389,8 @@ def _parse_stage(entry, path: str) -> QuantizerSpec | None:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON configuration document into a (checked) ``ExperimentConfig``."""
+def _document_values(text: str) -> dict:
+    """The values of a JSON configuration document, by ``ExperimentConfig`` field name."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
@@ -404,7 +405,37 @@ def parse_config(text: str) -> ExperimentConfig:
         values["per_stage"] = tuple(
             _parse_stage(entry, f"quantizer.per_stage[{i}]") for i, entry in enumerate(stages)
         )
-    return ExperimentConfig(**values)
+    return values
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a JSON configuration document into a (checked) ``ExperimentConfig``."""
+    return ExperimentConfig(**_document_values(text))
+
+
+def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
+    """The config and the full scale (1.0 when null) ``qfft quantizer`` reads from a JSON document.
+
+    It runs no transform: any key outside ``CHARACTERIZATION_PATHS`` is a
+    ``ConfigError`` naming it, and no relation to ``n`` applies.
+    """
+    values = _document_values(text)
+    for path, name in _FIELDS.items():
+        if name in values and path not in CHARACTERIZATION_PATHS:
+            reason = "qfft quantizer runs no transform and does not read it; remove it"
+            raise ConfigError(_FIXED_BITS if path == "quantizer.per_stage" else f"{path}: {reason}")
+    x_max = values.pop("quantizer_x_max", None)
+    cfg = ExperimentConfig(**values)
+    if x_max is not None and cfg.quantizer_mode == "mantissa":
+        raise _scale_free("quantizer.x_max")
+    x_max = 1.0 if x_max is None else _checked(x_max, "quantizer.x_max", "number")
+    # a row's variance sums, per sample, a squared error below the square of the
+    # coarsest step 2 * x_max * 2**-bits_lo: finite for any sample count an array holds
+    limit = math.sqrt(sys.float_info.max / sys.maxsize) * 2.0 ** (cfg.bits_lo - 1)
+    if not 0 < x_max <= limit:
+        raise ConfigError(f"quantizer.x_max: must be in (0, {limit:.6g}] at {cfg.bits_lo} bits, got {x_max!r}")
+    _check_step_is_normal(x_max, "quantizer.x_max", cfg.bits_hi)
+    return cfg, x_max
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -11,7 +11,7 @@ all the output is bit-identical to ``core.fft_reference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,23 +56,8 @@ class PipelineConfig:
 
 @dataclass
 class RunTrace:
-    """Result and per-stage observability of one pipeline run.
+    """One run's output, saturations, and complex multiplies/additions actually performed."""
 
-    ``output`` is the transform result and the counters record the
-    saturations and the complex multiplies/additions the butterfly kernel
-    actually performed. Stage snapshots are opt-in: only a run with
-    ``keep_stages=True`` fills ``input`` (the vector entering stage 1,
-    after inverse 1/N scaling and bit-reversal) and
-    ``stage_outputs`` (one copy per stage, taken after that stage's
-    quantizer, the last equal to ``output``). Otherwise ``input`` is None
-    and ``stage_outputs`` is empty. The snapshots are in the order of the
-    in-place transform, not of the constant-geometry stages that computed
-    them: bit-reversed input, then each stage's butterfly pairs at
-    distance 2**stage.
-    """
-
-    input: np.ndarray | None
-    stage_outputs: list[np.ndarray] = field(repr=False)
     output: np.ndarray
     saturation_total: int
     multiplies: int
@@ -98,16 +83,18 @@ class Pipeline:
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)
         self.twiddles = table
 
-    def run(self, x, keep_stages: bool = False) -> RunTrace:
+    def run(self, x, after_stage=None) -> RunTrace:
         """Push one vector through the staged processor.
 
         Order of operations: inverse runs pre-scale the input by 1/N; then
         each stage performs its n/2 butterflies and quantizes every
         component of the stage output; the output comes back in natural
-        order. The input is left alone. ``keep_stages=True`` also copies
-        the stage-1 input and every stage output into the trace; sweeps
-        and single transforms read only ``output``, so by default the
-        copies are skipped.
+        order. The input is left alone.
+
+        ``after_stage(stage, data)``, when given, runs after each stage's
+        quantizer (or butterflies, if it has none), in stage order. ``data``
+        is a read-only view of the working vector in constant geometry
+        (``core.in_place_order`` reorders a copy); a later stage overwrites it.
         """
         vec = core.as_signal(x)
         if vec.size != self.n:
@@ -118,32 +105,21 @@ class Pipeline:
 
         specs = self.config.stage_quantizers
         saturations = 0
-        stage_outputs: list[np.ndarray] = []
 
-        def after_stage(stage: int, data: np.ndarray) -> None:
+        def quantize(stage: int, data: np.ndarray) -> None:
             nonlocal saturations
             spec = specs[stage]
             # the quantizer is componentwise, so the working vector's
             # constant-geometry order does not change its bits
             if spec is not None:
                 saturations += apply_quantizer(data, spec, out=data)[1]
-            if keep_stages:
-                stage_outputs.append(core.in_place_order(data, stage + 1))
+            if after_stage is not None:
+                view = data.view()
+                view.flags.writeable = False
+                after_stage(stage, view)
 
-        output, multiplies, additions = core.staged_transform(vec, self.stage_twiddles, scale, after_stage)
-        trace_input = None
-        if keep_stages:
-            trace_input = core.bit_reverse_permute(vec)
-            if scale is not None:
-                trace_input *= scale
-        return RunTrace(
-            input=trace_input,
-            stage_outputs=stage_outputs,
-            output=output,
-            saturation_total=saturations,
-            multiplies=multiplies,
-            additions=additions,
-        )
+        output, multiplies, additions = core.staged_transform(vec, self.stage_twiddles, scale, quantize)
+        return RunTrace(output, saturations, multiplies, additions)
 
 
 def processing_cost(n: int) -> tuple[int, int]:

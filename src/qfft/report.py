@@ -4,7 +4,7 @@
 the output vector of ``qfft fft``, and ``write`` sends a rendered report
 to stdout or a file. A report given a config carries it (without ``out``:
 the report must not depend on where it is written), its seed and
-``STANDARD_NOTES``.
+``STANDARD_NOTES``, less the inverse's 1/N note if no size ``n`` is set.
 
 ``emit_vector`` yields its rows a chunk at a time. A quantized output
 takes few distinct values (a b-bit uniform stage has at most 2**b + 1
@@ -65,6 +65,11 @@ def _header(config: dict) -> dict:
     return {key: value for key, value in config.items() if key != "out"}
 
 
+def _notes(config: dict) -> list[str]:
+    # only a config with a size n runs a transform, so only its report has the 1/N pre-scale
+    return list(STANDARD_NOTES if "n" in config else STANDARD_NOTES[:1])
+
+
 def _csv_comments(config: dict | None) -> list[str]:
     """Leading comment lines of a CSV report: ``# config:``, ``# seed:``, ``# note:``."""
     if config is None:
@@ -72,7 +77,7 @@ def _csv_comments(config: dict | None) -> list[str]:
     lines = ["# config: " + json.dumps(_header(config), sort_keys=True)]
     if "seed" in config:
         lines.append(f"# seed: {config['seed']}")
-    return lines + [f"# note: {note}" for note in STANDARD_NOTES]
+    return lines + [f"# note: {note}" for note in _notes(config)]
 
 
 def _fmt(value) -> str:
@@ -104,7 +109,7 @@ def emit_report(rows: Sequence, format: str = "csv", config: dict | None = None)
         {name: v if isinstance(v, int) else float(v) for name, v in zip(columns, row)} for row in values
     ]
     if config is not None:
-        payload = {"config": _header(config), "notes": list(STANDARD_NOTES), "rows": payload}
+        payload = {"config": _header(config), "notes": _notes(config), "rows": payload}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -119,7 +124,7 @@ def emit_vector(output: np.ndarray, saturation_total: int, format: str, config: 
     # "%r" is the float.__repr__ that json writes
     payload = {
         "config": _header(config),
-        "notes": list(STANDARD_NOTES),
+        "notes": _notes(config),
         "saturation_total": saturation_total,
         "output": [],
     }

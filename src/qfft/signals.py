@@ -62,11 +62,9 @@ def generate_signal(spec: SignalSpec, seed=0) -> np.ndarray:
             out += amp * np.exp((2j * np.pi * k / n) * idx)
         return out
     rng = np.random.default_rng(seed)
-    re = rng.uniform(-spec.amplitude, spec.amplitude, n)
-    im = rng.uniform(-spec.amplitude, spec.amplitude, n)
     out = np.empty(n, dtype=np.complex128)
-    out.real = re
-    out.imag = im
+    out.real = rng.uniform(-spec.amplitude, spec.amplitude, n)
+    out.imag = rng.uniform(-spec.amplitude, spec.amplitude, n)
     return out
 
 
@@ -77,9 +75,7 @@ def magnitude_bound(spec: SignalSpec) -> float:
     ladder: stage s intermediates are bounded by 2**(s+1) times this, so
     the doubling ladder never saturates.
     """
-    if spec.kind == "impulse":
-        return 1.0
-    if spec.kind == "sinusoid":
+    if spec.kind in ("impulse", "sinusoid"):
         return 1.0
     if spec.kind == "multitone":
         return float(sum(abs(a) for a in spec.amplitudes))

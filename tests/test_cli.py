@@ -325,7 +325,7 @@ SMALL_FFT = {
     "argv, doc, digest",
     [
         (["sweep", "--seed", "3", "--format", "json"], {}, "2cec53731b9d50ffba217d6ab4bb37a1f6e3c1293635b42c117b5e44f2e8fe5b"),
-        (["quantizer", "--seed", "7"], {}, "d008d018f524b07f791756a077a1003a2b0ba6f7521ac21668b28d0f25bf768c"),
+        (["quantizer", "--seed", "7"], {}, "26d61d2b3c98c7f0af4fe951d71a8a0a4aa750d21e12493be66bf2e99d84c113"),
         (["fft", "--format", "json"], SMALL_FFT, "832d441d16fedf992917f821be84de5cf9e2bac7efc473ee6e1b6dd8c303af3e"),
     ],
     ids=["sweep-json", "quantizer-csv", "fft-json-per-stage"],
@@ -342,7 +342,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys, argv, doc, digest):
 
 def test_quantizer_subcommand(tmp_path, capsys):
     config = tmp_path / "q.json"
-    config.write_text(json.dumps({"quantizer": {"mode": "uniform", "bits": 8}, "sweep": {"bits_lo": 6, "bits_hi": 7}}))
+    config.write_text(json.dumps({"quantizer": {"mode": "uniform"}, "sweep": {"bits_lo": 6, "bits_hi": 7}}))
     assert main(["quantizer", "--config", str(config), "--samples", "20000"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert lines[0] == "bits,empirical_variance,theory_variance"
@@ -359,8 +359,8 @@ def test_quantizer_subcommand(tmp_path, capsys):
     ids=["uniform-automatic", "uniform", "mantissa"],
 )
 def test_quantizer_header_echoes_only_what_the_command_reads(tmp_path, capsys, quantizer, echoed):
-    # no transform, signal, twiddle ROM, quantizer.bits or trial count reaches the rows; --samples does
-    doc = {"n": 64, "quantizer": {**quantizer, "bits": 9}, "sweep": {"bits_lo": 6, "bits_hi": 7, "trials": 3}}
+    # a null or absent x_max is the unit full scale; --samples reaches the rows and the header
+    doc = {"quantizer": quantizer, "sweep": {"bits_lo": 6, "bits_hi": 7}}
     config = tmp_path / "q.json"
     config.write_text(json.dumps(doc))
     assert main(["quantizer", "--config", str(config), "--samples", "20000", "--seed", "7"]) == 0
@@ -372,6 +372,45 @@ def test_quantizer_header_echoes_only_what_the_command_reads(tmp_path, capsys, q
         "seed": 7,
         "format": "csv",
     }
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"n": 65536, "sweep": {"trials": 300}}, "n"),
+        ({"direction": "ifft"}, "direction"),
+        ({"sweep": {"trials": 20}}, "sweep.trials"),
+        ({"quantizer": {"bits": 9}}, "quantizer.bits"),
+        ({"signal": {"kind": "impulse"}}, "signal.kind"),
+        ({"signal": {"amplitude": 0.5}}, "signal.amplitude"),
+        ({"twiddle_quantization": {"bits": 8}}, "twiddle_quantization.bits"),
+    ],
+    ids=["n-and-trials", "direction", "trials", "bits", "signal-kind", "signal-amplitude", "twiddle"],
+)
+def test_quantizer_refuses_what_it_does_not_read(tmp_path, capsys, doc, field):
+    # the characterization runs no transform: a key it does not read is named, even at its
+    # default value, before any relation of the transform's (the trials * n cap) is checked
+    config = tmp_path / "q.json"
+    config.write_text(json.dumps(doc))
+    assert main(["quantizer", "--config", str(config), "--samples", "20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {field}: qfft quantizer runs no transform and does not read it; remove it\n"
+
+
+@pytest.mark.parametrize("x_max, ok", [(1e140, True), (1e150, False), (1e306, False)])
+def test_quantizer_full_scale_keeps_every_row_finite(tmp_path, capsys, x_max, ok):
+    # at 6 bits the errors reach a step of 2 * x_max / 64, whose square summed over
+    # sys.maxsize samples must stay finite
+    config = tmp_path / "q.json"
+    config.write_text(json.dumps({"quantizer": {"x_max": x_max}, "sweep": {"bits_lo": 6, "bits_hi": 7}}))
+    assert main(["quantizer", "--config", str(config), "--samples", "20000"]) == (0 if ok else 1)
+    captured = capsys.readouterr()
+    if ok:
+        rows = [line.split(",") for line in captured.out.splitlines()[-2:]]
+        assert all(math.isfinite(float(value)) for row in rows for value in row)
+    else:
+        assert captured.err == f"config error: quantizer.x_max: must be in (0, 1.41274e+146] at 6 bits, got {x_max!r}\n"
 
 
 @pytest.mark.parametrize(

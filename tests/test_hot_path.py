@@ -1,8 +1,8 @@
 """Invariants of the pipeline hot path.
 
-Cached read-only tables, the in-place quantizer, opt-in stage snapshots
-and the reworked stage and quantizer kernels must leave every output bit
-where it was.
+Cached read-only tables, the in-place quantizer, the read-only
+``after_stage`` view of ``Pipeline.run`` and the reworked stage and
+quantizer kernels must leave every output bit where it was.
 """
 
 import dataclasses
@@ -120,14 +120,14 @@ def test_every_stage_matches_the_strided_kernel(m, table_kind):
 def in_place_run(x, direction, table, specs):
     """A pipeline run written out as in-place stages: output, saturations, snapshots.
 
-    The snapshots are the stage-1 input and every stage output, in the
-    in-place order ``RunTrace`` documents.
+    The snapshots are copies of every stage output, taken after that
+    stage's quantizer, in the order of the in-place transform.
     """
     n = x.size
     data = x[recurrence_indices(n)]
     if direction == "ifft":
         data *= 1.0 / n
-    snapshots = [data.copy()]
+    snapshots = []
     saturations = 0
     for stage, spec in enumerate(specs):
         strided_dit_stage(data, table, stage)
@@ -156,13 +156,13 @@ def test_both_geometries_match_the_in_place_stages(m, seed, direction, rom, quan
     rom_spec = QuantizerSpec("uniform", 5, 1.0) if rom else None
     specs = STAGE_QUANTIZERS[quantizer](n)
     pipeline = Pipeline(PipelineConfig(n, direction, specs, rom_spec))
-    trace = pipeline.run(x, keep_stages=True)
+    seen = []
+    trace = pipeline.run(x, after_stage=lambda stage, data: seen.append(core.in_place_order(data, stage + 1)))
 
     output, saturations, snapshots = in_place_run(x, direction, pipeline.twiddles, pipeline.config.stage_quantizers)
     assert trace.output.tobytes() == output.tobytes()
     assert trace.saturation_total == saturations
-    assert trace.input.tobytes() == snapshots[0].tobytes()
-    assert [a.tobytes() for a in trace.stage_outputs] == [a.tobytes() for a in snapshots[1:]]
+    assert [a.tobytes() for a in seen] == [a.tobytes() for a in snapshots]
     if not rom:
         reference, _, _ = in_place_run(x, direction, pipeline.twiddles, [None] * m)
         assert core.fft_reference(x, direction).tobytes() == reference.tobytes()
@@ -519,19 +519,26 @@ PIPELINES = {
 
 
 class TestOptInSnapshots:
+    """Runs with and without the opt-in per-stage view, the ``after_stage`` hook."""
+
     @pytest.mark.parametrize("name", sorted(PIPELINES))
-    def test_snapshots_do_not_change_the_result(self, name):
+    def test_stage_hook_sees_every_stage_and_changes_nothing(self, name):
         config = PIPELINES[name]
         pipeline = Pipeline(config)
         x = random_signal(config.n, seed=21)
-        plain = pipeline.run(x)
-        kept = pipeline.run(x, keep_stages=True)
+        stages = []
 
-        assert plain.output.tobytes() == kept.output.tobytes()
-        assert plain.saturation_total == kept.saturation_total
-        assert plain.input is None and plain.stage_outputs == []
-        assert len(kept.stage_outputs) == config.stages
-        assert kept.stage_outputs[-1].tobytes() == kept.output.tobytes()
+        def hook(stage, data):
+            stages.append(stage)
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 0.0
+
+        plain = pipeline.run(x)
+        hooked = pipeline.run(x, after_stage=hook)
+
+        assert hooked.output.tobytes() == plain.output.tobytes()
+        assert hooked.saturation_total == plain.saturation_total
+        assert stages == list(range(config.stages))
         if name == "uniform-saturating":
             assert plain.saturation_total > 0
 

@@ -62,6 +62,13 @@ class TestCsv:
         # comments precede the header, data rows are untouched
         assert lines[-3] == ",".join(CSV_COLUMNS)
 
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_a_config_without_a_transform_size_leaves_out_the_inverse_note(self, format):
+        # a qfft quantizer header has no n: it runs no transform, so no 1/N pre-scale
+        text = emit_report(make_rows(1), format=format, config={"seed": 3})
+        assert "q^2/6" in text
+        assert "1/N" not in text
+
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "report.csv"
         text = emit_report(make_rows(2))
