@@ -522,7 +522,7 @@ class TestOptInSnapshots:
     """Runs with and without the opt-in per-stage view, the ``after_stage`` hook."""
 
     @pytest.mark.parametrize("name", sorted(PIPELINES))
-    def test_stage_hook_sees_every_stage_and_changes_nothing(self, name):
+    def test_snapshots_do_not_change_the_result(self, name):
         config = PIPELINES[name]
         pipeline = Pipeline(config)
         x = random_signal(config.n, seed=21)
