@@ -52,6 +52,9 @@ class CharacterizationRow:
     theory_variance: float
 
 
+# fewest Monte-Carlo samples per row of a quantizer characterization
+MIN_CHARACTERIZATION_SAMPLES = 10_000
+
 # Peak exponents e (largest magnitude in [2**(e-1), 2**e)) for which sums
 # of squares of up to 2**25 components cannot overflow, and every square
 # that can reach a result's last bit (within 2**-100 of the peak's) is a
@@ -214,8 +217,8 @@ def quantizer_characterization(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
         raise ValueError(f"need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}")
-    if sample_count < 10_000:
-        raise ValueError(f"sample_count must be >= 10000, got {sample_count}")
+    if sample_count < MIN_CHARACTERIZATION_SAMPLES:
+        raise ValueError(f"sample_count must be >= {MIN_CHARACTERIZATION_SAMPLES}, got {sample_count}")
 
     rng = np.random.default_rng(seed)
     rows = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, core, report
-from .config import ConfigError, ExperimentConfig, parse_characterization, parse_config
+from .config import MAX_SWEEP_SAMPLES, ConfigError, ExperimentConfig, parse_characterization, parse_config
 from .pipeline import Pipeline, PipelineConfig, processing_cost
 from .signals import generate_signal
 
@@ -105,6 +106,11 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_quantizer(cfg: ExperimentConfig, x_max: float, samples: int) -> int:
+    # checked before any draw: each row holds a few float64 arrays of this length
+    if not analysis.MIN_CHARACTERIZATION_SAMPLES <= samples <= MAX_SWEEP_SAMPLES:
+        raise ConfigError(
+            f"--samples: must be in [{analysis.MIN_CHARACTERIZATION_SAMPLES}, {MAX_SWEEP_SAMPLES}], got {samples}"
+        )
     mode = cfg.swept_mode()
     rows = analysis.quantizer_characterization(
         mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=x_max
@@ -198,5 +204,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """The ``qfft`` process entry: ``main`` on ``sys.argv`` without the cyclic collector.
+
+    A one-shot process frees what it made at exit, so it skips the
+    collections numpy's lazy imports and the report would trigger, and
+    freezes the heap so the collections at interpreter shutdown skip it
+    too. ``main`` called in process leaves the caller's collector alone.
+    """
+    gc.disable()
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

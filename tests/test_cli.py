@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -413,6 +414,15 @@ def test_quantizer_full_scale_keeps_every_row_finite(tmp_path, capsys, x_max, ok
         assert captured.err == f"config error: quantizer.x_max: must be in (0, 1.41274e+146] at 6 bits, got {x_max!r}\n"
 
 
+@pytest.mark.parametrize("samples", [9_999, 2**24 + 1, 2_000_000_000, 10**14], ids=["low", "high", "2e9", "1e14"])
+def test_quantizer_samples_are_checked_before_any_draw(capsys, samples):
+    # 1e14 samples would ask numpy for 728 TiB, 2e9 for 14.9 GiB
+    assert main(["quantizer", "--samples", str(samples)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --samples: must be in [10000, 16777216], got {samples}\n"
+
+
 @pytest.mark.parametrize(
     "quantizer, field",
     [({"mode": "off"}, r"quantizer\.mode"), ({"per_stage": [{"bits": 6}] * 10}, r"quantizer\.per_stage")],
@@ -545,3 +555,62 @@ def test_parser_shared_across_calls_keeps_no_flag(tmp_path, capsys):
     assert fresh.returncode == 0
     assert second == fresh.stdout
     assert "# seed: 0" in second
+
+
+FFT_WITH_ROM = {"n": 1024, "twiddle_quantization": {"enabled": True, "bits": 10}, "seed": 3}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("doc, status", [(FFT_WITH_ROM, 0), ({"n": 1000}, 1)], ids=["ok", "bad-config"])
+def test_main_leaves_the_callers_collector_as_it_found_it(tmp_path, capsys, enabled, doc, status):
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps(doc))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["fft", "--config", str(config)]) == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_fresh_process_writes_the_bytes_main_writes(tmp_path, capsys, fmt):
+    # the process entry runs without the collector; the report must not change
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps(FFT_WITH_ROM))
+    argv = ["fft", "--config", str(config), "--format", fmt]
+    assert main(argv) == 0
+    fresh = _run_in_child(argv)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == capsys.readouterr().out
+
+
+def test_a_fresh_process_reports_a_bad_config(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_text('{"n": 1000}')
+    fresh = _run_in_child(["fft", "--config", str(config)])
+    assert (fresh.returncode, fresh.stdout) == (1, "")
+    assert fresh.stderr.startswith("config error: n: ")
+
+
+def test_the_process_entry_drops_the_collector_and_still_runs_exit_handlers():
+    # what ``python -m qfft.cli selftest`` runs; the handler prints after sys.exit
+    code = (
+        "import atexit, gc, runpy;"
+        "atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0));"
+        "runpy.run_module('qfft.cli', run_name='__main__')"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, "selftest"], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0
+    assert result.stdout.endswith("selftest: all checks passed\ncollector False True\n")
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts == 'qfft = "qfft.cli:console_main"'
