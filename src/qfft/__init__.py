@@ -33,12 +33,8 @@ from .pipeline import Pipeline, PipelineConfig, RunTrace, processing_cost
 from .quantization import (
     QuantizerSpec,
     apply_quantizer,
-    quantize_mantissa,
-    quantize_uniform,
     relative_error,
     snr_db,
-    theory_variance_mantissa,
-    theory_variance_uniform,
 )
 from .report import emit_report
 from .signals import SignalSpec, generate_signal, magnitude_bound
@@ -66,15 +62,11 @@ __all__ = [
     "mantissa_stage_specs",
     "parse_config",
     "processing_cost",
-    "quantize_mantissa",
-    "quantize_uniform",
     "quantizer_characterization",
     "relative_error",
     "run_sweep",
     "serialize_config",
     "snr_db",
-    "theory_variance_mantissa",
-    "theory_variance_uniform",
     "twiddle_table",
     "uniform_stage_specs",
 ]

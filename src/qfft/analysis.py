@@ -15,17 +15,7 @@ import numpy as np
 from . import core
 from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig
 from .pipeline import Pipeline
-from .quantization import (
-    MODES,
-    SQNR_CAP_DB,  # noqa: F401  (importable from here as well)
-    QuantizerSpec,
-    quantize_mantissa,
-    quantize_uniform,
-    relative_error,
-    snr_db,
-    theory_variance_mantissa,
-    theory_variance_uniform,
-)
+from .quantization import QuantizerSpec, apply_quantizer, relative_error, snr_db
 from .signals import generate_signal
 
 
@@ -124,6 +114,9 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     out = np.asarray(test, dtype=np.complex128)
     if ref.shape != out.shape:
         raise ValueError(f"length mismatch: {ref.shape} vs {out.shape}")
+    for name, vec in (("reference", ref), ("test", out)):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} contains non-finite components")
     if not ref.any():
         raise ValueError("percent error is undefined for an all-zero reference")
     error = ref - out
@@ -149,7 +142,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     mode = cfg.swept_mode()
     # the theory column: one quantizer at the row's bits, uniform at the ladder's input full scale
     x_max = cfg.base_x_max() if mode == "uniform" else None
-    theory = theory_variance_uniform if mode == "uniform" else theory_variance_mantissa
     stages = core.num_stages(cfg.n)
 
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
@@ -191,7 +183,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
                 error_variance=math.ldexp(variance, 2 * exponent),
                 percent_error=percent,
                 sqnr_db=sqnr,
-                theory_variance=theory(QuantizerSpec(mode, bits, x_max)),
+                theory_variance=QuantizerSpec(mode, bits, x_max).theory_variance,
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )
         )
@@ -213,8 +205,6 @@ def quantizer_characterization(
     fraction uniform on [1/2, 1) with random sign and exponent and
     measures the relative-error variance against q^2/6.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
         raise ValueError(f"need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}")
     if sample_count < MIN_CHARACTERIZATION_SAMPLES:
@@ -223,21 +213,22 @@ def quantizer_characterization(
     rng = np.random.default_rng(seed)
     rows = []
     for bits in range(bits_lo, bits_hi + 1):
+        spec = QuantizerSpec(mode, bits, x_max if mode == "uniform" else None)
         if mode == "uniform":
-            spec = QuantizerSpec("uniform", bits, x_max)
             x = rng.uniform(-x_max, x_max, sample_count)
-            err = x - quantize_uniform(x, spec)
-            rows.append(
-                CharacterizationRow(bits, float(err.var()), theory_variance_uniform(spec))
-            )
         else:
-            spec = QuantizerSpec("mantissa", bits)
-            mant = rng.uniform(0.5, 1.0, sample_count)
+            # drawn in place: fraction, then sign and exponent, freed before quantizing
+            x = rng.uniform(0.5, 1.0, sample_count)
             sign = rng.integers(0, 2, sample_count) * 2.0 - 1.0
-            exponent = rng.integers(-8, 9, sample_count)
-            x = np.ldexp(sign * mant, exponent)
-            err = relative_error(x, quantize_mantissa(x, spec))
-            rows.append(
-                CharacterizationRow(bits, float(err.var()), theory_variance_mantissa(spec))
-            )
+            exponents = rng.integers(-8, 9, sample_count)
+            x *= sign
+            np.ldexp(x, exponents, out=x)
+            del sign, exponents
+        qx = apply_quantizer(x, spec)[0]
+        err = x - qx if mode == "uniform" else relative_error(x, qx)
+        # at most three sample arrays are alive at once: var() copies err, and
+        # err is gone before the next row draws
+        del x, qx
+        rows.append(CharacterizationRow(bits, float(err.var()), spec.theory_variance))
+        del err
     return rows

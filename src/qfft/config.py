@@ -157,9 +157,6 @@ class ExperimentConfig:
                     f"quantizer.per_stage: need exactly log2(n) = {core.num_stages(self.n)} entries, "
                     f"got {len(self.per_stage)}"
                 )
-            for i, spec in enumerate(self.per_stage):
-                if spec is not None and spec.mode == "uniform":
-                    _check_step_is_normal(spec.x_max, f"quantizer.per_stage[{i}].x_max", spec.bits)
         try:
             signal = self.signal_spec()
         except ValueError as exc:
@@ -383,6 +380,9 @@ def _parse_stage(entry, path: str) -> QuantizerSpec | None:
     x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number")
     if mode == "off":
         return None
+    if mode == "uniform" and 1 <= bits <= MAX_BITS and x_max > 0:
+        # the spec rejects such a step too, but without the field's path
+        _check_step_is_normal(x_max, f"{path}.x_max", bits)
     try:
         return QuantizerSpec(mode, bits, x_max if mode == "uniform" else None)
     except ValueError as exc:

@@ -3,12 +3,11 @@
 Two quantizers: a mid-tread uniform staircase on [-x_max, x_max] and a
 floating-point mantissa quantizer that rounds only the normalized
 fraction M in [1/2, 1). Rounding is half-to-even in both, which keeps the
-empirical error mean near zero. Closed-form error variances:
-q^2/12 for the uniform staircase and q^2/6 for the mantissa relative
-error (the latter is twice, not half, the uniform value at equal step).
-
-Every entry point reaches the one kernel through ``apply_quantizer``,
-into a new array or, after a pipeline stage, in place.
+empirical error mean near zero. A ``QuantizerSpec`` names the mode and
+carries its closed-form error variance, ``theory_variance``: q^2/12 for
+the uniform staircase and q^2/6 for the mantissa relative error.
+``apply_quantizer`` is the one way to quantize, for either mode: into a
+new array or, after a pipeline stage, in place.
 
 The uniform kernel looks for saturation with ``argmax``/``argmin`` and
 counts only when one of those levels lies past x_max or is NaN. On 2,048
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +46,9 @@ class QuantizerSpec:
     The step follows from the bits: uniform mode quantizes [-x_max, x_max]
     into 2**bits intervals (q = 2 * x_max * 2**-bits), mantissa mode grids
     the normalized fraction with q = 2**-bits and is scale-free, so its
-    x_max is None. Where there is no quantizer (a stage or the twiddle
-    ROM of a ``PipelineConfig``), the spec is None.
+    x_max is None; a uniform step must be a positive normal number. Where
+    there is no quantizer (a stage or the twiddle ROM of a
+    ``PipelineConfig``), the spec is None.
     """
 
     mode: str
@@ -63,6 +64,10 @@ class QuantizerSpec:
             raise ValueError(f"x_max must be set for uniform and None for mantissa mode, got {self.x_max}")
         if self.mode == "uniform" and not self.x_max > 0:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if self.mode == "uniform" and not sys.float_info.min <= self.step <= sys.float_info.max:
+            raise ValueError(
+                f"x_max {self.x_max!r} at bits {self.bits} gives the step {self.step!r}, not a positive normal number"
+            )
 
     @functools.cached_property
     def step(self) -> float:
@@ -72,34 +77,15 @@ class QuantizerSpec:
             return 2.0 * self.x_max * 2.0 ** -self.bits
         return 2.0 ** -self.bits
 
+    @property
+    def theory_variance(self) -> float:
+        """Closed-form error variance: q^2/12 absolute for uniform, q^2/6 relative for mantissa.
 
-def quantize_uniform(x, spec: QuantizerSpec):
-    """Mid-tread staircase Q(x) = q * round(x / q), clamped to [-x_max, x_max].
-
-    Ties round half-to-even, so |x| <= q/2 maps to exactly 0. Inside full
-    scale the error is at most q/2 when x_max is a power of two; otherwise
-    x / q and q * level each round once, and the bound is
-    q/2 + 3 * x_max * 2**-53 (0.5096 q has been seen at bits 51). A NaN
-    stays NaN and leaves the clamp of the other values as it is. Accepts
-    a scalar or an ndarray of reals.
-    """
-    if spec.mode != "uniform":
-        raise ValueError(f"spec mode must be 'uniform', got {spec.mode!r}")
-    out = apply_quantizer(np.asarray(x, dtype=np.float64), spec)[0]
-    return out if out.ndim else float(out)
-
-
-def quantize_mantissa(x, spec: QuantizerSpec):
-    """Round only the normalized fraction of x onto a grid of step 2**-bits.
-
-    x is split as sign * 2**e * M with M in [1/2, 1); M is rounded
-    half-to-even to the nearest multiple of q and the value reassembled.
-    Zero passes through and exact powers of two are fixed points.
-    """
-    if spec.mode != "mantissa":
-        raise ValueError(f"spec mode must be 'mantissa', got {spec.mode!r}")
-    out = apply_quantizer(np.asarray(x, dtype=np.float64), spec)[0]
-    return out if out.ndim else float(out)
+        q^2/6 is the mean of (a/M)^2 over a uniform on [-q/2, q/2] and M
+        uniform on [1/2, 1): twice the uniform value at equal step.
+        """
+        q = self.step
+        return q * q / 12.0 if self.mode == "uniform" else q * q / 6.0
 
 
 def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
@@ -152,30 +138,6 @@ def relative_error(x, qx):
     return out if arr.ndim else float(out)
 
 
-def theory_variance_uniform(spec: QuantizerSpec) -> float:
-    """Closed-form error variance q^2/12 of the mid-tread staircase.
-
-    Equals (1/3) * x_max**2 * 2**(-2*bits) by construction of the step.
-    """
-    if spec.mode != "uniform":
-        raise ValueError(f"spec mode must be 'uniform', got {spec.mode!r}")
-    q = spec.step
-    return q * q / 12.0
-
-
-def theory_variance_mantissa(spec: QuantizerSpec) -> float:
-    """Closed-form relative-error variance q^2/6 of the mantissa quantizer.
-
-    Value of the double integral of (a/M)^2 with a uniform on [-q/2, q/2]
-    and M uniform on [1/2, 1): twice the uniform-staircase q^2/12 at equal
-    step, not half of it.
-    """
-    if spec.mode != "mantissa":
-        raise ValueError(f"spec mode must be 'mantissa', got {spec.mode!r}")
-    q = spec.step
-    return q * q / 6.0
-
-
 def snr_db(signal_variance: float, noise_variance: float) -> float:
     """Signal-to-noise ratio 10*log10(signal_variance / noise_variance) in dB.
 
@@ -196,17 +158,25 @@ def snr_db(signal_variance: float, noise_variance: float) -> float:
 
 
 def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, int]:
-    """Quantize an array componentwise and count saturations.
+    """Quantize componentwise with ``spec`` and count saturations.
 
-    Complex arrays are quantized on real and imaginary parts separately,
+    Uniform: Q(x) = q * round(x / q) clamped to [-x_max, x_max], ties
+    half-to-even, so |x| <= q/2 maps to exactly 0. Inside full scale the
+    error is at most q/2 when x_max is a power of two, else
+    q/2 + 3 * x_max * 2**-53 (x / q and q * level each round once). A NaN
+    stays NaN and leaves the clamp of the other values as it is.
+    Mantissa: x = sign * 2**e * M with M in [1/2, 1), and M is rounded
+    half-to-even onto the grid of step q; zero and powers of two are fixed.
+
+    Complex values are quantized on real and imaginary parts separately,
     through a float64 view of the interleaved components. Returns the
     quantized array and the number of components the uniform clamp
     actually changed (always 0 for mantissa). ``spec`` is a working
     quantizer; a stage without one does not call this. Two call forms:
-    without ``out`` the result is a new float64 or complex128 array; with
-    ``out=values``, a C-contiguous float64 or complex128 array is
-    quantized in place, with one component view and no copy. Any other
-    ``out`` raises ``ValueError``.
+    without ``out``, a scalar (giving a 0-d array), list or array gives a
+    new float64 or complex128 array; with ``out=values``, a C-contiguous
+    float64 or complex128 array is quantized in place, with one component
+    view and no copy. Any other ``out`` raises ``ValueError``.
     """
     if out is not None and not (out is values and out.dtype in _KERNEL_DTYPES and out.flags.c_contiguous):
         raise ValueError("out must be the input itself, a C-contiguous float64 or complex128 array")

@@ -14,12 +14,7 @@ from qfft.cli import main as cli_main
 from qfft.config import ExperimentConfig
 from qfft.core import dft_naive
 from qfft.pipeline import Pipeline, PipelineConfig, processing_cost
-from qfft.quantization import (
-    QuantizerSpec,
-    quantize_uniform,
-    theory_variance_mantissa,
-    theory_variance_uniform,
-)
+from qfft.quantization import QuantizerSpec, apply_quantizer
 
 
 def _report(criterion: str, passed: bool, detail: str = ""):
@@ -130,10 +125,8 @@ def test_criterion_06_mantissa_quantizer_theory():
         (row,) = quantizer_characterization("mantissa", bits, bits, 1_000_000, seed=60 + bits)
         deviation = abs(row.empirical_variance - row.theory_variance) / row.theory_variance
         worst = max(worst, deviation)
-        mantissa = theory_variance_mantissa(QuantizerSpec("mantissa", bits))
-        uniform_same_step = theory_variance_uniform(
-            QuantizerSpec("uniform", bits + 1, 1.0)  # same step q = 2^-bits
-        )
+        mantissa = QuantizerSpec("mantissa", bits).theory_variance
+        uniform_same_step = QuantizerSpec("uniform", bits + 1, 1.0).theory_variance  # same step q = 2^-bits
         print(
             f"  b={bits}: mantissa q^2/6 = {mantissa:.6e}, uniform q^2/12 at equal step = "
             f"{uniform_same_step:.6e}, ratio = {mantissa / uniform_same_step:.3f}"
@@ -185,7 +178,7 @@ def test_criterion_09_mid_tread_zero():
     q = spec.step
     rng = np.random.default_rng(9)
     x = rng.uniform(-q / 2, q / 2, 10_000)
-    out = quantize_uniform(x, spec)
+    out = apply_quantizer(x, spec)[0]
     zeros = int(np.count_nonzero(out == 0.0))
     _report("9 mid-tread zero", zeros == x.size, f"{zeros}/{x.size} map to exactly 0")
 

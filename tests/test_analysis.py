@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qfft.analysis import (
-    SQNR_CAP_DB,
     CharacterizationRow,
     compare,
     quantizer_characterization,
@@ -14,7 +13,7 @@ from qfft.config import ConfigError, ExperimentConfig, parse_config
 from qfft.core import fft_reference
 from qfft import uniform_stage_specs
 from qfft.pipeline import Pipeline, PipelineConfig
-from qfft.quantization import QuantizerSpec, theory_variance_mantissa, theory_variance_uniform
+from qfft.quantization import SQNR_CAP_DB, QuantizerSpec
 from qfft.signals import generate_signal
 
 
@@ -52,6 +51,14 @@ class TestCompare:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compare(np.ones(4, dtype=complex), np.ones(8, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("name", ["reference", "test"])
+    def test_non_finite_component_rejected(self, name, bad):
+        vectors = {"reference": np.ones(4, dtype=complex), "test": np.ones(4, dtype=complex)}
+        vectors[name][2] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite components$"):
+            compare(**vectors)
 
     def test_agrees_with_independent_recomputation(self):
         # quantized 1024-point run at b=8 checked against a from-scratch
@@ -148,10 +155,10 @@ class TestRunSweep:
     def test_theory_column_is_exact(self):
         base = math.sqrt(2.0)  # magnitude bound of unit random signal
         for row in self.sweep():
-            expected = theory_variance_uniform(QuantizerSpec("uniform", row.bits, base))
+            expected = QuantizerSpec("uniform", row.bits, base).theory_variance
             assert row.theory_variance == expected
         for row in self.sweep(quantizer_mode="mantissa", bits_lo=6, bits_hi=8):
-            expected = theory_variance_mantissa(QuantizerSpec("mantissa", row.bits))
+            expected = QuantizerSpec("mantissa", row.bits).theory_variance
             assert row.theory_variance == expected
 
     def test_std_variance_consistency(self):
@@ -194,13 +201,13 @@ class TestCharacterization:
         (row,) = rows
         assert row.bits == 8
         assert abs(row.empirical_variance - row.theory_variance) / row.theory_variance < 0.05
-        assert row.theory_variance == theory_variance_uniform(QuantizerSpec("uniform", 8, 1.0))
+        assert row.theory_variance == QuantizerSpec("uniform", 8, 1.0).theory_variance
 
     def test_mantissa_matches_theory(self):
         rows = quantizer_characterization("mantissa", 6, 6, 100_000, seed=6)
         (row,) = rows
         assert abs(row.empirical_variance - row.theory_variance) / row.theory_variance < 0.05
-        assert row.theory_variance == theory_variance_mantissa(QuantizerSpec("mantissa", 6))
+        assert row.theory_variance == QuantizerSpec("mantissa", 6).theory_variance
 
     def test_single_bit_edge_case(self):
         for mode in ("uniform", "mantissa"):

@@ -327,9 +327,14 @@ SMALL_FFT = {
     [
         (["sweep", "--seed", "3", "--format", "json"], {}, "2cec53731b9d50ffba217d6ab4bb37a1f6e3c1293635b42c117b5e44f2e8fe5b"),
         (["quantizer", "--seed", "7"], {}, "26d61d2b3c98c7f0af4fe951d71a8a0a4aa750d21e12493be66bf2e99d84c113"),
+        (
+            ["quantizer", "--seed", "7"],
+            {"quantizer": {"mode": "mantissa"}},
+            "0edf1d8a8cc38533a2e34896b0702cbece156f7e0b62ad00d152530c6b6cfad3",
+        ),
         (["fft", "--format", "json"], SMALL_FFT, "832d441d16fedf992917f821be84de5cf9e2bac7efc473ee6e1b6dd8c303af3e"),
     ],
-    ids=["sweep-json", "quantizer-csv", "fft-json-per-stage"],
+    ids=["sweep-json", "quantizer-csv", "quantizer-csv-mantissa", "fft-json-per-stage"],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, doc, digest):
     # sha256 of reports no benchmark golden covers; a JSON report's "config"
