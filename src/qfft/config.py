@@ -6,10 +6,10 @@ Schema (all keys optional, defaults applied):
       "n": 1024,  # a power of two in [2, 65536]
       "direction": "fft" | "ifft",
       "quantizer": {"per_stage": null,  # or log2(n) entries, each with mode, bits, x_max (uniform only)
-                    # mode, bits and x_max set every stage where per_stage is null, and only there
+                    # mode, bits and x_max set every stage (pipeline_config) where per_stage is null, and only there
                     "mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
                     "x_max": null},  # a positive full scale, or null for automatic; uniform only
-                    # "off" is no quantizer: a None stage in the PipelineConfig
+                    # "off" is no quantizer (a None stage), and reads neither bits nor x_max
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
                  "bin": 0, "amplitude": 1.0,  # amplitude: random only
@@ -89,9 +89,11 @@ def _signal_only(cfg, key: str) -> str | None:
     return None
 
 
-def _without_per_stage(cfg, key: str) -> str | None:
+def _top_level_quantizer(cfg, key: str) -> str | None:
     if cfg.per_stage is not None:
         return f"quantizer.per_stage sets every stage's quantizer, so {key} is not read; remove it"
+    if cfg.quantizer_mode == "off" and key != "mode":
+        return f'quantizer.mode "off" quantizes no stage, so {key} is not read; remove it'
     return None
 
 
@@ -111,10 +113,10 @@ class ExperimentConfig:
     per_stage: tuple[QuantizerSpec | None, ...] | None = _setting(
         "quantizer.per_stage", None, "list", items="stage", nullable=True
     )
-    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", _without_per_stage, choices=_MODES)
-    quantizer_bits: int = _setting("quantizer.bits", 8, "integer", _without_per_stage, low=1, high=MAX_BITS)
+    quantizer_mode: str = _setting("quantizer.mode", "uniform", "string", _top_level_quantizer, choices=_MODES)
+    quantizer_bits: int = _setting("quantizer.bits", 8, "integer", _top_level_quantizer, low=1, high=MAX_BITS)
     quantizer_x_max: float | None = _setting(
-        "quantizer.x_max", None, "number", _without_per_stage, nullable=True
+        "quantizer.x_max", None, "number", _top_level_quantizer, nullable=True
     )
     twiddle_enabled: bool = _setting("twiddle_quantization.enabled", False, "boolean")
     twiddle_bits: int = _setting("twiddle_quantization.bits", 8, "integer", low=1, high=MAX_BITS)
@@ -171,7 +173,7 @@ class ExperimentConfig:
             _check_ladder_overflow(x_max, "quantizer.x_max", self.n)
         signal_field = "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
         _check_ladder_overflow(magnitude_bound(signal), signal_field, self.n)
-        if self.per_stage is None and self.quantizer_mode != "mantissa":
+        if self.per_stage is None and self.quantizer_mode == "uniform":
             # the uniform ladder of `qfft fft` and of the sweep rows, at its finest
             where = signal_field if x_max is None else "quantizer.x_max"
             _check_step_is_normal(self.base_x_max(), where, max(self.quantizer_bits, self.bits_hi))
@@ -192,17 +194,6 @@ class ExperimentConfig:
             return self.quantizer_x_max
         return magnitude_bound(self.signal_spec())
 
-    def stage_quantizers(self, bits: int | None = None) -> tuple[QuantizerSpec | None, ...]:
-        """Stage quantizers at ``bits`` (default ``quantizer.bits``), None if off; per_stage fixes them."""
-        if self.per_stage is not None:
-            return self.per_stage
-        b = self.quantizer_bits if bits is None else bits
-        if self.quantizer_mode == "off":
-            return (None,) * core.num_stages(self.n)
-        if self.quantizer_mode == "uniform":
-            return uniform_stage_specs(self.n, b, self.base_x_max())
-        return mantissa_stage_specs(self.n, b)
-
     def swept_mode(self) -> str:
         """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
         if self.per_stage is not None:
@@ -211,19 +202,20 @@ class ExperimentConfig:
             raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
         return self.quantizer_mode
 
-    def twiddle_quantizer(self) -> QuantizerSpec | None:
-        # twiddle components live in [-1, 1]: a uniform ROM grid with x_max=1
-        if not self.twiddle_enabled:
-            return None
-        return QuantizerSpec("uniform", self.twiddle_bits, 1.0)
-
     def pipeline_config(self, bits: int | None = None) -> PipelineConfig:
-        return PipelineConfig(
-            n=self.n,
-            direction=self.direction,
-            stage_quantizers=self.stage_quantizers(bits),
-            twiddle_quantizer=self.twiddle_quantizer(),
-        )
+        """The processor a run builds at ``bits`` (default ``quantizer.bits``): the one place the top-level
+        quantizer fields become stage specs. A twiddle ROM is a uniform grid with x_max = 1 >= |w|."""
+        b = self.quantizer_bits if bits is None else bits
+        if self.per_stage is not None:
+            stages = self.per_stage
+        elif self.quantizer_mode == "uniform":
+            stages = uniform_stage_specs(self.n, b, self.base_x_max())
+        elif self.quantizer_mode == "mantissa":
+            stages = mantissa_stage_specs(self.n, b)
+        else:
+            stages = ()
+        rom = QuantizerSpec("uniform", self.twiddle_bits, 1.0) if self.twiddle_enabled else None
+        return PipelineConfig(self.n, self.direction, stages, rom)
 
     def to_dict(self) -> dict:
         """Nested document form with every value a run reads; a stage echoes its set fields or mode "off"."""

@@ -71,17 +71,15 @@ class Pipeline:
         self.config = config
         self.n = config.n
         self.stages = config.stages
-        table = core.direction_table(config.n, config.direction)
         tq = config.twiddle_quantizer
         if tq is not None:
-            # no saturation count: the ROM a config builds has x_max = 1 >= |w|
-            table = apply_quantizer(table, tq)[0]
-            table.setflags(write=False)
-            self.stage_twiddles = core.stage_twiddles(table)
+            # the rows copy the quantized table, which is not kept; no saturation
+            # count: the ROM a config builds has x_max = 1 >= |w|
+            table = core.direction_table(config.n, config.direction)
+            self.stage_twiddles = core.stage_twiddles(apply_quantizer(table, tq)[0])
         else:
             # without a ROM the rows are the shared cached ones of fft_reference
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)
-        self.twiddles = table
 
     def run(self, x, after_stage=None) -> RunTrace:
         """Push one vector through the staged processor.

@@ -9,6 +9,9 @@ changes the per-layer counts pinned below.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ import pytest
 from qfft import cli, core
 from qfft.pipeline import processing_cost
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -65,3 +69,16 @@ def test_traced_sweep_counts_each_layer_once_per_call(tmp_path, tracer):
     assert counts["quant.components"] == 36 * 2 * 64
     assert counts["core.stage_calls"] == 48
     assert counts["transforms:64"] == 8
+
+
+# the set-up probe times each workload's config parse and first Pipeline build
+@pytest.mark.parametrize(
+    "config, command",
+    [("-", "sweep"), ("bench/configs/sweep-64k.json", "sweep"), ("bench/configs/fft-cli.json", "fft")],
+)
+def test_setup_probe_builds_each_workload_pipeline(config, command):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    probe = [sys.executable, str(BENCH / "setup_probe.py"), config, command]
+    result = subprocess.run(probe, capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) > 0

@@ -292,6 +292,18 @@ def test_fft_header_echoes_an_off_stage_as_parsed(tmp_path, capsys):
     assert json.loads(header.removeprefix("# config: "))["quantizer"]["per_stage"] == [{"mode": "off"}]
 
 
+def test_fft_of_an_off_config_reads_no_ladder(tmp_path, capsys):
+    # uniform mode rejects this amplitude: its finest ladder step would be subnormal
+    config = tmp_path / "fft.json"
+    config.write_text(json.dumps({"n": 8, "quantizer": {"mode": "off"}, "signal": {"amplitude": 1e-323}}))
+    assert main(["fft", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0].removeprefix("# config: "))["quantizer"] == {"mode": "off"}
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 8
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+
+
 def test_fft_json_output(tmp_path):
     config = tmp_path / "fft.json"
     config.write_text(json.dumps({"n": 4, "quantizer": {"mode": "off"}, "signal": {"kind": "impulse"}}))

@@ -329,6 +329,23 @@ class TestOneBoundary:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(n=4, per_stage=(QuantizerSpec("mantissa", 5),) * 2, **{field: value})
 
+    @pytest.mark.parametrize("key, value, field", [("bits", 3, "quantizer_bits"), ("x_max", 5.0, "quantizer_x_max")])
+    def test_off_mode_leaves_bits_and_x_max_unread(self, key, value, field):
+        message = rf'^quantizer\.{key}: quantizer\.mode "off" quantizes no stage, so {key} is not read; remove it$'
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"n": 4, "quantizer": {"mode": "off", key: value}}))
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(n=4, quantizer_mode="off", **{field: value})
+
+    def test_off_mode_checks_no_ladder_step(self):
+        # the uniform ladder's finest step at this amplitude is subnormal, but "off" builds no ladder
+        signal = {"amplitude": 1e-323}
+        cfg = parse_config(json.dumps({"n": 8, "quantizer": {"mode": "off"}, "signal": signal}))
+        assert cfg.pipeline_config().stage_quantizers == (None,) * 3
+        assert cfg.to_dict()["quantizer"] == {"mode": "off"}
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: .* ladder step"):
+            parse_config(json.dumps({"n": 8, "quantizer": {"mode": "uniform"}, "signal": signal}))
+
     def test_per_stage_echoes_only_itself(self):
         # a top-level value equal to its default is no value a run could read
         stages = [{"mode": "mantissa", "bits": 5}] * 2
@@ -342,7 +359,7 @@ class TestOneBoundary:
             parse_config(json.dumps({"n": 4, "signal": signal}))
         stages = [{"mode": "mantissa", "bits": 5}] * 2
         cfg = parse_config(json.dumps({"n": 4, "signal": signal, "quantizer": {"per_stage": stages}}))
-        assert cfg.stage_quantizers() == (QuantizerSpec("mantissa", 5),) * 2
+        assert cfg.pipeline_config().stage_quantizers == (QuantizerSpec("mantissa", 5),) * 2
 
     def test_replace_checks_again(self):
         with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
@@ -427,10 +444,9 @@ class TestDerivedObjects:
         assert cfg.pipeline_config().stage_quantizers == (None,) * 4
 
     def test_twiddle_quantizer_only_when_enabled(self):
-        assert parse_config("{}").twiddle_quantizer() is None
+        assert parse_config("{}").pipeline_config().twiddle_quantizer is None
         cfg = parse_config('{"twiddle_quantization": {"enabled": true, "bits": 9}}')
-        spec = cfg.twiddle_quantizer()
-        assert spec == QuantizerSpec("uniform", 9, 1.0)
+        assert cfg.pipeline_config().twiddle_quantizer == QuantizerSpec("uniform", 9, 1.0)
 
     def test_sweep_spec(self):
         cfg = parse_config(

@@ -36,28 +36,30 @@ class TestConfig:
 
 
 class TestBuild:
+    # the last stage's row is the half table in (log2 n - 1)-bit-reversed order
     def test_two_point_pipeline(self):
         pipeline = Pipeline(PipelineConfig(n=2))
         assert pipeline.stages == 1
-        assert pipeline.twiddles.tolist() == [1.0 + 0.0j]
+        assert pipeline.stage_twiddles[-1].tolist() == [1.0 + 0.0j]
 
     def test_ifft_conjugates_twiddles(self):
-        fwd = Pipeline(PipelineConfig(n=8)).twiddles
-        inv = Pipeline(PipelineConfig(n=8, direction="ifft")).twiddles
+        fwd = Pipeline(PipelineConfig(n=8)).stage_twiddles[-1]
+        inv = Pipeline(PipelineConfig(n=8, direction="ifft")).stage_twiddles[-1]
         assert np.array_equal(inv, np.conj(fwd))
 
     def test_twiddle_rom_quantized_once_at_build(self):
         spec = QuantizerSpec("uniform", 8, 1.0)  # q = 2^-7
-        pipeline = Pipeline(PipelineConfig(n=8, twiddle_quantizer=spec))
-        # sqrt(2)/2 = 0.70710678... rounds to 91 * 2^-7 on both components
-        assert pipeline.twiddles[1] == 0.7109375 - 0.7109375j
-        scaled = pipeline.twiddles.view(np.float64) * 2.0**7
+        row = Pipeline(PipelineConfig(n=8, twiddle_quantizer=spec)).stage_twiddles[-1]
+        # w[1] sits at 2-bit-reversed index 2; sqrt(2)/2 = 0.70710678...
+        # rounds to 91 * 2^-7 on both components
+        assert row[2] == 0.7109375 - 0.7109375j
+        scaled = row.view(np.float64) * 2.0**7
         assert np.array_equal(scaled, np.rint(scaled))
 
     def test_twiddles_are_read_only(self):
         pipeline = Pipeline(PipelineConfig(n=8))
         with pytest.raises(ValueError):
-            pipeline.twiddles[0] = 0.0
+            pipeline.stage_twiddles[-1][0] = 0.0
 
 
 class TestBypass:
