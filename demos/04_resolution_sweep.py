@@ -42,7 +42,7 @@ print("  the mantissa curve sits lower and settles at fewer bits than the unifor
 # a temporary directory, so running the demo leaves the working tree as it was
 with tempfile.TemporaryDirectory() as tmp:
     destination = Path(tmp) / "sweep_uniform_1024.csv"
-    report.write([emit_report(uniform_rows, config=uniform.to_dict())], str(destination))
+    report.write([emit_report(uniform_rows, "csv", uniform.to_dict())], str(destination))
     rows = [line for line in destination.read_text().splitlines() if not line.startswith("#")]
 print(f"\nwrote {len(rows) - 1} rows as `qfft sweep --out ...` would; its header and first two rows:")
 for line in rows[:3]:

@@ -20,7 +20,6 @@ from .config import (
     ExperimentConfig,
     mantissa_stage_specs,
     parse_config,
-    serialize_config,
     uniform_stage_specs,
 )
 from .core import (
@@ -65,7 +64,6 @@ __all__ = [
     "quantizer_characterization",
     "relative_error",
     "run_sweep",
-    "serialize_config",
     "snr_db",
     "twiddle_table",
     "uniform_stage_specs",

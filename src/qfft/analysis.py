@@ -57,33 +57,37 @@ def _moments(pooled: np.ndarray) -> tuple[int, float, float, float]:
 
     ``pooled`` is a C-contiguous float64 (2, vectors, n) array: every
     vector's real parts, then every vector's imaginary parts, which the
-    mean and variance pool as one real sample set. e is 0 when the largest
-    component magnitude has its exponent in ``_UNSCALED_EXPONENTS``, else
-    the one that puts it in [1/2, 1), and then a scaled copy is measured.
-    Scaling by a power of two is exact, so moments scaled back by 2**e
-    (4**e for second moments) keep the bits the unscaled ones have inside
-    that range, and keep their value where unscaled squares would
-    underflow or overflow. The energy is the sum over the vectors, in
-    order, of ``np.linalg.norm(vector) ** 2`` with its bits: each vector is
-    rebuilt in one complex n-vector and its squares summed on the stride-2
-    ``real`` and ``imag`` views, as ``norm`` sums them.
+    mean and variance pool as one real sample set. It is overwritten.
+    e is 0 when the largest component magnitude has its exponent in
+    ``_UNSCALED_EXPONENTS``, else the one that puts it in [1/2, 1), and
+    then ``pooled`` is scaled in place before it is measured. Scaling by
+    a power of two is exact, so moments scaled back by 2**e (4**e for
+    second moments) keep the bits the unscaled ones have inside that
+    range, and keep their value where unscaled squares would underflow
+    or overflow. The mean and variance are the pairwise sums of
+    ``mean()`` and ``var()`` with their bits, the variance taken in place
+    instead of on ``var()``'s copy. The energy is the sum over the
+    vectors, in order, of ``np.linalg.norm(vector) ** 2`` with its bits:
+    each vector is rebuilt in one complex n-vector and its squares summed
+    on the stride-2 ``real`` and ``imag`` views, as ``norm`` sums them.
     """
     components = pooled.reshape(-1)
     exponent = math.frexp(max(float(components.max()), -float(components.min())))[1]
     if exponent in _UNSCALED_EXPONENTS:
         exponent = 0
     else:
-        components = np.ldexp(components, -exponent)
-    # var() copies the pooled buffer; taken before the scratch vector
-    # exists, the copy and the scratch are never alive together
-    mean, variance = float(components.mean()), float(components.var())
+        np.ldexp(components, -exponent, out=components)
+    mean = np.add.reduce(components) / components.size
     scratch = np.empty(pooled.shape[-1], dtype=np.complex128)
     re, im = scratch.real, scratch.imag
     energy = 0.0
     for real_parts, imag_parts in zip(*components.reshape(pooled.shape)):
         re[:], im[:] = real_parts, imag_parts
         energy += float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
-    return exponent, mean, variance, energy
+    components -= mean
+    components *= components
+    variance = np.add.reduce(components) / components.size
+    return exponent, float(mean), float(variance), energy
 
 
 def _percent_and_sqnr(reference: tuple, error: tuple) -> tuple[float, float]:
@@ -154,10 +158,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
         ref = core.fft_reference(x, cfg.direction)
         references[0, trial], references[1, trial] = ref.real, ref.imag
     # neither the last reference nor, below, the last trace output stays
-    # alive while var() in _moments copies a buffer: that sets the peak
+    # alive while _moments holds its scratch vector
     del ref
-    errors = np.empty_like(references)
-    reference_moments = _moments(references)
+    # _moments overwrites its input, so the references are measured in the errors buffer
+    errors = references.copy()
+    reference_moments = _moments(errors)
     if reference_moments[3] == 0.0:
         field = "signal.amplitudes" if cfg.signal_kind == "multitone" else "signal.amplitude"
         raise ConfigError(f"{field}: the reference outputs have zero energy; percent error undefined")

@@ -41,8 +41,8 @@ from .signals import KINDS, SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
 # a sweep holds every trial's input, reference output and error (16 bytes each
-# per trials x n sample), and the variance of the errors copies them: it peaks
-# at about 40 MiB plus 64 bytes per sample, about 1.04 GiB at 2**24 samples
+# per trials x n sample) and takes their moments in place: it peaks at about
+# 40 MiB plus 48 bytes per sample, about 0.79 GiB at 2**24 samples
 MAX_SWEEP_SAMPLES = 2**24
 # the one signal kind that reads each kind-specific signal key
 _SIGNAL_READERS = {"amplitude": "random", "bins": "multitone", "amplitudes": "multitone"}
@@ -429,7 +429,3 @@ def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
     _check_step_is_normal(x_max, "quantizer.x_max", cfg.bits_hi)
     return cfg, x_max
 
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render the effective configuration back to its JSON document form."""
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)

@@ -221,11 +221,10 @@ def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None,
     multiplies every component before stage 0 (an inverse transform's
     1/N); ``x`` is left alone. ``after_stage(stage, data)``, when given,
     runs after each stage's butterflies on the working vector, which it
-    may change in place. That vector is in constant-geometry order, so a
-    hook that is not componentwise reorders a copy with ``in_place_order``.
-    The hook must not keep ``data`` past the call: the buffer the last
-    stage writes becomes the thread's spare, and a later transform on the
-    same thread writes over it.
+    may change in place. That vector is in constant-geometry order. The
+    hook must not keep ``data`` past the call: the buffer the last stage
+    writes becomes the thread's spare, and a later transform on the same
+    thread writes over it.
 
     Returns
     -------
@@ -257,23 +256,6 @@ def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None,
     output = np.take(data, bit_reversal_indices(x.size), out=free, mode="clip")
     _spare.vector = data
     return output, multiplies, additions
-
-
-def in_place_order(data: np.ndarray, stages_done: int) -> np.ndarray:
-    """Copy of ``staged_transform``'s working vector in the in-place order.
-
-    ``data`` is the working vector after ``stages_done`` stages. Entry k of
-    it is entry bitrev_S(k >> s) + bitrev_s(k mod 2**s) of the in-place
-    vector (s = ``stages_done``, S = log2(n), bitrev_m reverses m bits), so
-    it is scattered there.
-    """
-    n = data.size
-    perm = bit_reversal_indices(n)
-    k = np.arange(n)
-    s = stages_done
-    order = np.empty_like(data)
-    order[perm[k >> s] + (perm[k & ((1 << s) - 1)] >> (num_stages(n) - s))] = data
-    return order
 
 
 @functools.lru_cache(maxsize=None, typed=True)

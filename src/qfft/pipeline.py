@@ -91,8 +91,8 @@ class Pipeline:
 
         ``after_stage(stage, data)``, when given, runs after each stage's
         quantizer (or butterflies, if it has none), in stage order. ``data``
-        is a read-only view of the working vector in constant geometry
-        (``core.in_place_order`` reorders a copy); a later stage overwrites it.
+        is a read-only view of the working vector in constant-geometry
+        order; a later stage overwrites it.
         """
         vec = core.as_signal(x)
         if vec.size != self.n:

@@ -2,7 +2,7 @@
 
 ``emit_report`` renders sweep and characterization rows, ``emit_vector``
 the output vector of ``qfft fft``, and ``write`` sends a rendered report
-to stdout or a file. A report given a config carries it (without ``out``:
+to stdout or a file. Every report carries its config (without ``out``:
 the report must not depend on where it is written), its seed and
 ``STANDARD_NOTES``, less the inverse's 1/N note if no size ``n`` is set.
 
@@ -70,10 +70,8 @@ def _notes(config: dict) -> list[str]:
     return list(STANDARD_NOTES if "n" in config else STANDARD_NOTES[:1])
 
 
-def _csv_comments(config: dict | None) -> list[str]:
+def _csv_comments(config: dict) -> list[str]:
     """Leading comment lines of a CSV report: ``# config:``, ``# seed:``, ``# note:``."""
-    if config is None:
-        return []
     lines = ["# config: " + json.dumps(_header(config), sort_keys=True)]
     if "seed" in config:
         lines.append(f"# seed: {config['seed']}")
@@ -86,14 +84,13 @@ def _fmt(value) -> str:
     return format(float(value), ".12e")
 
 
-def emit_report(rows: Sequence, format: str = "csv", config: dict | None = None) -> str:
+def emit_report(rows: Sequence, format: str, config: dict) -> str:
     """Render sweep (``ErrorReport``) or characterization rows as CSV or JSON text.
 
     The columns are the row dataclass's fields in order; for sweep rows
     that is ``CSV_COLUMNS``. Reals carry 12 significant digits in CSV.
-    With a config, a CSV report opens with a comment block and a JSON
-    report is an object with ``config``, ``notes`` and ``rows``; without
-    one, CSV is the header line plus rows and JSON is the list of rows.
+    A CSV report opens with a comment block; a JSON report is an object
+    with ``config``, ``notes`` and ``rows``.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
@@ -105,11 +102,10 @@ def emit_report(rows: Sequence, format: str = "csv", config: dict | None = None)
         lines = _csv_comments(config) + [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in values]
         return "\n".join(lines) + "\n"
-    payload = [
+    records = [
         {name: v if isinstance(v, int) else float(v) for name, v in zip(columns, row)} for row in values
     ]
-    if config is not None:
-        payload = {"config": _header(config), "notes": _notes(config), "rows": payload}
+    payload = {"config": _header(config), "notes": _notes(config), "rows": records}
     return json.dumps(payload, indent=2) + "\n"
 
 

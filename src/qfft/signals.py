@@ -72,8 +72,11 @@ def magnitude_bound(spec: SignalSpec) -> float:
     """Worst-case complex magnitude of any sample of the signal.
 
     Used as the input-stage full scale of the default uniform quantizer
-    ladder: stage s intermediates are bounded by 2**(s+1) times this, so
-    the doubling ladder never saturates.
+    ladder: with exact twiddles, stage s intermediates are bounded by
+    2**(s+1) times this, so the doubling ladder never saturates without a
+    twiddle ROM. A rounded twiddle can have |W_q| > 1, so with a ROM a
+    signal that reaches full scale, such as a bin-centred sinusoid, can
+    saturate.
     """
     if spec.kind in ("impulse", "sinusoid"):
         return 1.0

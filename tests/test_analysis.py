@@ -5,6 +5,7 @@ import pytest
 
 from qfft.analysis import (
     CharacterizationRow,
+    _moments,
     compare,
     quantizer_characterization,
     run_sweep,
@@ -115,6 +116,23 @@ class TestSweepSpec:
             run_sweep(ExperimentConfig(n=16, bits_lo=4, bits_hi=8, quantizer_mode="off"))
 
 
+class TestMoments:
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-530, 2.0**600], ids=["unscaled", "tiny", "huge"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_in_place_moments_keep_the_bits_of_mean_and_var(self, seed, scale):
+        # _moments overwrites its buffer instead of letting var() copy it;
+        # the mean and variance must still be numpy's, bit for bit
+        rng = np.random.default_rng(seed)
+        vectors, n = int(rng.integers(1, 9)), 1 << int(rng.integers(1, 15))
+        pooled = scale * rng.uniform(-1, 1, (2, vectors, n)) + scale * rng.uniform(-1e-3, 1e-3)
+        kept = pooled.copy()
+        exponent, mean, variance, _ = _moments(pooled)
+        assert (exponent == 0) == (scale == 1.0)
+        scaled = np.ldexp(kept, -exponent)
+        assert mean.hex() == float(np.mean(scaled)).hex()
+        assert variance.hex() == float(np.var(scaled)).hex()
+
+
 class TestRunSweep:
     def sweep(self, **kw):
         args = dict(n=256, bits_lo=6, bits_hi=14, signal_amplitude=1.0, trials=5, seed=0)
@@ -174,6 +192,16 @@ class TestRunSweep:
     def test_default_ladder_never_saturates(self):
         for row in self.sweep():
             assert row.saturation_rate == 0.0
+
+    @pytest.mark.parametrize("rom, saturations", [(False, 0), (True, 1)])
+    def test_a_twiddle_rom_can_saturate_the_ladder(self, rom, saturations):
+        # a rounded twiddle can have |W_q| > 1, and a bin-centred sinusoid
+        # reaches the last stage's full scale exactly, so the ROM pushes it past
+        cfg = ExperimentConfig(
+            n=64, signal_kind="sinusoid", signal_bin=1, quantizer_bits=12, twiddle_enabled=rom, twiddle_bits=10
+        )
+        trace = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), cfg.seed))
+        assert trace.saturation_total == saturations
 
     def test_ifft_direction_runs(self):
         rows = self.sweep(direction="ifft", bits_lo=8, bits_hi=10, trials=2)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfft
-from qfft import core, report
+from qfft import cli, core, report
 from qfft.cli import main
 from qfft.config import parse_config
 from qfft.pipeline import Pipeline
@@ -476,6 +476,16 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_fails_on_a_failed_check_and_not_on_a_report(monkeypatch, capsys):
+    # the checks yield numpy bools; a report line yields None
+    checks = [("check", np.bool_(False), ""), ("report", None, "detail"), ("other", np.bool_(True), "")]
+    monkeypatch.setattr(cli, "_selftest_checks", lambda seed: iter(checks))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "selftest check: FAIL\nselftest report: INFO (detail)\nselftest other: PASS\n" in out
+    assert out.endswith("selftest: 1 check(s) failed\n")
+
+
 def test_bad_config_is_diagnosed(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"n": 1000}')
@@ -559,6 +569,29 @@ def test_console_entry_point_runs():
     result = _run_in_child(["selftest"])
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
+
+
+def _numpy_cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return {}
+    return __cpu_features__
+
+
+# numpy's baseline complex128 multiply rounds each product; its X86_V3 and X86_V4 loops fuse
+BASELINE_MULTIPLY = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.skipif(not _numpy_cpu_features().get("X86_V3"), reason="numpy reports no X86_V3 on this host")
+@pytest.mark.parametrize("env, loop", [({}, "fused"), (BASELINE_MULTIPLY, "separately rounded")])
+def test_selftest_reports_the_complex_multiply_loop(env, loop):
+    child_env = {key: value for key, value in _child_env().items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    result = subprocess.run(
+        [sys.executable, "-m", "qfft.cli", "selftest"], capture_output=True, text=True, env={**child_env, **env}
+    )
+    assert result.returncode == 0
+    assert f"selftest complex multiply loop: INFO ({loop})\n" in result.stdout
 
 
 def test_parser_shared_across_calls_keeps_no_flag(tmp_path, capsys):

@@ -23,22 +23,29 @@ def make_rows(count=3):
     ]
 
 
+CONFIG = {"n": 64, "seed": 11}
+
+
+def table_lines(text):
+    """The column header and data rows of a CSV report, without its ``#`` comment block."""
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
 class TestCsv:
     def test_three_rows_make_four_lines(self):
-        text = emit_report(make_rows(3))
-        lines = text.splitlines()
+        lines = table_lines(emit_report(make_rows(3), "csv", CONFIG))
         assert len(lines) == 4
         assert lines[0] == ",".join(CSV_COLUMNS)
 
     def test_exact_header(self):
-        header = emit_report(make_rows(1)).splitlines()[0]
+        header = table_lines(emit_report(make_rows(1), "csv", CONFIG))[0]
         assert header == (
             "bits,error_mean,error_std,error_variance,percent_error,"
             "sqnr_db,theory_variance,saturation_rate"
         )
 
     def test_twelve_significant_digits(self):
-        line = emit_report(make_rows(1)).splitlines()[1]
+        line = table_lines(emit_report(make_rows(1), "csv", CONFIG))[1]
         fields = line.split(",")
         assert fields[0] == "6"
         for field in fields[1:]:
@@ -46,16 +53,14 @@ class TestCsv:
 
     def test_values_round_trip_through_text(self):
         row = make_rows(1)[0]
-        fields = emit_report([row]).splitlines()[1].split(",")
+        fields = table_lines(emit_report([row], "csv", CONFIG))[1].split(",")
         assert float(fields[3]) == pytest.approx(row.error_variance, rel=1e-12)
         assert float(fields[5]) == pytest.approx(row.sqnr_db, rel=1e-12)
 
     def test_comment_block_with_config_and_notes(self):
-        config = {"n": 64, "seed": 11}
-        text = emit_report(make_rows(2), config=config)
-        lines = text.splitlines()
+        lines = emit_report(make_rows(2), "csv", CONFIG).splitlines()
         assert lines[0].startswith("# config: ")
-        assert json.loads(lines[0].removeprefix("# config: ")) == config
+        assert json.loads(lines[0].removeprefix("# config: ")) == CONFIG
         assert "# seed: 11" in lines
         assert any("q^2/6" in line and "twice" in line for line in lines)
         assert any("1/N" in line for line in lines)
@@ -71,7 +76,7 @@ class TestCsv:
 
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "report.csv"
-        text = emit_report(make_rows(2))
+        text = emit_report(make_rows(2), "csv", CONFIG)
         write([text], str(target))
         assert target.read_text() == text
 
@@ -79,8 +84,8 @@ class TestCsv:
 class TestJson:
     def test_mirrors_csv_values(self):
         rows = make_rows(3)
-        payload = json.loads(emit_report(rows, format="json"))
-        assert isinstance(payload, list) and len(payload) == 3
+        payload = json.loads(emit_report(rows, "json", CONFIG))["rows"]
+        assert len(payload) == 3
         for obj, row in zip(payload, rows):
             assert list(obj.keys()) == list(CSV_COLUMNS)
             assert obj["bits"] == row.bits
@@ -99,23 +104,27 @@ class TestJson:
 class TestValidation:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
-            emit_report([])
+            emit_report([], "csv", CONFIG)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            emit_report(make_rows(1), format="xml")
+            emit_report(make_rows(1), "xml", CONFIG)
+
+    def test_a_report_needs_a_config(self):
+        with pytest.raises(TypeError):
+            emit_report(make_rows(1), "csv")
 
 
 class TestCharacterizationEmitter:
     ROWS = [CharacterizationRow(4, 1.3e-3, 1.302083e-3), CharacterizationRow(5, 3.2e-4, 3.255e-4)]
 
     def test_csv_columns(self):
-        lines = emit_report(self.ROWS).splitlines()
+        lines = table_lines(emit_report(self.ROWS, "csv", CONFIG))
         assert lines[0] == "bits,empirical_variance,theory_variance"
         assert len(lines) == 3
 
     def test_json(self):
-        payload = json.loads(emit_report(self.ROWS, format="json"))
+        payload = json.loads(emit_report(self.ROWS, "json", CONFIG))["rows"]
         assert payload[0] == {
             "bits": 4,
             "empirical_variance": 1.3e-3,
