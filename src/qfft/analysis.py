@@ -143,9 +143,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     (``ExperimentConfig.swept_mode``) or whose reference outputs have zero
     energy (a multitone whose tones cancel).
     """
-    mode = cfg.swept_mode()
-    # the theory column: one quantizer at the row's bits, uniform at the ladder's input full scale
-    x_max = cfg.base_x_max() if mode == "uniform" else None
+    cfg.swept_mode()
     stages = core.num_stages(cfg.n)
 
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
@@ -188,7 +186,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
                 error_variance=math.ldexp(variance, 2 * exponent),
                 percent_error=percent,
                 sqnr_db=sqnr,
-                theory_variance=QuantizerSpec(mode, bits, x_max).theory_variance,
+                theory_variance=cfg.input_quantizer(bits).theory_variance,
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )
         )

@@ -23,11 +23,14 @@ Schema (all keys optional, defaults applied):
 Each ``ExperimentConfig`` field declares its document path, kind and bounds
 once; every instance, parsed or built in Python, is checked on construction.
 Unknown keys, type mismatches and constraint violations raise ``ConfigError``
-naming the offending path.
+naming the offending path. ``QuantizerSpec`` alone judges a quantizer: its
+errors open with the field they reject, and the config builds the spec and
+prefixes that field's document path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -159,24 +162,16 @@ class ExperimentConfig:
                     f"quantizer.per_stage: need exactly log2(n) = {core.num_stages(self.n)} entries, "
                     f"got {len(self.per_stage)}"
                 )
-        try:
+        with _field_paths("signal."):
             signal = self.signal_spec()
-        except ValueError as exc:
-            # SignalSpec messages open with the field they name
-            raise ConfigError(f"signal.{exc}") from exc
-        x_max = self.quantizer_x_max
-        if x_max is not None:
-            if self.quantizer_mode == "mantissa":
-                raise _scale_free("quantizer.x_max")
-            if not x_max > 0:
-                raise ConfigError(f"quantizer.x_max: must be positive, got {x_max}")
-            _check_ladder_overflow(x_max, "quantizer.x_max", self.n)
+        if self.quantizer_x_max is not None:
+            _check_ladder_overflow(self.quantizer_x_max, "quantizer.x_max", self.n)
         signal_field = "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
         _check_ladder_overflow(magnitude_bound(signal), signal_field, self.n)
-        if self.per_stage is None and self.quantizer_mode == "uniform":
-            # the uniform ladder of `qfft fft` and of the sweep rows, at its finest
-            where = signal_field if x_max is None else "quantizer.x_max"
-            _check_step_is_normal(self.base_x_max(), where, max(self.quantizer_bits, self.bits_hi))
+        if self.per_stage is None and self.quantizer_mode != "off":
+            # at the most bits `qfft fft` or a sweep row runs; uniform, its step is half the ladder's finest
+            with _field_paths("quantizer.", signal_field if self.quantizer_x_max is None else None):
+                self.input_quantizer(max(self.quantizer_bits, self.bits_hi))
 
     def signal_spec(self) -> SignalSpec:
         return SignalSpec(
@@ -193,6 +188,12 @@ class ExperimentConfig:
         if self.quantizer_x_max is not None:
             return self.quantizer_x_max
         return magnitude_bound(self.signal_spec())
+
+    def input_quantizer(self, bits: int) -> QuantizerSpec:
+        """The quantizer at ``bits`` of the top-level fields, uniform at the ladder's input full scale
+        ``base_x_max``: a sweep row's theory column."""
+        x_max = self.base_x_max() if self.quantizer_mode == "uniform" else self.quantizer_x_max
+        return QuantizerSpec(self.quantizer_mode, bits, x_max)
 
     def swept_mode(self) -> str:
         """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
@@ -310,22 +311,15 @@ def _check_ladder_overflow(value: float, where: str, n: int) -> None:
         )
 
 
-def _scale_free(where: str) -> ConfigError:
-    return ConfigError(f"{where}: a mantissa quantizer is scale-free and reads no full scale; remove it")
-
-
-def _check_step_is_normal(value: float, where: str, bits: int) -> None:
-    """Reject a uniform full scale whose finest step 2 * value * 2**-bits is not normal.
-
-    A step that underflows to zero or to a subnormal makes x / q overflow
-    or divide by zero inside the quantizer, and one that overflows makes
-    the levels 0 * inf; either way the transform ends in non-finite values.
-    """
-    if not sys.float_info.min <= 2.0 * value * 2.0**-bits <= sys.float_info.max:
-        raise ConfigError(
-            f"{where}: full scale {value!r} at {bits} bits gives the ladder step "
-            f"2 * {value!r} * 2**-{bits}, which is not a positive normal number"
-        )
+@contextlib.contextmanager
+def _field_paths(prefix: str, x_max: str | None = None):
+    """Raise a ``QuantizerSpec`` or ``SignalSpec`` error, which opens with the field it rejects, as
+    ``ConfigError`` at ``prefix`` + field, or at ``x_max`` for that field where the full scale is automatic."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"{x_max if name == 'x_max' and x_max else prefix + name}: {reason}") from exc
 
 
 # document path -> field name, in declaration order
@@ -365,20 +359,16 @@ def _parse_stage(entry, path: str) -> QuantizerSpec | None:
         if key not in _STAGE_KEYS:
             raise ConfigError(f"{path}.{key}: unknown key (allowed: {', '.join(_STAGE_KEYS)})")
     mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=_MODES)
-    if mode == "mantissa" and "x_max" in entry:
-        raise _scale_free(f"{path}.x_max")
     # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _checked(entry.get("bits", 8), f"{path}.bits", "integer")
-    x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number")
+    if mode != "mantissa":
+        x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number")
+    else:  # an x_max key, null included, gives a full scale, which the scale-free spec rejects
+        x_max = 1.0 if "x_max" in entry else None
     if mode == "off":
         return None
-    if mode == "uniform" and 1 <= bits <= MAX_BITS and x_max > 0:
-        # the spec rejects such a step too, but without the field's path
-        _check_step_is_normal(x_max, f"{path}.x_max", bits)
-    try:
-        return QuantizerSpec(mode, bits, x_max if mode == "uniform" else None)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    with _field_paths(f"{path}."):
+        return QuantizerSpec(mode, bits, x_max)
 
 
 def _document_values(text: str) -> dict:
@@ -416,16 +406,18 @@ def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
         if name in values and path not in CHARACTERIZATION_PATHS:
             reason = "qfft quantizer runs no transform and does not read it; remove it"
             raise ConfigError(_FIXED_BITS if path == "quantizer.per_stage" else f"{path}: {reason}")
-    x_max = values.pop("quantizer_x_max", None)
+    given = values.pop("quantizer_x_max", None)
     cfg = ExperimentConfig(**values)
-    if x_max is not None and cfg.quantizer_mode == "mantissa":
-        raise _scale_free("quantizer.x_max")
-    x_max = 1.0 if x_max is None else _checked(x_max, "quantizer.x_max", "number")
+    x_max = 1.0 if given is None else _checked(given, "quantizer.x_max", "number")
+    # the row at bits_hi has the finest step; a mantissa spec gets the document's full scale, if
+    # any, to reject, and "off", which `qfft quantizer` rejects later, is checked as uniform
+    mantissa = cfg.quantizer_mode == "mantissa"
+    with _field_paths("quantizer."):
+        QuantizerSpec("mantissa" if mantissa else "uniform", cfg.bits_hi, given if mantissa else x_max)
     # a row's variance sums, per sample, a squared error below the square of the
     # coarsest step 2 * x_max * 2**-bits_lo: finite for any sample count an array holds
     limit = math.sqrt(sys.float_info.max / sys.maxsize) * 2.0 ** (cfg.bits_lo - 1)
-    if not 0 < x_max <= limit:
+    if not x_max <= limit:
         raise ConfigError(f"quantizer.x_max: must be in (0, {limit:.6g}] at {cfg.bits_lo} bits, got {x_max!r}")
-    _check_step_is_normal(x_max, "quantizer.x_max", cfg.bits_hi)
     return cfg, x_max
 

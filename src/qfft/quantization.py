@@ -48,7 +48,8 @@ class QuantizerSpec:
     the normalized fraction with q = 2**-bits and is scale-free, so its
     x_max is None; a uniform step must be a positive normal number. Where
     there is no quantizer (a stage or the twiddle ROM of a
-    ``PipelineConfig``), the spec is None.
+    ``PipelineConfig``), the spec is None. A ``ValueError`` opens with the
+    field it rejects (``bits: ...``), to which a config prefixes its path.
     """
 
     mode: str
@@ -57,16 +58,18 @@ class QuantizerSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode: must be one of {', '.join(MODES)}; got {self.mode!r}")
         if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.bits}")
-        if (self.mode == "mantissa") != (self.x_max is None):
-            raise ValueError(f"x_max must be set for uniform and None for mantissa mode, got {self.x_max}")
-        if self.mode == "uniform" and not self.x_max > 0:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
-        if self.mode == "uniform" and not sys.float_info.min <= self.step <= sys.float_info.max:
+            raise ValueError(f"bits: must be in 1..{MAX_BITS}, got {self.bits}")
+        if self.mode == "mantissa":
+            if self.x_max is not None:
+                raise ValueError("x_max: a mantissa quantizer is scale-free and reads no full scale; remove it")
+        elif self.x_max is None or not self.x_max > 0:
+            raise ValueError(f"x_max: a uniform quantizer needs a positive full scale, got {self.x_max}")
+        elif not sys.float_info.min <= self.step <= sys.float_info.max:
             raise ValueError(
-                f"x_max {self.x_max!r} at bits {self.bits} gives the step {self.step!r}, not a positive normal number"
+                f"x_max: full scale {self.x_max!r} at {self.bits} bits gives the step {self.step!r}, "
+                "which is not a positive normal number"
             )
 
     @functools.cached_property

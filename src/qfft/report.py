@@ -27,17 +27,6 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-CSV_COLUMNS = (
-    "bits",
-    "error_mean",
-    "error_std",
-    "error_variance",
-    "percent_error",
-    "sqnr_db",
-    "theory_variance",
-    "saturation_rate",
-)
-
 # conventions every report carries, so downstream plots are unambiguous
 VARIANCE_NOTE = (
     "mantissa-mode theory variance is q^2/6 at step q = 2^-bits, "
@@ -87,8 +76,8 @@ def _fmt(value) -> str:
 def emit_report(rows: Sequence, format: str, config: dict) -> str:
     """Render sweep (``ErrorReport``) or characterization rows as CSV or JSON text.
 
-    The columns are the row dataclass's fields in order; for sweep rows
-    that is ``CSV_COLUMNS``. Reals carry 12 significant digits in CSV.
+    The columns are the row dataclass's fields in order. Reals carry 12
+    significant digits in CSV.
     A CSV report opens with a comment block; a JSON report is an object
     with ``config``, ``notes`` and ``rows``.
     """

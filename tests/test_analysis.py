@@ -253,6 +253,10 @@ class TestCharacterization:
         with pytest.raises(ValueError):
             quantizer_characterization("uniform", 4, 6, 9_999)
 
+    def test_rejects_zero_bits(self):
+        with pytest.raises(ValueError, match="need 1 <= bits_lo <= bits_hi"):
+            quantizer_characterization("uniform", 0, 3, 10_000)
+
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             quantizer_characterization("off", 4, 6, 10_000)

@@ -287,8 +287,12 @@ class TestOneBoundary:
                 {"n": 4, "quantizer": {"per_stage": [{"mode": "off"}, {"mode": "mantissa", "x_max": 1.0}]}},
                 r"quantizer\.per_stage\[1\]\.x_max",
             ),
+            (
+                {"n": 2, "quantizer": {"per_stage": [{"mode": "mantissa", "x_max": None}]}},
+                r"quantizer\.per_stage\[0\]\.x_max",
+            ),
         ],
-        ids=["x_max", "per_stage"],
+        ids=["x_max", "per_stage", "per_stage-null"],
     )
     def test_a_mantissa_full_scale_is_rejected(self, doc, path):
         # no mantissa quantizer reads x_max, so a header must not echo one
@@ -296,10 +300,35 @@ class TestOneBoundary:
             parse_config(json.dumps(doc))
 
     def test_a_built_mantissa_stage_with_a_full_scale_is_rejected(self):
-        with pytest.raises(ValueError, match="x_max must be set for uniform and None for mantissa mode"):
+        with pytest.raises(ValueError, match="^x_max: a mantissa quantizer is scale-free"):
             QuantizerSpec("mantissa", 8, 5.0)
         with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa"):
             ExperimentConfig(quantizer_mode="mantissa", quantizer_x_max=5.0)
+
+    @pytest.mark.parametrize("key, value", [("bits", 0), ("bits", 60), ("x_max", 0), ("x_max", -1)])
+    def test_a_stage_spec_error_names_its_key(self, key, value):
+        # QuantizerSpec judges the entry; the config names the key it rejects
+        stages = [{"mode": "off"}, {"mode": "uniform", key: value}]
+        with pytest.raises(ConfigError, match=rf"^quantizer\.per_stage\[1\]\.{key}: "):
+            parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": stages}}))
+
+    def test_rejection_paths_name_their_field(self):
+        with pytest.raises(ConfigError) as raised:
+            parse_config(json.dumps({"signal": {"kind": "multitone", "bins": 3}}))
+        assert str(raised.value) == "signal.bins: expected a list, got 3"
+        with pytest.raises(ConfigError, match=r"^quantizer\.per_stage\[0\]: expected a QuantizerSpec or None"):
+            ExperimentConfig(n=2, per_stage=("uniform",))
+        with pytest.raises(ConfigError) as raised:
+            parse_config(json.dumps({"n": 2, "quantizer": {"per_stage": [{"bitz": 8}]}}))
+        assert str(raised.value) == "quantizer.per_stage[0].bitz: unknown key (allowed: mode, bits, x_max)"
+        with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa quantizer is scale-free"):
+            config.parse_characterization(json.dumps({"quantizer": {"mode": "mantissa", "x_max": 2.0}}))
+
+    def test_an_automatic_full_scale_names_the_signal(self):
+        # all-zero amplitudes give the uniform ladder a zero input full scale
+        doc = {"signal": {"kind": "multitone", "bins": [1, 2], "amplitudes": [0, 0]}}
+        with pytest.raises(ConfigError, match=r"^signal\.amplitudes: a uniform quantizer needs a positive full scale"):
+            parse_config(json.dumps(doc))
 
     def test_a_null_stage_full_scale_is_rejected(self):
         # a null quantizer.x_max means automatic, but a stage has no automatic full scale
@@ -348,7 +377,7 @@ class TestOneBoundary:
         cfg = parse_config(json.dumps({"n": 8, "quantizer": {"mode": "off"}, "signal": signal}))
         assert cfg.pipeline_config().stage_quantizers == (None,) * 3
         assert cfg.to_dict()["quantizer"] == {"mode": "off"}
-        with pytest.raises(ConfigError, match=r"^signal\.amplitude: .* ladder step"):
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: full scale .* not a positive normal number"):
             parse_config(json.dumps({"n": 8, "quantizer": {"mode": "uniform"}, "signal": signal}))
 
     def test_per_stage_echoes_only_itself(self):
@@ -360,7 +389,7 @@ class TestOneBoundary:
     def test_per_stage_skips_the_checks_of_a_ladder_it_does_not_build(self):
         # the default uniform ladder's finest step at this amplitude is subnormal
         signal = {"amplitude": 1e-305}
-        with pytest.raises(ConfigError, match=r"^signal\.amplitude: .* ladder step"):
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: full scale .* not a positive normal number"):
             parse_config(json.dumps({"n": 4, "signal": signal}))
         stages = [{"mode": "mantissa", "bits": 5}] * 2
         cfg = parse_config(json.dumps({"n": 4, "signal": signal, "quantizer": {"per_stage": stages}}))

@@ -68,6 +68,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_size(n)
 
+    def test_reference_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="signal must be one-dimensional"):
+            fft_reference(np.zeros((2, 4), dtype=np.complex128))
+
     def test_num_stages(self):
         assert num_stages(2) == 1
         assert num_stages(1024) == 10

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qfft.quantization import (
     MAX_BITS,
+    MODES,
     SQNR_CAP_DB,
     QuantizerSpec,
     apply_quantizer,
@@ -47,9 +48,26 @@ class TestQuantizerSpec:
         ids=["infinite-full-scale", "overflowing-step", "subnormal-step"],
     )
     def test_rejects_a_uniform_step_that_is_not_positive_normal(self, x_max, bits):
-        message = re.escape(f"x_max {x_max!r} at bits {bits} gives the step")
+        message = re.escape(f"x_max: full scale {x_max!r} at {bits} bits gives the step")
         with pytest.raises(ValueError, match=f"^{message} .* not a positive normal number$"):
             QuantizerSpec("uniform", bits, x_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mode=st.sampled_from(["uniform", "mantissa", "off", ""]),
+        bits=st.integers(-2, MAX_BITS + 8),
+        x_max=st.none() | st.floats(),
+    )
+    def test_an_error_opens_with_the_first_field_it_rejects(self, mode, bits, x_max):
+        # a config prefixes the document path to that field: quantizer.per_stage[i].bits, ...
+        try:
+            QuantizerSpec(mode, bits, x_max)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            return
+        field = "mode" if mode not in MODES else "bits" if not 1 <= bits <= MAX_BITS else "x_max"
+        assert message.startswith(f"{field}: ")
 
     def test_accepts_the_smallest_normal_step(self):
         x_max = sys.float_info.min * 2.0**51

@@ -4,7 +4,19 @@ import re
 import pytest
 
 from qfft.analysis import CharacterizationRow, ErrorReport
-from qfft.report import CSV_COLUMNS, STANDARD_NOTES, emit_report, write
+from qfft.report import STANDARD_NOTES, emit_report, write
+
+# the pinned column order of a sweep report: ErrorReport's fields
+CSV_COLUMNS = (
+    "bits",
+    "error_mean",
+    "error_std",
+    "error_variance",
+    "percent_error",
+    "sqnr_db",
+    "theory_variance",
+    "saturation_rate",
+)
 
 
 def make_rows(count=3):

@@ -20,6 +20,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalSpec("multitone", 16)
 
+    def test_rejects_multitone_bin_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^bins: must be in \[0, 8\)"):
+            SignalSpec("multitone", 8, bins=(9,))
+
     def test_multitone_amplitudes_default_to_one(self):
         spec = SignalSpec("multitone", 16, bins=(1, 5))
         assert spec.amplitudes == (1.0, 1.0)
