@@ -111,7 +111,7 @@ def _cmd_quantizer(cfg: ExperimentConfig, x_max: float, samples: int) -> int:
         raise ConfigError(
             f"--samples: must be in [{analysis.MIN_CHARACTERIZATION_SAMPLES}, {MAX_SWEEP_SAMPLES}], got {samples}"
         )
-    mode = cfg.swept_mode()
+    mode = cfg.quantizer_mode
     rows = analysis.quantizer_characterization(
         mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=x_max
     )

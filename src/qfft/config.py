@@ -399,7 +399,8 @@ def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
     """The config and the full scale (1.0 when null) ``qfft quantizer`` reads from a JSON document.
 
     It runs no transform: any key outside ``CHARACTERIZATION_PATHS`` is a
-    ``ConfigError`` naming it, and no relation to ``n`` applies.
+    ``ConfigError`` naming it, and no relation to ``n`` applies. Mode "off"
+    has no bits to sweep and is rejected as ``qfft sweep`` rejects it.
     """
     values = _document_values(text)
     for path, name in _FIELDS.items():
@@ -408,12 +409,11 @@ def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
             raise ConfigError(_FIXED_BITS if path == "quantizer.per_stage" else f"{path}: {reason}")
     given = values.pop("quantizer_x_max", None)
     cfg = ExperimentConfig(**values)
+    mode = cfg.swept_mode()
     x_max = 1.0 if given is None else _checked(given, "quantizer.x_max", "number")
-    # the row at bits_hi has the finest step; a mantissa spec gets the document's full scale, if
-    # any, to reject, and "off", which `qfft quantizer` rejects later, is checked as uniform
-    mantissa = cfg.quantizer_mode == "mantissa"
+    # the row at bits_hi has the finest step; a mantissa spec gets the document's full scale, if any, to reject
     with _field_paths("quantizer."):
-        QuantizerSpec("mantissa" if mantissa else "uniform", cfg.bits_hi, given if mantissa else x_max)
+        QuantizerSpec(mode, cfg.bits_hi, given if mode == "mantissa" else x_max)
     # a row's variance sums, per sample, a squared error below the square of the
     # coarsest step 2 * x_max * 2**-bits_lo: finite for any sample count an array holds
     limit = math.sqrt(sys.float_info.max / sys.maxsize) * 2.0 ** (cfg.bits_lo - 1)

@@ -11,8 +11,8 @@ so a caller that needs a modified table (conjugated, quantized) derives a
 new array from it, and an in-place write raises ``ValueError``.
 
 ``staged_transform`` is the one stage loop of the package: ``fft_reference``
-and ``Pipeline.run`` both run it, the pipeline with its stage quantizers
-as the ``after_stage`` hook, so a pipeline with all quantizers disabled is
+and ``Pipeline.run`` both run it, the pipeline with one quantizer spec (or
+None) per stage, so a pipeline with all quantizers disabled is
 bit-identical to ``fft_reference`` by construction. Every stage runs in
 constant geometry (Pease, JACM 15(2), 1968): it reads a = X[:n/2] and
 b = X[n/2:], writes a + W_s*b to Y[0::2] and a - W_s*b to Y[1::2], and
@@ -36,6 +36,8 @@ import functools
 import threading
 
 import numpy as np
+
+from . import quantization
 
 MIN_SIZE = 2
 MAX_SIZE = 1 << 16
@@ -213,24 +215,30 @@ def dit_stage(data: np.ndarray, row: np.ndarray, stage: int, out: np.ndarray) ->
 _spare = threading.local()
 
 
-def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None, after_stage=None):
+def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None, quantizers=(), after_stage=None):
     """Run all log2(n) butterfly stages over the natural-order vector ``x``.
 
     The one stage loop behind ``fft_reference`` and ``Pipeline.run``.
     ``twiddles`` comes from ``stage_twiddles``; ``scale``, when given,
     multiplies every component before stage 0 (an inverse transform's
-    1/N); ``x`` is left alone. ``after_stage(stage, data)``, when given,
-    runs after each stage's butterflies on the working vector, which it
-    may change in place. That vector is in constant-geometry order. The
-    hook must not keep ``data`` past the call: the buffer the last stage
-    writes becomes the thread's spare, and a later transform on the same
-    thread writes over it.
+    1/N); ``x`` is left alone. ``quantizers`` is empty or holds one
+    ``QuantizerSpec`` or None per stage; a spec quantizes every component
+    of its stage's output in place, and the loop sums their saturations.
+    The quantizer is componentwise, so the working vector's order does not
+    change its bits.
+
+    ``after_stage(stage, data)``, when given, runs after each stage's
+    quantizer (or butterflies, if it has none), in stage order. ``data``
+    is a read-only view of the working vector in constant-geometry order.
+    The hook must not keep it past the call: a later stage overwrites it,
+    and the buffer the last stage writes becomes the thread's spare, which
+    a later transform on the same thread writes over.
 
     Returns
     -------
-    (numpy.ndarray, int, int)
-        the natural-order output (a new array), complex multiplies and
-        complex additions
+    (numpy.ndarray, int, int, int)
+        the natural-order output (a new array), saturations, complex
+        multiplies and complex additions
     """
     # the spare is taken out of its slot, so a nested call from the hook
     # finds the slot empty and allocates its own
@@ -240,22 +248,27 @@ def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None,
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
     buffers = (spare, np.empty_like(x))
     data = x if scale is None else np.multiply(x, scale, out=buffers[1])
-    multiplies = additions = 0
-    for stage, row in enumerate(twiddles):
+    saturations = multiplies = additions = 0
+    for stage, (row, spec) in enumerate(zip(twiddles, quantizers or (None,) * len(twiddles), strict=True)):
         out = buffers[stage & 1]
         muls, adds = dit_stage(data, row, stage, out)
         multiplies += muls
         additions += adds
         data = out
+        if spec is not None:
+            # looked up on the module at each call, so a wrapper installed there sees it
+            saturations += quantization.apply_quantizer(data, spec, out=data)[1]
         if after_stage is not None:
-            after_stage(stage, data)
+            view = data.view()
+            view.flags.writeable = False
+            after_stage(stage, view)
     # gather into the buffer the last stage did not write; mode "clip"
     # writes ``out`` directly, where the default "raise" fills a temporary
     # copy first
     free = buffers[len(twiddles) & 1]
     output = np.take(data, bit_reversal_indices(x.size), out=free, mode="clip")
     _spare.vector = data
-    return output, multiplies, additions
+    return output, saturations, multiplies, additions
 
 
 @functools.lru_cache(maxsize=None, typed=True)

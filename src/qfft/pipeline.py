@@ -87,12 +87,9 @@ class Pipeline:
         Order of operations: inverse runs pre-scale the input by 1/N; then
         each stage performs its n/2 butterflies and quantizes every
         component of the stage output; the output comes back in natural
-        order. The input is left alone.
-
-        ``after_stage(stage, data)``, when given, runs after each stage's
-        quantizer (or butterflies, if it has none), in stage order. ``data``
-        is a read-only view of the working vector in constant-geometry
-        order; a later stage overwrites it.
+        order. The input is left alone. ``after_stage(stage, data)`` is
+        ``core.staged_transform``'s hook: after each stage's quantizer, a
+        read-only view of the working vector it must not keep.
         """
         vec = core.as_signal(x)
         if vec.size != self.n:
@@ -100,24 +97,8 @@ class Pipeline:
         if not np.isfinite(vec.view(np.float64)).all():
             raise ValueError("input contains non-finite components")
         scale = 1.0 / self.n if self.config.direction == "ifft" else None
-
         specs = self.config.stage_quantizers
-        saturations = 0
-
-        def quantize(stage: int, data: np.ndarray) -> None:
-            nonlocal saturations
-            spec = specs[stage]
-            # the quantizer is componentwise, so the working vector's
-            # constant-geometry order does not change its bits
-            if spec is not None:
-                saturations += apply_quantizer(data, spec, out=data)[1]
-            if after_stage is not None:
-                view = data.view()
-                view.flags.writeable = False
-                after_stage(stage, view)
-
-        output, multiplies, additions = core.staged_transform(vec, self.stage_twiddles, scale, quantize)
-        return RunTrace(output, saturations, multiplies, additions)
+        return RunTrace(*core.staged_transform(vec, self.stage_twiddles, scale, specs, after_stage))
 
 
 def processing_cost(n: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,4 +83,5 @@ def magnitude_bound(spec: SignalSpec) -> float:
         return 1.0
     if spec.kind == "multitone":
         return float(sum(abs(a) for a in spec.amplitudes))
-    return float(np.sqrt(2.0) * spec.amplitude)
+    # Python floats: an amplitude near the double maximum gives inf, not a numpy overflow warning
+    return math.sqrt(2.0) * float(spec.amplitude)

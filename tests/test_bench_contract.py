@@ -3,9 +3,9 @@
 ``bench/tracer.py`` wraps ``qfft`` functions by the names their callers
 look up. A rename breaks those wrappers, or leaves a layer untraced so
 that the traced run counts no butterflies; both fail here. A call that
-goes round a wrapped layer (a ``Pipeline.run`` that calls the quantizer
-kernel instead of ``apply_quantizer``) leaves the butterflies right but
-changes the per-layer counts pinned below.
+goes round a wrapped layer (a stage loop that calls the quantizer kernel
+instead of ``quantization.apply_quantizer``) leaves the butterflies right
+but changes the per-layer counts pinned below.
 """
 
 import json

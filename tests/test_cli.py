@@ -646,6 +646,18 @@ def test_a_fresh_process_reports_a_bad_config(tmp_path):
     assert fresh.stderr.startswith("config error: n: ")
 
 
+def test_an_overflowing_amplitude_is_a_config_error_under_warnings_as_errors(tmp_path):
+    # sqrt(2) * 1.7e308 overflows to inf: one config error line, and no warning's traceback
+    config = tmp_path / "amp.json"
+    config.write_text(json.dumps({"signal": {"amplitude": 1.7e308}}))
+    argv = [sys.executable, "-W", "error", "-m", "qfft.cli", "fft", "--config", str(config)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: signal.amplitude: ")
+
+
 def test_the_process_entry_drops_the_collector_and_still_runs_exit_handlers():
     # what ``python -m qfft.cli selftest`` runs; the handler prints after sys.exit
     code = (

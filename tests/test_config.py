@@ -208,8 +208,10 @@ class TestParsing:
                 '{"signal": {"kind": "multitone", "bins": [1, 2], "amplitudes": [1e308, 1e308]}}',
                 r"signal\.amplitudes",
             ),
+            # sqrt(2) * 1.7e308 overflows to inf, with no warning (an error in this suite) on the way
+            ('{"signal": {"amplitude": 1.7e308}}', r"signal\.amplitude"),
         ],
-        ids=["x_max", "amplitude", "amplitudes"],
+        ids=["x_max", "amplitude", "amplitudes", "amplitude-near-double-max"],
     )
     def test_full_scale_with_overflowing_ladder_step_rejected(self, text, field):
         with pytest.raises(ConfigError, match=field + ": full scale .* overflows"):
@@ -323,6 +325,11 @@ class TestOneBoundary:
         assert str(raised.value) == "quantizer.per_stage[0].bitz: unknown key (allowed: mode, bits, x_max)"
         with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa quantizer is scale-free"):
             config.parse_characterization(json.dumps({"quantizer": {"mode": "mantissa", "x_max": 2.0}}))
+
+    def test_a_characterization_of_mode_off_is_rejected(self):
+        # "off" has no bits to sweep, so qfft quantizer could not run the config
+        with pytest.raises(ConfigError, match=r"^quantizer\.mode: "):
+            config.parse_characterization('{"quantizer": {"mode": "off"}}')
 
     def test_an_automatic_full_scale_names_the_signal(self):
         # all-zero amplitudes give the uniform ladder a zero input full scale

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfft import core, emit_report, mantissa_stage_specs, uniform_stage_specs
-from qfft import pipeline as pipeline_module
+from qfft import quantization as quantization_module
 from qfft.analysis import ErrorReport, run_sweep
 from qfft.config import ExperimentConfig, parse_config
 from qfft.pipeline import Pipeline, PipelineConfig
@@ -159,6 +159,9 @@ STAGE_QUANTIZERS = {
     "uniform": lambda n: uniform_stage_specs(n, 9, 2.0),
     "uniform-saturating": lambda n: uniform_stage_specs(n, 2, 0.05),
     "mantissa": lambda n: mantissa_stage_specs(n, 5),
+    "mixed-none": lambda n: tuple(
+        None if stage % 2 else spec for stage, spec in enumerate(uniform_stage_specs(n, 2, 0.05))
+    ),
 }
 
 
@@ -312,7 +315,7 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
         nested.append(core.fft_reference(values))
         return apply_quantizer(values, spec, out=out)
 
-    monkeypatch.setattr(pipeline_module, "apply_quantizer", quantize_and_transform)
+    monkeypatch.setattr(quantization_module, "apply_quantizer", quantize_and_transform)
     assert pipeline.run(x).output.tobytes() == expected
     assert len(nested) == core.num_stages(n)
     for values, result in zip(seen, nested):
@@ -529,6 +532,8 @@ PIPELINES = {
         stage_quantizers=uniform_stage_specs(64, 4, 0.5),
         twiddle_quantizer=QuantizerSpec("uniform", 5, 1.0),
     ),
+    "bypass": PipelineConfig(n=256),
+    "mixed-none": PipelineConfig(n=256, stage_quantizers=STAGE_QUANTIZERS["mixed-none"](256)),
 }
 
 
