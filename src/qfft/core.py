@@ -5,10 +5,10 @@ table, bit-reversal and the staged decimation-in-time transform.
 ``DIRECTIONS`` is the one direction vocabulary of the package.
 
 ``twiddle_table`` and ``bit_reversal_indices`` are built once per size,
-``direction_table`` and ``direction_twiddles`` once per size and
-direction, and cached; the arrays they return are shared and read-only,
-so a caller that needs a modified table (conjugated, quantized) derives a
-new array from it, and an in-place write raises ``ValueError``.
+and the ``direction_twiddles`` rows, the one cached twiddle artifact,
+once per size and direction; the arrays they return are shared and
+read-only, so a caller that needs a modified table (a quantized ROM)
+derives a new array from it, and an in-place write raises ``ValueError``.
 
 ``staged_transform`` is the one stage loop of the package: ``fft_reference``
 and ``Pipeline.run`` both run it, the pipeline with one quantizer spec (or
@@ -58,7 +58,7 @@ def validate_size(n: int) -> None:
 def num_stages(n: int) -> int:
     """log2(n): number of butterfly stages for an n-point transform."""
     validate_size(n)
-    return n.bit_length() - 1
+    return int(n).bit_length() - 1
 
 
 def as_signal(x) -> np.ndarray:
@@ -152,20 +152,26 @@ def bit_reverse_permute(x) -> np.ndarray:
 TILE = 1024
 
 
-def stage_twiddles(table: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Twiddle rows of ``staged_transform`` for the half-circle table ``table``.
+def stage_twiddles(table: np.ndarray, direction: str) -> tuple[np.ndarray, ...]:
+    """Twiddle rows of ``staged_transform`` in ``direction``; the one place a twiddle is conjugated.
 
-    Row s holds the constant-geometry twiddles W_s[k] = w_br[k mod 2**s]
-    for k < max(2**s, min(n/2, ``TILE``)), where w_br is ``table``
-    (conjugated or ROM-quantized as it is) in (log2(n) - 1)-bit-reversed
-    order. A row of one period is a view of w_br, not a copy. Every row is
-    read-only.
+    ``table`` is the forward half table ``twiddle_table(n)`` or a
+    ROM-quantized copy of it. Row s holds W_s[k] = w_br[k mod 2**s] for
+    k < max(2**s, min(n/2, ``TILE``)), where w_br is ``table`` in
+    (log2(n) - 1)-bit-reversed order, conjugated for ifft: an inverse reads
+    the forward ROM conjugated, which every quantizer (odd, keeping -0.0)
+    commutes with. A row of one period is a view of w_br, not a copy.
+    Every row is read-only.
     """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     half = table.size
     n = 2 * half
     # for m < n/2 the log2(n)-bit reversal of m is even, and half of it
     # is the (log2(n) - 1)-bit reversal
     w_br = table[bit_reversal_indices(n)[:half] >> 1]
+    if direction == "ifft":
+        np.conj(w_br, out=w_br)
     w_br.setflags(write=False)
     length = min(half, TILE)
     rows = []
@@ -272,28 +278,14 @@ def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None,
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def direction_table(n: int, direction: str) -> np.ndarray:
-    """Half-circle table of ``direction``: ``twiddle_table(n)``, conjugated for ifft.
-
-    The table a twiddle ROM quantizes. Cached per size and direction; the
-    array is shared and read-only.
-    """
-    table = twiddle_table(n)
-    if direction == "ifft":
-        table = np.conj(table)
-        table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=None, typed=True)
 def direction_twiddles(n: int, direction: str) -> tuple[np.ndarray, ...]:
-    """``stage_twiddles`` of ``direction_table(n, direction)``.
+    """``stage_twiddles(twiddle_table(n), direction)``.
 
     The twiddles of ``fft_reference`` and of every pipeline without a
     twiddle ROM. Cached per size and direction; the rows are shared and
     read-only.
     """
-    return stage_twiddles(direction_table(n, direction))
+    return stage_twiddles(twiddle_table(n), direction)
 
 
 def fft_reference(x, direction: str = "fft") -> np.ndarray:

@@ -26,8 +26,10 @@ class PipelineConfig:
     ``stage_quantizers`` must hold one entry per stage (log2(n) of them):
     a spec, or None for a stage with no quantizer; an empty tuple means
     no stage quantizes. ``twiddle_quantizer`` None disables twiddle
-    quantization. The input is not quantized: the processor quantizes
-    only after each butterfly stage.
+    quantization; the ROM quantizes the forward table, and an ifft reads
+    it conjugated. An entry of either that is neither a spec nor None
+    raises ``ValueError`` naming it. The input is not quantized: the
+    processor quantizes only after each butterfly stage.
     """
 
     n: int
@@ -47,6 +49,10 @@ class PipelineConfig:
             raise ValueError(
                 f"stage_quantizers must hold exactly log2(n) = {stages} specs, got {len(specs)}"
             )
+        named = [(f"stage_quantizers[{i}]", spec) for i, spec in enumerate(specs)]
+        for name, spec in [*named, ("twiddle_quantizer", self.twiddle_quantizer)]:
+            if spec is not None and not isinstance(spec, QuantizerSpec):
+                raise ValueError(f"{name}: expected a QuantizerSpec or None, got {spec!r}")
         object.__setattr__(self, "stage_quantizers", specs)
 
     @property
@@ -75,8 +81,8 @@ class Pipeline:
         if tq is not None:
             # the rows copy the quantized table, which is not kept; no saturation
             # count: the ROM a config builds has x_max = 1 >= |w|
-            table = core.direction_table(config.n, config.direction)
-            self.stage_twiddles = core.stage_twiddles(apply_quantizer(table, tq)[0])
+            rom = apply_quantizer(core.twiddle_table(config.n), tq)[0]
+            self.stage_twiddles = core.stage_twiddles(rom, config.direction)
         else:
             # without a ROM the rows are the shared cached ones of fft_reference
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -48,8 +49,10 @@ class QuantizerSpec:
     the normalized fraction with q = 2**-bits and is scale-free, so its
     x_max is None; a uniform step must be a positive normal number. Where
     there is no quantizer (a stage or the twiddle ROM of a
-    ``PipelineConfig``), the spec is None. A ``ValueError`` opens with the
-    field it rejects (``bits: ...``), to which a config prefixes its path.
+    ``PipelineConfig``), the spec is None. ``bits`` is a Python or numpy
+    integer, kept as an ``int``, and ``x_max`` a real number or None;
+    neither may be a ``bool``. A ``ValueError`` opens with the field it
+    rejects (``bits: ...``), to which a config prefixes its path.
     """
 
     mode: str
@@ -59,8 +62,14 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode: must be one of {', '.join(MODES)}; got {self.mode!r}")
+        if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral):
+            raise ValueError(f"bits: expected an integer, got {self.bits!r}")
+        # a numpy integer is kept as an int, so equality, hash and ``asdict`` match
+        object.__setattr__(self, "bits", int(self.bits))
         if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits: must be in 1..{MAX_BITS}, got {self.bits}")
+        if self.x_max is not None and (isinstance(self.x_max, bool) or not isinstance(self.x_max, numbers.Real)):
+            raise ValueError(f"x_max: expected a number or None, got {self.x_max!r}")
         if self.mode == "mantissa":
             if self.x_max is not None:
                 raise ValueError("x_max: a mantissa quantizer is scale-free and reads no full scale; remove it")
@@ -77,7 +86,7 @@ class QuantizerSpec:
         # computed on first read and kept in the instance ``__dict__``, which
         # equality, hash, repr and ``asdict`` never look at
         if self.mode == "uniform":
-            return 2.0 * self.x_max * 2.0 ** -self.bits
+            return 2.0 * float(self.x_max) * 2.0 ** -self.bits
         return 2.0 ** -self.bits
 
     @property

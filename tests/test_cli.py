@@ -345,8 +345,19 @@ SMALL_FFT = {
             "0edf1d8a8cc38533a2e34896b0702cbece156f7e0b62ad00d152530c6b6cfad3",
         ),
         (["fft", "--format", "json"], SMALL_FFT, "832d441d16fedf992917f821be84de5cf9e2bac7efc473ee6e1b6dd8c303af3e"),
+        (
+            ["sweep", "--seed", "3"],
+            {
+                "n": 256,
+                "direction": "ifft",
+                "quantizer": {"mode": "mantissa"},
+                "twiddle_quantization": {"enabled": True, "bits": 6},
+                "sweep": {"bits_lo": 6, "bits_hi": 9, "trials": 3},
+            },
+            "f4efc63e117f50a3ae9dd7a05593ab8c2256a879f6b546f63352dac2f7fdcc0a",
+        ),
     ],
-    ids=["sweep-json", "quantizer-csv", "quantizer-csv-mantissa", "fft-json-per-stage"],
+    ids=["sweep-json", "quantizer-csv", "quantizer-csv-mantissa", "fft-json-per-stage", "sweep-csv-ifft-rom"],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, doc, digest):
     # sha256 of reports no benchmark golden covers; a JSON report's "config"

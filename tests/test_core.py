@@ -232,7 +232,7 @@ def test_dit_stage_reports_its_arithmetic():
     x = random_signal(16, seed=1)
     data, out = x.copy(), np.empty_like(x)
     total = [0, 0]
-    for stage, row in enumerate(stage_twiddles(twiddle_table(16))):
+    for stage, row in enumerate(stage_twiddles(twiddle_table(16), "fft")):
         muls, adds = dit_stage(data, row, stage, out)
         assert muls == 8 and adds == 16
         total[0] += muls

@@ -79,7 +79,6 @@ class TestCachedTables:
     def test_tables_built_once_per_size(self):
         core.bit_reversal_indices.cache_clear()
         core.twiddle_table.cache_clear()
-        core.direction_table.cache_clear()
         core.direction_twiddles.cache_clear()
         for built, n in enumerate((16, 64), start=1):
             specs = uniform_stage_specs(n, 8, 2.0)
@@ -92,7 +91,6 @@ class TestCachedTables:
             run_sweep(sweep)
             assert core.bit_reversal_indices.cache_info().misses == built
             assert core.twiddle_table.cache_info().misses == built
-            assert core.direction_table.cache_info().misses == 2 * built
             assert core.direction_twiddles.cache_info().misses == 2 * built
 
 
@@ -121,14 +119,16 @@ def strided_dit_stage(data, twiddles, stage):
 def test_every_stage_matches_the_strided_kernel(m, table_kind):
     n = 1 << m
     table = core.twiddle_table(n)
-    if table_kind == "inverse":
-        table = np.conj(table)
-    elif table_kind == "5-bit-rom":
+    if table_kind == "5-bit-rom":
         table, _ = apply_quantizer(table, QuantizerSpec("uniform", 5, 1.0))
+    direction = "ifft" if table_kind == "inverse" else "fft"
+    rows = core.stage_twiddles(table, direction)
+    if direction == "ifft":
+        table = np.conj(table)
     data = random_signal(n, seed=m)
     oracle = data[recurrence_indices(n)]
     out = np.empty_like(data)
-    for stage, row in enumerate(core.stage_twiddles(table)):
+    for stage, row in enumerate(rows):
         assert core.dit_stage(data, row, stage, out) == strided_dit_stage(oracle, table, stage)
         assert in_place_order(out, stage + 1).tobytes() == oracle.tobytes(), f"stage {stage}"
         data, out = out, data
@@ -179,7 +179,9 @@ def test_both_geometries_match_the_in_place_stages(m, seed, direction, rom, quan
     seen = []
     trace = pipeline.run(x, after_stage=lambda stage, data: seen.append(in_place_order(data, stage + 1)))
 
-    table = core.direction_table(n, direction)
+    table = core.twiddle_table(n)
+    if direction == "ifft":
+        table = np.conj(table)
     if rom:
         table = apply_quantizer(table, rom_spec)[0]
     output, saturations, snapshots = in_place_run(x, direction, table, pipeline.config.stage_quantizers)
@@ -212,11 +214,44 @@ def test_pipelines_without_a_rom_share_the_reference_twiddles(n, direction):
         assert not np.shares_memory(rom_row, row)
 
 
+TWIDDLE_ROMS = {
+    "none": None,
+    "uniform-1": QuantizerSpec("uniform", 1, 1.0),
+    "uniform-5": QuantizerSpec("uniform", 5, 1.0),
+    "uniform-10-clipping": QuantizerSpec("uniform", 10, 0.5),
+    "mantissa-3": QuantizerSpec("mantissa", 3),
+}
+
+
+@pytest.mark.parametrize("direction", core.DIRECTIONS)
+@pytest.mark.parametrize("rom", sorted(TWIDDLE_ROMS))
+def test_the_inverse_reads_the_forward_rom_conjugated(rom, direction):
+    # the oracle conjugates the natural-order table for ifft, quantizes it and
+    # then gathers; the pipeline quantizes the forward table and conjugates w_br
+    spec = TWIDDLE_ROMS[rom]
+    for m in range(1, 17):
+        n = 1 << m
+        table = core.twiddle_table(n)
+        if direction == "ifft":
+            table = np.conj(table)
+        if spec is not None:
+            table = apply_quantizer(table, spec)[0]
+        w_br = table[core.bit_reversal_indices(n)[: n // 2] >> 1]
+        row = Pipeline(PipelineConfig(n=n, direction=direction, twiddle_quantizer=spec)).stage_twiddles[-1]
+        assert row.tobytes() == w_br.tobytes(), f"n = {n}"
+
+
+@pytest.mark.parametrize("direction", ["inverse", None, "IFFT"])
+def test_stage_twiddles_reject_an_unknown_direction(direction):
+    with pytest.raises(ValueError, match="^direction must be one of"):
+        core.stage_twiddles(core.twiddle_table(8), direction)
+
+
 @pytest.mark.parametrize("n", [2, 1024, 2048, 4096, core.MAX_SIZE])
 def test_stage_twiddle_rows_are_tiled_up_to_the_tile_length(n):
     table = core.twiddle_table(n)
     w_br = table[core.bit_reversal_indices(n)[: n // 2] >> 1]
-    rows = core.stage_twiddles(table)
+    rows = core.stage_twiddles(table, "fft")
     for stage, row in enumerate(rows):
         period = 1 << stage
         assert row.size == max(period, min(n // 2, core.TILE))

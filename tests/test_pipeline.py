@@ -1,10 +1,11 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from qfft import mantissa_stage_specs, uniform_stage_specs
-from qfft.core import dft_naive, fft_reference
+from qfft.core import dft_naive, fft_reference, num_stages
 from qfft.pipeline import Pipeline, PipelineConfig, processing_cost
 from qfft.quantization import QuantizerSpec, apply_quantizer
 
@@ -33,6 +34,32 @@ class TestConfig:
 
     def test_1024_point_has_ten_stages(self):
         assert PipelineConfig(n=1024).stages == 10
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(stage_quantizers=("x",) * 3), "stage_quantizers[0]: expected a QuantizerSpec or None, got 'x'"),
+            (dict(stage_quantizers=(None, None, 8)), "stage_quantizers[2]: expected a QuantizerSpec or None, got 8"),
+            (dict(twiddle_quantizer="uniform"), "twiddle_quantizer: expected a QuantizerSpec or None, got 'uniform'"),
+        ],
+        ids=["string-stage", "integer-stage", "string-rom"],
+    )
+    def test_an_entry_that_is_not_a_quantizer_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(n=8, **kwargs)
+
+    @pytest.mark.parametrize("direction", ["fft", "ifft"])
+    def test_a_numpy_integer_size_runs_like_the_int(self, direction):
+        assert num_stages(np.int64(8)) == 3
+        x = random_signal(8, seed=4)
+        specs = uniform_stage_specs(8, 6, 2.0)
+        rom = QuantizerSpec("uniform", 5, 1.0)
+        runs = [
+            Pipeline(PipelineConfig(n=size, direction=direction, stage_quantizers=specs, twiddle_quantizer=rom)).run(x)
+            for size in (8, np.int64(8))
+        ]
+        assert runs[0].output.tobytes() == runs[1].output.tobytes()
+        assert runs[0].saturation_total == runs[1].saturation_total
 
 
 class TestBuild:

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,41 @@ class TestQuantizerSpec:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             QuantizerSpec(**bad)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("uniform", 8.5, 1.0), "bits: expected an integer, got 8.5"),
+            (("mantissa", 8.5), "bits: expected an integer, got 8.5"),
+            (("uniform", np.float64(8.0), 1.0), "bits: expected an integer, got np.float64(8.0)"),
+            (("uniform", True, 1.0), "bits: expected an integer, got True"),
+            (("mantissa", np.True_), "bits: expected an integer, got np.True_"),
+            (("uniform", "8", 1.0), "bits: expected an integer, got '8'"),
+            (("uniform", None, 1.0), "bits: expected an integer, got None"),
+            (("uniform", 8, True), "x_max: expected a number or None, got True"),
+            (("uniform", 8, "1"), "x_max: expected a number or None, got '1'"),
+        ],
+        ids=[
+            "fractional-bits", "fractional-mantissa-bits", "float-bits", "bool-bits", "numpy-bool-bits",
+            "string-bits", "no-bits", "bool-full-scale", "string-full-scale",
+        ],
+    )
+    def test_rejects_bits_and_full_scales_of_the_wrong_type(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuantizerSpec(*args)
+
+    def test_a_numpy_integer_bit_count_is_kept_as_an_int(self):
+        spec = QuantizerSpec("uniform", np.int64(8), 1.0)
+        assert type(spec.bits) is int
+        assert spec == QuantizerSpec("uniform", 8, 1.0)
+        assert hash(spec) == hash(QuantizerSpec("uniform", 8, 1.0))
+        assert dataclasses.asdict(spec) == {"mode": "uniform", "bits": 8, "x_max": 1.0}
+
+    def test_a_float32_full_scale_gives_a_double_step_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = QuantizerSpec("uniform", 8, np.float32(0.5))
+        assert type(spec.step) is float and spec.step == 2.0 ** -8
 
     @pytest.mark.parametrize(
         "x_max, bits",
