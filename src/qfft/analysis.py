@@ -139,9 +139,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     from ``cfg.seed``) are reused across rows so adjacent rows differ only
     in resolution. Deterministic for a fixed config.
 
-    Raises ``ConfigError`` for a config whose bits a sweep cannot vary
-    (``ExperimentConfig.swept_mode``) or whose reference outputs have zero
-    energy (a multitone whose tones cancel).
+    Raises ``ConfigError`` for a config whose bits a sweep cannot vary or
+    whose theory column overflows (``ExperimentConfig.swept_mode``), whose
+    reference outputs have zero energy (a multitone whose tones cancel),
+    or whose signal is so large that a row's error variance is past the
+    double range.
     """
     cfg.swept_mode()
     stages = core.num_stages(cfg.n)
@@ -162,8 +164,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     errors = references.copy()
     reference_moments = _moments(errors)
     if reference_moments[3] == 0.0:
-        field = "signal.amplitudes" if cfg.signal_kind == "multitone" else "signal.amplitude"
-        raise ConfigError(f"{field}: the reference outputs have zero energy; percent error undefined")
+        raise ConfigError(f"{cfg.amplitude_path}: the reference outputs have zero energy; percent error undefined")
 
     rows = []
     for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
@@ -177,13 +178,20 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
         del trace
         error_moments = _moments(errors)
         exponent, mean, variance = error_moments[:3]
+        # the errors scale with the signal; their std and mean stay below the largest of them
+        try:
+            error_variance = math.ldexp(variance, 2 * exponent)
+        except OverflowError:
+            raise ConfigError(
+                f"{cfg.amplitude_path}: the error variance of the row at {bits} bits is past the double range"
+            ) from None
         percent, sqnr = _percent_and_sqnr(reference_moments, error_moments)
         rows.append(
             ErrorReport(
                 bits=bits,
                 error_mean=math.ldexp(mean, exponent),
                 error_std=math.ldexp(math.sqrt(variance), exponent),
-                error_variance=math.ldexp(variance, 2 * exponent),
+                error_variance=error_variance,
                 percent_error=percent,
                 sqnr_db=sqnr,
                 theory_variance=cfg.input_quantizer(bits).theory_variance,

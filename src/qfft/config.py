@@ -164,13 +164,14 @@ class ExperimentConfig:
                 )
         with _field_paths("signal."):
             signal = self.signal_spec()
-        if self.quantizer_x_max is not None:
-            _check_ladder_overflow(self.quantizer_x_max, "quantizer.x_max", self.n)
-        signal_field = "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
-        _check_ladder_overflow(magnitude_bound(signal), signal_field, self.n)
+        # a uniform ladder starts at x_max, or at the signal's bound where x_max is automatic
+        ladder = self.per_stage is None and self.quantizer_mode == "uniform"
+        if ladder and self.quantizer_x_max is not None:
+            _check_full_scale(self.quantizer_x_max, "quantizer.x_max", self.n, ladder)
+        _check_full_scale(magnitude_bound(signal), self.amplitude_path, self.n, ladder and self.quantizer_x_max is None)
         if self.per_stage is None and self.quantizer_mode != "off":
             # at the most bits `qfft fft` or a sweep row runs; uniform, its step is half the ladder's finest
-            with _field_paths("quantizer.", signal_field if self.quantizer_x_max is None else None):
+            with _field_paths("quantizer.", self.amplitude_path if self.quantizer_x_max is None else None):
                 self.input_quantizer(max(self.quantizer_bits, self.bits_hi))
 
     def signal_spec(self) -> SignalSpec:
@@ -182,6 +183,11 @@ class ExperimentConfig:
             amplitudes=self.signal_amplitudes,
             amplitude=self.signal_amplitude,
         )
+
+    @property
+    def amplitude_path(self) -> str:
+        """The document path of the signal's amplitude, which scales every value a run computes."""
+        return "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
 
     def base_x_max(self) -> float:
         """Input-stage full scale: explicit x_max or the signal magnitude bound."""
@@ -196,11 +202,20 @@ class ExperimentConfig:
         return QuantizerSpec(self.quantizer_mode, bits, x_max)
 
     def swept_mode(self) -> str:
-        """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
+        """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them, "off" has none,
+        or the theory column overflows: its largest entry, at ``bits_lo``, is past the double range."""
         if self.per_stage is not None:
             raise ConfigError(_FIXED_BITS)
         if self.quantizer_mode == "off":
             raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
+        spec = self.input_quantizer(self.bits_lo)
+        if not math.isfinite(spec.theory_variance):
+            # only a uniform step scales with a full scale
+            where = self.amplitude_path if self.quantizer_x_max is None else "quantizer.x_max"
+            raise ConfigError(
+                f"{where}: full scale {spec.x_max!r} at {self.bits_lo} bits gives a theory variance "
+                "q^2/12 past the double range"
+            )
         return self.quantizer_mode
 
     def pipeline_config(self, bits: int | None = None) -> PipelineConfig:
@@ -296,19 +311,23 @@ def _finite_number(value, where: str) -> float:
     return number
 
 
-def _check_ladder_overflow(value: float, where: str, n: int) -> None:
-    """Reject a full scale whose deepest uniform-ladder step is not finite.
+def _check_full_scale(value: float, where: str, n: int, ladder: bool) -> None:
+    """Reject a full scale past what a run at size ``n`` keeps finite.
 
-    The doubling ladder gives the last stage a full scale of value * 2**log2(n),
-    and the transform output magnitude stays below it; the check bounds
-    2 * value * 2**(log2(n) + 1) so the steps and the output stay finite.
+    The transform output magnitude stays below value * 2**log2(n). A uniform
+    ``ladder`` gives its last stage that full scale, and the check bounds
+    its step 2 * value * 2**(log2(n) + 1) so the steps and the output stay
+    finite; any other run is held to the same product, the output bound
+    with a factor 4 of headroom.
     """
-    exponent = core.num_stages(n) + 1
-    if not math.isfinite(2.0 * value * 2.0**exponent):
-        raise ConfigError(
-            f"{where}: full scale {value!r} is too large for n = {n}; "
-            f"the deepest ladder step 2 * {value!r} * 2**{exponent} overflows"
-        )
+    stages = core.num_stages(n)
+    if math.isfinite(2.0 * value * 2.0 ** (stages + 1)):
+        return
+    if ladder:
+        reason = f"the deepest ladder step 2 * {value!r} * 2**{stages + 1} overflows"
+    else:
+        reason = f"the transform output bound {value!r} * 2**{stages}, with a headroom of 4, overflows"
+    raise ConfigError(f"{where}: full scale {value!r} is too large for n = {n}; {reason}")
 
 
 @contextlib.contextmanager

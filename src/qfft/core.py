@@ -4,11 +4,11 @@ Holds the direct-summation DFT used as the golden oracle, the twiddle
 table, bit-reversal and the staged decimation-in-time transform.
 ``DIRECTIONS`` is the one direction vocabulary of the package.
 
-``twiddle_table`` and ``bit_reversal_indices`` are built once per size,
-and the ``direction_twiddles`` rows, the one cached twiddle artifact,
-once per size and direction; the arrays they return are shared and
-read-only, so a caller that needs a modified table (a quantized ROM)
-derives a new array from it, and an in-place write raises ``ValueError``.
+``twiddle_table`` returns a new, writable half table on every call, which
+a caller may quantize in place (a twiddle ROM); the ``direction_twiddles``
+rows, built once per size and direction, are the one cached twiddle
+artifact, and ``bit_reversal_indices`` is built once per size. The cached
+arrays are shared and read-only: an in-place write raises ``ValueError``.
 
 ``staged_transform`` is the one stage loop of the package: ``fft_reference``
 and ``Pipeline.run`` both run it, the pipeline with one quantizer spec (or
@@ -100,24 +100,22 @@ def dft_naive(x) -> np.ndarray:
     return out
 
 
-# At most 16 sizes are valid, so the caches below stay small without a bound;
-# typed keys keep a float such as 4.0 from hitting the entry of 4 and
-# skipping validation.
-@functools.lru_cache(maxsize=None, typed=True)
 def twiddle_table(n: int) -> np.ndarray:
     """Half-circle twiddle factors w[k] = e^(-2j pi k / n) for k in [0, n/2).
 
     Each entry is computed from the sine/cosine of its exact rational
-    angle at full double precision (no recurrence drift). Cached per size;
-    the returned array is shared and read-only.
+    angle at full double precision (no recurrence drift). Not cached: each
+    call returns a new, writable array, which no run keeps once its stage
+    rows are built.
     """
     validate_size(n)
     ang = (2.0 * np.pi / n) * np.arange(n // 2)
-    table = np.cos(ang) - 1j * np.sin(ang)
-    table.setflags(write=False)
-    return table
+    return np.cos(ang) - 1j * np.sin(ang)
 
 
+# At most 16 sizes are valid, so the caches below stay small without a bound;
+# typed keys keep a float such as 4.0 from hitting the entry of 4 and
+# skipping validation.
 @functools.lru_cache(maxsize=None, typed=True)
 def bit_reversal_indices(n: int) -> np.ndarray:
     """Permutation p with p[i] = bit-reversal of i over log2(n) bits.
@@ -155,13 +153,13 @@ TILE = 1024
 def stage_twiddles(table: np.ndarray, direction: str) -> tuple[np.ndarray, ...]:
     """Twiddle rows of ``staged_transform`` in ``direction``; the one place a twiddle is conjugated.
 
-    ``table`` is the forward half table ``twiddle_table(n)`` or a
-    ROM-quantized copy of it. Row s holds W_s[k] = w_br[k mod 2**s] for
-    k < max(2**s, min(n/2, ``TILE``)), where w_br is ``table`` in
-    (log2(n) - 1)-bit-reversed order, conjugated for ifft: an inverse reads
-    the forward ROM conjugated, which every quantizer (odd, keeping -0.0)
-    commutes with. A row of one period is a view of w_br, not a copy.
-    Every row is read-only.
+    ``table`` is the forward half table ``twiddle_table(n)``, or one that
+    a twiddle ROM quantized in place; it is read, not kept. Row s holds
+    W_s[k] = w_br[k mod 2**s] for k < max(2**s, min(n/2, ``TILE``)), where
+    w_br is ``table`` in (log2(n) - 1)-bit-reversed order, conjugated for
+    ifft: an inverse reads the forward ROM conjugated, which every
+    quantizer (odd, keeping -0.0) commutes with. A row of one period is a
+    view of w_br, not a copy. Every row is read-only.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -282,8 +280,8 @@ def direction_twiddles(n: int, direction: str) -> tuple[np.ndarray, ...]:
     """``stage_twiddles(twiddle_table(n), direction)``.
 
     The twiddles of ``fft_reference`` and of every pipeline without a
-    twiddle ROM. Cached per size and direction; the rows are shared and
-    read-only.
+    twiddle ROM, and the one cached twiddle artifact: cached per size and
+    direction, the rows are shared and read-only.
     """
     return stage_twiddles(twiddle_table(n), direction)
 

@@ -79,9 +79,10 @@ class Pipeline:
         self.stages = config.stages
         tq = config.twiddle_quantizer
         if tq is not None:
-            # the rows copy the quantized table, which is not kept; no saturation
-            # count: the ROM a config builds has x_max = 1 >= |w|
-            rom = apply_quantizer(core.twiddle_table(config.n), tq)[0]
+            # a fresh table quantized in place, which the rows copy and do not keep;
+            # no saturation count: the ROM a config builds has x_max = 1 >= |w|
+            rom = core.twiddle_table(config.n)
+            apply_quantizer(rom, tq, out=rom)
             self.stage_twiddles = core.stage_twiddles(rom, config.direction)
         else:
             # without a ROM the rows are the shared cached ones of fft_reference

@@ -86,7 +86,12 @@ class QuantizerSpec:
         # computed on first read and kept in the instance ``__dict__``, which
         # equality, hash, repr and ``asdict`` never look at
         if self.mode == "uniform":
-            return 2.0 * float(self.x_max) * 2.0 ** -self.bits
+            try:
+                x_max = float(self.x_max)
+            except OverflowError:
+                # an integer past the double range: an infinite step, which construction rejects
+                x_max = math.inf
+            return 2.0 * x_max * 2.0 ** -self.bits
         return 2.0 ** -self.bits
 
     @property

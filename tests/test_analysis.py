@@ -208,6 +208,38 @@ class TestRunSweep:
         assert len(rows) == 3
         assert all(r.error_variance > 0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"quantizer_x_max": 1e200}, "quantizer.x_max"),
+            ({"signal_amplitude": 1e200}, "signal.amplitude"),
+            ({"signal_kind": "multitone", "signal_bins": (1, 2), "signal_amplitudes": (1e200, 1e200)}, "signal.amplitudes"),
+        ],
+        ids=["x_max", "amplitude", "amplitudes"],
+    )
+    def test_a_theory_column_past_the_double_range_is_a_config_error(self, change, field):
+        with pytest.raises(ConfigError, match=rf"^{field}: full scale .* at 6 bits gives a theory variance q\^2/12 past"):
+            self.sweep(n=64, bits_lo=6, bits_hi=7, trials=1, **change)
+
+    @pytest.mark.parametrize("x_max", [1e155, 4.2e155, 4.3e155, 1e156])
+    def test_the_theory_column_check_is_exact(self, x_max):
+        # q^2/12 at 6 bits first overflows between 4.2e155 and 4.3e155
+        finite = math.isfinite(QuantizerSpec("uniform", 6, x_max).theory_variance)
+        cfg = ExperimentConfig(n=64, bits_lo=6, bits_hi=6, trials=1, quantizer_x_max=x_max)
+        if finite:
+            assert math.isfinite(run_sweep(cfg)[0].theory_variance)
+        else:
+            with pytest.raises(ConfigError, match=r"^quantizer\.x_max: "):
+                run_sweep(cfg)
+
+    def test_an_error_variance_past_the_double_range_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: the error variance of the row at 6 bits"):
+            self.sweep(n=64, bits_lo=6, bits_hi=7, trials=1, quantizer_mode="mantissa", signal_amplitude=1e160)
+        # the largest amplitude decade that runs: an error variance of 1.36e300
+        rows = self.sweep(n=64, bits_lo=6, bits_hi=7, trials=1, signal_amplitude=1e150)
+        assert all(math.isfinite(value) for row in rows for value in vars(row).values())
+        assert rows[0].error_variance > 1e300
+
     def test_mantissa_flattens_no_later_than_uniform(self):
         uniform = self.sweep()
         mantissa = self.sweep(quantizer_mode="mantissa")

@@ -669,6 +669,41 @@ def test_an_overflowing_amplitude_is_a_config_error_under_warnings_as_errors(tmp
     assert len(lines) == 1 and lines[0].startswith("config error: signal.amplitude: ")
 
 
+SWEEP_ONE_TRIAL = {"n": 64, "sweep": {"bits_lo": 6, "bits_hi": 7, "trials": 1}}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"signal": {"amplitude": 1e200}}, "signal.amplitude"),
+        ({"quantizer": {"mode": "mantissa"}, "signal": {"amplitude": 1e160}}, "signal.amplitude"),
+        ({"quantizer": {"mode": "uniform", "x_max": 1e200}}, "quantizer.x_max"),
+    ],
+    ids=["uniform-amplitude", "mantissa-amplitude", "uniform-x_max"],
+)
+def test_a_sweep_whose_variances_overflow_is_a_config_error(tmp_path, change, field):
+    # the error variance (amplitudes) or the theory column q^2/12 (x_max 1e200) is past the double range
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**SWEEP_ONE_TRIAL, **change}))
+    argv = [sys.executable, "-W", "error", "-m", "qfft.cli", "sweep", "--config", str(config)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {field}: "), lines
+
+
+def test_a_sweep_at_the_edge_of_the_double_range_writes_finite_rows(tmp_path, capsys):
+    # its error variance is 1.36e300
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**SWEEP_ONE_TRIAL, "signal": {"amplitude": 1e150}}))
+    assert main(["sweep", "--config", str(config), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["bits"] for row in rows] == [6, 7]
+    assert all(math.isfinite(value) for row in rows for value in row.values())
+    assert rows[0]["error_variance"] > 1e299
+
+
 def test_the_process_entry_drops_the_collector_and_still_runs_exit_handlers():
     # what ``python -m qfft.cli selftest`` runs; the handler prints after sys.exit
     code = (

@@ -217,6 +217,28 @@ class TestParsing:
         with pytest.raises(ConfigError, match=field + ": full scale .* overflows"):
             parse_config(text)
 
+    LADDER_STEP = "the deepest ladder step 2 * 1.4142135623730953e+303 * 2**17 overflows"
+    OUTPUT_BOUND = "the transform output bound 1.4142135623730953e+303 * 2**16, with a headroom of 4, overflows"
+
+    @pytest.mark.parametrize(
+        "quantizer, bound",
+        [
+            ({}, LADDER_STEP),
+            ({"x_max": 1.0}, OUTPUT_BOUND),
+            ({"mode": "off"}, OUTPUT_BOUND),
+            ({"mode": "mantissa"}, OUTPUT_BOUND),
+            ({"per_stage": [{"mode": "mantissa"}] * 16}, OUTPUT_BOUND),
+        ],
+        ids=["uniform-ladder", "uniform-explicit-x_max", "off", "mantissa", "per_stage"],
+    )
+    def test_an_overflowing_full_scale_names_what_bounds_the_run(self, quantizer, bound):
+        # only an automatic uniform ladder starts at the signal's bound; any other run
+        # is held to the bound of the transform output
+        doc = {"n": 65536, "quantizer": quantizer, "signal": {"amplitude": 1e303}}
+        message = f"signal.amplitude: full scale 1.4142135623730953e+303 is too large for n = 65536; {bound}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "text, field",
         [

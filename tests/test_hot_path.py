@@ -62,7 +62,7 @@ class TestCachedTables:
         assert perm.dtype == np.intp
         assert np.array_equal(perm, recurrence_indices(n))
 
-    @pytest.mark.parametrize("table_fn", [core.bit_reversal_indices, core.twiddle_table])
+    @pytest.mark.parametrize("table_fn", [core.bit_reversal_indices])
     def test_tables_are_shared_and_read_only(self, table_fn):
         table = table_fn(16)
         assert table_fn(16) is table
@@ -71,14 +71,26 @@ class TestCachedTables:
         with pytest.raises(ValueError):
             table += 1
 
+    def test_each_twiddle_table_is_a_new_writable_array(self):
+        first, second = core.twiddle_table(16), core.twiddle_table(16)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        assert first.tobytes() == second.tobytes()
+        first[0] = 0
+        assert second[0] == 1
+
     def test_float_size_is_not_served_from_the_cache(self):
         core.bit_reversal_indices(8)
         with pytest.raises(ValueError):
             core.bit_reversal_indices(8.0)
 
-    def test_tables_built_once_per_size(self):
+    def test_tables_built_once_per_size(self, monkeypatch):
+        # twiddle_table is not cached: it is called once per rows build, by
+        # direction_twiddles, and never by a run, the reference or a sweep
+        tables = []
+        build_table = core.twiddle_table
+        monkeypatch.setattr(core, "twiddle_table", lambda n: tables.append(n) or build_table(n))
         core.bit_reversal_indices.cache_clear()
-        core.twiddle_table.cache_clear()
         core.direction_twiddles.cache_clear()
         for built, n in enumerate((16, 64), start=1):
             specs = uniform_stage_specs(n, 8, 2.0)
@@ -86,12 +98,13 @@ class TestCachedTables:
                 pipeline = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=specs))
                 for seed in range(3):
                     pipeline.run(random_signal(n, seed))
+                    core.fft_reference(random_signal(n, seed), direction)
             sweep = ExperimentConfig(n=n, bits_lo=6, bits_hi=8, trials=2)
             run_sweep(sweep)
             run_sweep(sweep)
             assert core.bit_reversal_indices.cache_info().misses == built
-            assert core.twiddle_table.cache_info().misses == built
             assert core.direction_twiddles.cache_info().misses == 2 * built
+            assert tables == [16, 16, 64, 64][: 2 * built]
 
 
 def strided_dit_stage(data, twiddles, stage):
@@ -218,6 +231,7 @@ TWIDDLE_ROMS = {
     "none": None,
     "uniform-1": QuantizerSpec("uniform", 1, 1.0),
     "uniform-5": QuantizerSpec("uniform", 5, 1.0),
+    "uniform-10": QuantizerSpec("uniform", 10, 1.0),
     "uniform-10-clipping": QuantizerSpec("uniform", 10, 0.5),
     "mantissa-3": QuantizerSpec("mantissa", 3),
 }
@@ -239,6 +253,18 @@ def test_the_inverse_reads_the_forward_rom_conjugated(rom, direction):
         w_br = table[core.bit_reversal_indices(n)[: n // 2] >> 1]
         row = Pipeline(PipelineConfig(n=n, direction=direction, twiddle_quantizer=spec)).stage_twiddles[-1]
         assert row.tobytes() == w_br.tobytes(), f"n = {n}"
+
+
+@pytest.mark.parametrize("direction", core.DIRECTIONS)
+@pytest.mark.parametrize("rom", sorted(name for name, spec in TWIDDLE_ROMS.items() if spec is not None))
+def test_the_rom_quantized_in_place_keeps_the_rows_of_a_quantized_copy(rom, direction):
+    # the oracle quantizes into a new array, then builds the rows from it
+    spec = TWIDDLE_ROMS[rom]
+    for m in range(1, 17):
+        n = 1 << m
+        oracle = core.stage_twiddles(apply_quantizer(core.twiddle_table(n), spec)[0], direction)
+        rows = Pipeline(PipelineConfig(n=n, direction=direction, twiddle_quantizer=spec)).stage_twiddles
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in oracle], f"n = {n}"
 
 
 @pytest.mark.parametrize("direction", ["inverse", None, "IFFT"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfft.analysis import quantizer_characterization
 from qfft.quantization import (
     MAX_BITS,
     MODES,
@@ -105,6 +106,13 @@ class TestQuantizerSpec:
             return
         field = "mode" if mode not in MODES else "bits" if not 1 <= bits <= MAX_BITS else "x_max"
         assert message.startswith(f"{field}: ")
+
+    def test_an_integer_full_scale_past_the_double_range_is_rejected(self):
+        # float(10**400) raises OverflowError; the step it gives is infinite
+        with pytest.raises(ValueError, match=r"^x_max: full scale 10+ at 8 bits gives the step inf, which is not"):
+            QuantizerSpec("uniform", 8, 10**400)
+        with pytest.raises(ValueError, match="^x_max: "):
+            quantizer_characterization("uniform", 6, 8, 10_000, x_max=10**400)
 
     def test_accepts_the_smallest_normal_step(self):
         x_max = sys.float_info.min * 2.0**51
