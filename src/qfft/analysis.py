@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig
+from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig, scale_back, unit_exponent
 from .pipeline import Pipeline
 from .quantization import QuantizerSpec, apply_quantizer, relative_error, snr_db
 from .signals import generate_signal
@@ -45,49 +45,31 @@ class CharacterizationRow:
 # fewest Monte-Carlo samples per row of a quantizer characterization
 MIN_CHARACTERIZATION_SAMPLES = 10_000
 
-# Peak exponents e (largest magnitude in [2**(e-1), 2**e)) for which sums
-# of squares of up to 2**25 components cannot overflow, and every square
-# that can reach a result's last bit (within 2**-100 of the peak's) is a
-# normal number.
-_UNSCALED_EXPONENTS = range(-400, 401)
-
-
-def _moments(pooled: np.ndarray) -> tuple[int, float, float, float]:
-    """Exponent e, then mean, variance and energy of the vectors in ``pooled`` scaled by 2**-e.
+def _moments(pooled: np.ndarray) -> tuple[float, float, float]:
+    """Mean, variance and energy of the vectors in ``pooled``.
 
     ``pooled`` is a C-contiguous float64 (2, vectors, n) array: every
     vector's real parts, then every vector's imaginary parts, which the
-    mean and variance pool as one real sample set. It is overwritten.
-    e is 0 when the largest component magnitude has its exponent in
-    ``_UNSCALED_EXPONENTS``, else the one that puts it in [1/2, 1), and
-    then ``pooled`` is scaled in place before it is measured. Scaling by
-    a power of two is exact, so moments scaled back by 2**e (4**e for
-    second moments) keep the bits the unscaled ones have inside that
-    range, and keep their value where unscaled squares would underflow
-    or overflow. The mean and variance are the pairwise sums of
-    ``mean()`` and ``var()`` with their bits, the variance taken in place
-    instead of on ``var()``'s copy. The energy is the sum over the
-    vectors, in order, of ``np.linalg.norm(vector) ** 2`` with its bits:
-    each vector is rebuilt in one complex n-vector and its squares summed
-    on the stride-2 ``real`` and ``imag`` views, as ``norm`` sums them.
+    mean and variance pool as one real sample set, at unit scale. It is
+    overwritten. The mean and variance are the pairwise sums of ``mean()``
+    and ``var()`` with their bits, the variance taken in place instead of
+    on ``var()``'s copy. The energy is the sum over the vectors, in order,
+    of ``np.linalg.norm(vector) ** 2`` with its bits: each vector is
+    rebuilt in one complex n-vector and its squares summed on the stride-2
+    ``real`` and ``imag`` views, as ``norm`` sums them.
     """
     components = pooled.reshape(-1)
-    exponent = math.frexp(max(float(components.max()), -float(components.min())))[1]
-    if exponent in _UNSCALED_EXPONENTS:
-        exponent = 0
-    else:
-        np.ldexp(components, -exponent, out=components)
     mean = np.add.reduce(components) / components.size
     scratch = np.empty(pooled.shape[-1], dtype=np.complex128)
     re, im = scratch.real, scratch.imag
     energy = 0.0
-    for real_parts, imag_parts in zip(*components.reshape(pooled.shape)):
+    for real_parts, imag_parts in zip(*pooled):
         re[:], im[:] = real_parts, imag_parts
         energy += float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
     components -= mean
     components *= components
     variance = np.add.reduce(components) / components.size
-    return exponent, float(mean), float(variance), energy
+    return float(mean), float(variance), energy
 
 
 def _percent_and_sqnr(reference: tuple, error: tuple) -> tuple[float, float]:
@@ -97,11 +79,9 @@ def _percent_and_sqnr(reference: tuple, error: tuple) -> tuple[float, float]:
     10*log10 of the reference variance over the error variance, capped by
     ``snr_db``.
     """
-    ref_exponent, _, ref_variance, ref_energy = reference
-    exponent, _, variance, energy = error
-    shift = 2 * (exponent - ref_exponent)
-    percent = 100.0 * math.sqrt(math.ldexp(energy / ref_energy, shift))
-    return percent, snr_db(ref_variance, math.ldexp(variance, shift))
+    _, ref_variance, ref_energy = reference
+    _, variance, energy = error
+    return 100.0 * math.sqrt(energy / ref_energy), snr_db(ref_variance, variance)
 
 
 def compare(reference, test) -> tuple[np.ndarray, float, float]:
@@ -110,9 +90,10 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     percent_error = 100 * ||reference - test|| / ||reference||; SQNR pools
     the real and imaginary parts of both vectors into real sample sets and
     takes 10*log10 of their variance ratio, capped at 300 dB so a perfect
-    match stays numeric. Both come from the helpers of ``run_sweep``, so
-    they equal the row of a one-trial sweep bit for bit and do not depend
-    on the scale of the inputs.
+    match stays numeric. Vectors whose largest component is in
+    [2**-401, 2**400), as a unit-scale run's are, give the row of a
+    one-trial sweep bit for bit; others are first scaled by one exact
+    power of two that puts it in [1/2, 1).
     """
     ref = np.asarray(reference, dtype=np.complex128)
     out = np.asarray(test, dtype=np.complex128)
@@ -124,8 +105,11 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     if not ref.any():
         raise ValueError("percent error is undefined for an all-zero reference")
     error = ref - out
-    moments = [_moments(np.stack((v.real, v.imag)).reshape(2, 1, -1)) for v in (ref, error)]
-    percent, sqnr = _percent_and_sqnr(*moments)
+    parts = np.stack((ref.real, ref.imag, error.real, error.imag)).reshape(4, 1, -1)
+    exponent = math.frexp(max(parts.max(), -parts.min()))[1]
+    if not -400 <= exponent <= 400:
+        np.ldexp(parts, -exponent, out=parts)
+    percent, sqnr = _percent_and_sqnr(_moments(parts[:2]), _moments(parts[2:]))
     return error, percent, sqnr
 
 
@@ -134,16 +118,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
 
     The row for each bit count from ``cfg.bits_lo`` to ``cfg.bits_hi``
     runs ``Pipeline(cfg.pipeline_config(bits))``, the processor ``qfft fft``
-    runs, with the configured stage quantizers, full scale and twiddle ROM.
-    Each row runs ``cfg.trials`` signals; the same trial signals (derived
-    from ``cfg.seed``) are reused across rows so adjacent rows differ only
-    in resolution. Deterministic for a fixed config.
+    runs, with the configured stage quantizers, full scale and twiddle ROM,
+    at unit scale, and reports each row through ``scale_back``. Each row
+    runs ``cfg.trials`` signals; the same trial signals (derived from
+    ``cfg.seed``) are reused across rows so adjacent rows differ only in
+    resolution. Deterministic for a fixed config.
 
-    Raises ``ConfigError`` for a config whose bits a sweep cannot vary or
-    whose theory column overflows (``ExperimentConfig.swept_mode``), whose
-    reference outputs have zero energy (a multitone whose tones cancel),
-    or whose signal is so large that a row's error variance is past the
-    double range.
+    Raises ``ConfigError`` for a config whose bits a sweep cannot vary
+    (``ExperimentConfig.swept_mode``), whose reference outputs have zero
+    energy (a multitone whose tones cancel), or where a reported value
+    scaled back is past the double range.
     """
     cfg.swept_mode()
     stages = core.num_stages(cfg.n)
@@ -163,11 +147,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     # _moments overwrites its input, so the references are measured in the errors buffer
     errors = references.copy()
     reference_moments = _moments(errors)
-    if reference_moments[3] == 0.0:
+    if reference_moments[2] == 0.0:
         raise ConfigError(f"{cfg.amplitude_path}: the reference outputs have zero energy; percent error undefined")
+    e, path = cfg.scale_exponent, cfg.amplitude_path
 
     rows = []
     for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
+        theory = cfg.input_quantizer(bits).theory_variance
+        if cfg.quantizer_mode == "uniform":  # a mantissa theory variance is relative
+            theory = scale_back(theory, 2 * e, "quantizer.x_max" if cfg.quantizer_x_max is not None else path)
         pipeline = Pipeline(cfg.pipeline_config(bits))
         saturations = 0
         for trial, x in enumerate(signals):
@@ -177,24 +165,17 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
             saturations += trace.saturation_total
         del trace
         error_moments = _moments(errors)
-        exponent, mean, variance = error_moments[:3]
-        # the errors scale with the signal; their std and mean stay below the largest of them
-        try:
-            error_variance = math.ldexp(variance, 2 * exponent)
-        except OverflowError:
-            raise ConfigError(
-                f"{cfg.amplitude_path}: the error variance of the row at {bits} bits is past the double range"
-            ) from None
+        mean, variance, _ = error_moments
         percent, sqnr = _percent_and_sqnr(reference_moments, error_moments)
         rows.append(
             ErrorReport(
                 bits=bits,
-                error_mean=math.ldexp(mean, exponent),
-                error_std=math.ldexp(math.sqrt(variance), exponent),
-                error_variance=error_variance,
+                error_mean=scale_back(mean, e, path),
+                error_std=scale_back(math.sqrt(variance), e, path),
+                error_variance=scale_back(variance, 2 * e, path),
                 percent_error=percent,
                 sqnr_db=sqnr,
-                theory_variance=cfg.input_quantizer(bits).theory_variance,
+                theory_variance=theory,
                 saturation_rate=saturations / (cfg.trials * 2 * cfg.n * stages),
             )
         )
@@ -212,21 +193,25 @@ def quantizer_characterization(
     """Pure quantizer Monte-Carlo, no FFT: empirical vs closed-form variance.
 
     Uniform mode draws x ~ Uniform[-x_max, x_max] and measures the
-    absolute error variance against q^2/12. Mantissa mode draws the
-    fraction uniform on [1/2, 1) with random sign and exponent and
-    measures the relative-error variance against q^2/6.
+    absolute error variance against q^2/12, at unit scale (x_max * 2**-e
+    in [1, 2)): both are reported times 4**e by ``scale_back``. Mantissa
+    mode draws the fraction uniform on [1/2, 1) with random sign and
+    exponent and measures the relative-error variance against q^2/6.
     """
     if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
         raise ValueError(f"need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}")
     if sample_count < MIN_CHARACTERIZATION_SAMPLES:
         raise ValueError(f"sample_count must be >= {MIN_CHARACTERIZATION_SAMPLES}, got {sample_count}")
 
+    # the finest step, judged at the given full scale
+    QuantizerSpec(mode, bits_hi, x_max if mode == "uniform" else None)
+    exponent = unit_exponent(x_max) if mode == "uniform" else 0
     rng = np.random.default_rng(seed)
     rows = []
     for bits in range(bits_lo, bits_hi + 1):
-        spec = QuantizerSpec(mode, bits, x_max if mode == "uniform" else None)
+        spec = QuantizerSpec(mode, bits, math.ldexp(x_max, -exponent) if mode == "uniform" else None)
         if mode == "uniform":
-            x = rng.uniform(-x_max, x_max, sample_count)
+            x = rng.uniform(-spec.x_max, spec.x_max, sample_count)
         else:
             # drawn in place: fraction, then sign and exponent, freed before quantizing
             x = rng.uniform(0.5, 1.0, sample_count)
@@ -240,6 +225,7 @@ def quantizer_characterization(
         # at most three sample arrays are alive at once: var() copies err, and
         # err is gone before the next row draws
         del x, qx
-        rows.append(CharacterizationRow(bits, float(err.var()), spec.theory_variance))
+        variances = (float(err.var()), spec.theory_variance)
+        rows.append(CharacterizationRow(bits, *(scale_back(v, 2 * exponent, "quantizer.x_max") for v in variances)))
         del err
     return rows

@@ -8,7 +8,7 @@ Schema (all keys optional, defaults applied):
       "quantizer": {"per_stage": null,  # or log2(n) entries, each with mode, bits, x_max (uniform only)
                     # mode, bits and x_max set every stage (pipeline_config) where per_stage is null, and only there
                     "mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
-                    "x_max": null},  # a positive full scale, or null for automatic; uniform only
+                    "x_max": null},  # positive and within 2**+-400 of the signal's bound, or null for automatic; uniform only
                     # "off" is no quantizer (a None stage), and reads neither bits nor x_max
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
@@ -26,6 +26,8 @@ Unknown keys, type mismatches and constraint violations raise ``ConfigError``
 naming the offending path. ``QuantizerSpec`` alone judges a quantizer: its
 errors open with the field they reject, and the config builds the spec and
 prefixes that field's document path.
+Every run is at unit scale (``ExperimentConfig.scale_exponent``); only what
+it reports is scaled back, by ``scale_back``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import core
 from .pipeline import PipelineConfig
@@ -52,6 +54,9 @@ _SIGNAL_READERS = {"amplitude": "random", "bins": "multitone", "amplitudes": "mu
 # the modes a document names: "off" is no quantizer (a None stage), then the quantizer MODES
 _MODES = ("off", *MODES)
 _FIXED_BITS = "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
+# a uniform full scale within 2**+-400 of the signal's bound keeps every unit-scale step (2**-451 up to
+# the deepest ladder level's 2**418), its square and every sum of squared errors a normal double
+FULL_SCALE_RANGE = 400
 
 
 class ConfigError(ValueError):
@@ -163,67 +168,73 @@ class ExperimentConfig:
                     f"got {len(self.per_stage)}"
                 )
         with _field_paths("signal."):
-            signal = self.signal_spec()
-        # a uniform ladder starts at x_max, or at the signal's bound where x_max is automatic
-        ladder = self.per_stage is None and self.quantizer_mode == "uniform"
-        if ladder and self.quantizer_x_max is not None:
-            _check_full_scale(self.quantizer_x_max, "quantizer.x_max", self.n, ladder)
-        _check_full_scale(magnitude_bound(signal), self.amplitude_path, self.n, ladder and self.quantizer_x_max is None)
+            bound = magnitude_bound(self._signal(0))
+        if not math.isfinite(bound):
+            raise ConfigError(f"{self.amplitude_path}: the signal's magnitude bound is past the double range")
+        object.__setattr__(self, "_scale_exponent", unit_exponent(bound))
+        given = [("quantizer.x_max", self.quantizer_x_max)] if self.quantizer_mode == "uniform" else []
+        given += [(f"quantizer.per_stage[{i}].x_max", s.x_max) for i, s in enumerate(self.per_stage or ()) if s]
+        for path, x_max in given:
+            if x_max is not None and not (x_max > 0 and abs(unit_exponent(x_max) - self.scale_exponent) <= FULL_SCALE_RANGE):
+                within = f"within 2**+-{FULL_SCALE_RANGE} of the signal's magnitude bound {bound!r}"
+                raise ConfigError(f"{path}: full scale {x_max!r} must be positive and {within}")
         if self.per_stage is None and self.quantizer_mode != "off":
-            # at the most bits `qfft fft` or a sweep row runs; uniform, its step is half the ladder's finest
+            # the spec judges the mode and full scale; at unit scale every step is normal
             with _field_paths("quantizer.", self.amplitude_path if self.quantizer_x_max is None else None):
-                self.input_quantizer(max(self.quantizer_bits, self.bits_hi))
+                self.input_quantizer(self.quantizer_bits)
+
+    @property
+    def scale_exponent(self) -> int:
+        """The static e that puts the signal's magnitude bound times 2**-e in [1, 2), 0 for a zero bound: a run
+        sees the signal and each uniform full scale times 2**-e, and only its reports are scaled back."""
+        return self._scale_exponent
+
+    def _signal(self, exponent: int) -> SignalSpec:
+        kind, amplitude = self.signal_kind, self.signal_amplitude
+        spec = SignalSpec(kind, self.n, self.signal_bin, self.signal_bins, self.signal_amplitudes, amplitude)
+        if exponent:  # only a random signal reads amplitude, and only a multitone amplitudes
+            amplitude = math.ldexp(amplitude, -exponent) if kind == "random" else amplitude
+            spec = replace(spec, amplitude=amplitude, amplitudes=tuple(math.ldexp(a, -exponent) for a in spec.amplitudes))
+        return spec
 
     def signal_spec(self) -> SignalSpec:
-        return SignalSpec(
-            kind=self.signal_kind,
-            n=self.n,
-            bin=self.signal_bin,
-            bins=self.signal_bins,
-            amplitudes=self.signal_amplitudes,
-            amplitude=self.signal_amplitude,
-        )
+        """The signal at unit scale: its amplitude or amplitudes times 2**-scale_exponent."""
+        return self._signal(self.scale_exponent)
 
     @property
     def amplitude_path(self) -> str:
-        """The document path of the signal's amplitude, which scales every value a run computes."""
+        """The document path of the signal's amplitude, which scales every value a run reports."""
         return "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
 
     def base_x_max(self) -> float:
-        """Input-stage full scale: explicit x_max or the signal magnitude bound."""
+        """Input-stage full scale at unit scale: explicit x_max times 2**-scale_exponent, or the unit-scale
+        signal's magnitude bound."""
         if self.quantizer_x_max is not None:
-            return self.quantizer_x_max
+            return math.ldexp(self.quantizer_x_max, -self.scale_exponent)
         return magnitude_bound(self.signal_spec())
 
     def input_quantizer(self, bits: int) -> QuantizerSpec:
-        """The quantizer at ``bits`` of the top-level fields, uniform at the ladder's input full scale
-        ``base_x_max``: a sweep row's theory column."""
+        """The quantizer at ``bits`` of the top-level fields, uniform at the ladder's unit-scale input full
+        scale ``base_x_max``: a sweep row's theory column, before ``scale_back``."""
         x_max = self.base_x_max() if self.quantizer_mode == "uniform" else self.quantizer_x_max
         return QuantizerSpec(self.quantizer_mode, bits, x_max)
 
     def swept_mode(self) -> str:
-        """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them, "off" has none,
-        or the theory column overflows: its largest entry, at ``bits_lo``, is past the double range."""
+        """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
         if self.per_stage is not None:
             raise ConfigError(_FIXED_BITS)
         if self.quantizer_mode == "off":
             raise ConfigError('quantizer.mode: "off" has no bits to sweep; use "uniform" or "mantissa"')
-        spec = self.input_quantizer(self.bits_lo)
-        if not math.isfinite(spec.theory_variance):
-            # only a uniform step scales with a full scale
-            where = self.amplitude_path if self.quantizer_x_max is None else "quantizer.x_max"
-            raise ConfigError(
-                f"{where}: full scale {spec.x_max!r} at {self.bits_lo} bits gives a theory variance "
-                "q^2/12 past the double range"
-            )
         return self.quantizer_mode
 
     def pipeline_config(self, bits: int | None = None) -> PipelineConfig:
-        """The processor a run builds at ``bits`` (default ``quantizer.bits``): the one place the top-level
-        quantizer fields become stage specs. A twiddle ROM is a uniform grid with x_max = 1 >= |w|."""
+        """The unit-scale processor a run builds at ``bits`` (default ``quantizer.bits``): the one place the
+        top-level quantizer fields become stage specs. Every uniform full scale is scaled by
+        2**-scale_exponent; a twiddle ROM is a uniform grid with x_max = 1 >= |w|, and is not scaled."""
         b = self.quantizer_bits if bits is None else bits
         if self.per_stage is not None:
-            stages = self.per_stage
+            e = self.scale_exponent
+            stages = [QuantizerSpec("uniform", s.bits, math.ldexp(s.x_max, -e)) if s and s.x_max else s for s in self.per_stage]
         elif self.quantizer_mode == "uniform":
             stages = uniform_stage_specs(self.n, b, self.base_x_max())
         elif self.quantizer_mode == "mantissa":
@@ -311,23 +322,16 @@ def _finite_number(value, where: str) -> float:
     return number
 
 
-def _check_full_scale(value: float, where: str, n: int, ladder: bool) -> None:
-    """Reject a full scale past what a run at size ``n`` keeps finite.
+def unit_exponent(bound: float) -> int:
+    """The exponent e that puts the positive ``bound`` times 2**-e in [1, 2); 0 for a zero bound."""
+    return math.frexp(bound)[1] - 1 if bound else 0
 
-    The transform output magnitude stays below value * 2**log2(n). A uniform
-    ``ladder`` gives its last stage that full scale, and the check bounds
-    its step 2 * value * 2**(log2(n) + 1) so the steps and the output stay
-    finite; any other run is held to the same product, the output bound
-    with a factor 4 of headroom.
-    """
-    stages = core.num_stages(n)
-    if math.isfinite(2.0 * value * 2.0 ** (stages + 1)):
-        return
-    if ladder:
-        reason = f"the deepest ladder step 2 * {value!r} * 2**{stages + 1} overflows"
-    else:
-        reason = f"the transform output bound {value!r} * 2**{stages}, with a headroom of 4, overflows"
-    raise ConfigError(f"{where}: full scale {value!r} is too large for n = {n}; {reason}")
+
+def scale_back(value: float, exponent: int, path: str) -> float:
+    """A reported ``value`` of a unit-scale run times 2**exponent: exact, or ``ConfigError`` at ``path``."""
+    if math.frexp(value)[1] + exponent > sys.float_info.max_exp:
+        raise ConfigError(f"{path}: the reported value {value!r} * 2**{exponent} is past the double range")
+    return math.ldexp(value, exponent)
 
 
 @contextlib.contextmanager
@@ -433,10 +437,5 @@ def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
     # the row at bits_hi has the finest step; a mantissa spec gets the document's full scale, if any, to reject
     with _field_paths("quantizer."):
         QuantizerSpec(mode, cfg.bits_hi, given if mode == "mantissa" else x_max)
-    # a row's variance sums, per sample, a squared error below the square of the
-    # coarsest step 2 * x_max * 2**-bits_lo: finite for any sample count an array holds
-    limit = math.sqrt(sys.float_info.max / sys.maxsize) * 2.0 ** (cfg.bits_lo - 1)
-    if not x_max <= limit:
-        raise ConfigError(f"quantizer.x_max: must be in (0, {limit:.6g}] at {cfg.bits_lo} bits, got {x_max!r}")
     return cfg, x_max
 

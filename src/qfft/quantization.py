@@ -99,10 +99,14 @@ class QuantizerSpec:
         """Closed-form error variance: q^2/12 absolute for uniform, q^2/6 relative for mantissa.
 
         q^2/6 is the mean of (a/M)^2 over a uniform on [-q/2, q/2] and M
-        uniform on [1/2, 1): twice the uniform value at equal step.
+        uniform on [1/2, 1): twice the uniform value at equal step. With
+        q = m * 2**k, m in [1/2, 1), it is (m * m / 12) * 2**k * 2**k: the
+        bits of q * q / 12 wherever that is normal, rounded once where it is
+        subnormal, finite wherever q^2/12 is, and inf past the double range.
         """
-        q = self.step
-        return q * q / 12.0 if self.mode == "uniform" else q * q / 6.0
+        m, k = math.frexp(self.step)
+        scale = 2.0**k  # a valid step is below 2**1023
+        return m * m / (12.0 if self.mode == "uniform" else 6.0) * scale * scale
 
 
 def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:

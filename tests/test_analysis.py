@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,14 +84,26 @@ class TestCompare:
         sqnr_direct = 10.0 * math.log10(pooled_ref.var() / pooled_err.var())
         assert sqnr == pytest.approx(sqnr_direct, rel=1e-12)
 
-    @pytest.mark.parametrize("amplitude", [1.0, 2.0**-530], ids=["unit", "tiny"])
+    @pytest.mark.parametrize(
+        "amplitude",
+        [1.0, 2.0**-530, 1e-300, 2.0**-1015, 3.7, 2.0**300],
+        ids=["unit", "tiny", "1e-300", "2**-1015", "3.7", "2**300"],
+    )
     @pytest.mark.parametrize("mode", ["uniform", "mantissa"])
     @pytest.mark.parametrize("n", [2, 1024, 65536])
     def test_equals_a_one_trial_sweep_row(self, n, mode, amplitude):
-        # bit for bit: compare and run_sweep share one statistics path
+        # bit for bit: compare and run_sweep share one statistics path, on the unit-scale run
         for seed in range(4):
             cfg = ExperimentConfig(
-                n=n, bits_lo=9, bits_hi=9, trials=1, seed=seed, quantizer_mode=mode, signal_amplitude=amplitude
+                n=n,
+                direction=("fft", "ifft")[seed % 2],
+                twiddle_enabled=seed >= 2,
+                bits_lo=9,
+                bits_hi=9,
+                trials=1,
+                seed=seed,
+                quantizer_mode=mode,
+                signal_amplitude=amplitude,
             )
             (row,) = run_sweep(cfg)
             (trial_seed,) = np.random.SeedSequence(seed).spawn(1)
@@ -117,7 +130,8 @@ class TestSweepSpec:
 
 
 class TestMoments:
-    @pytest.mark.parametrize("scale", [1.0, 2.0**-530, 2.0**600], ids=["unscaled", "tiny", "huge"])
+    # a unit-scale run's components stay below 2**418, whose squares numpy's var() keeps finite
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-530, 2.0**400], ids=["unscaled", "tiny", "huge"])
     @pytest.mark.parametrize("seed", range(8))
     def test_in_place_moments_keep_the_bits_of_mean_and_var(self, seed, scale):
         # _moments overwrites its buffer instead of letting var() copy it;
@@ -126,11 +140,9 @@ class TestMoments:
         vectors, n = int(rng.integers(1, 9)), 1 << int(rng.integers(1, 15))
         pooled = scale * rng.uniform(-1, 1, (2, vectors, n)) + scale * rng.uniform(-1e-3, 1e-3)
         kept = pooled.copy()
-        exponent, mean, variance, _ = _moments(pooled)
-        assert (exponent == 0) == (scale == 1.0)
-        scaled = np.ldexp(kept, -exponent)
-        assert mean.hex() == float(np.mean(scaled)).hex()
-        assert variance.hex() == float(np.var(scaled)).hex()
+        mean, variance, _ = _moments(pooled)
+        assert mean.hex() == float(np.mean(kept)).hex()
+        assert variance.hex() == float(np.var(kept)).hex()
 
 
 class TestRunSweep:
@@ -141,15 +153,24 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", ["uniform", "mantissa"])
     def test_tiny_signal_rows_match_the_unit_amplitude_rows(self, mode):
-        # every operation scales exactly by a power of two, so only the
-        # underflow of squared error components could tell the rows apart
-        unit, tiny = (
-            self.sweep(n=64, trials=2, bits_lo=10, bits_hi=10, quantizer_mode=mode, signal_amplitude=a)[0]
-            for a in (1.0, 2.0**-530)
-        )
-        assert tiny.percent_error == unit.percent_error
-        assert tiny.sqnr_db == unit.sqnr_db
-        assert tiny.error_std == math.ldexp(unit.error_std, -530)
+        # every run is at unit scale: amplitude a runs the rows of a * 2**-e, and
+        # reports them scaled back by 2**e (4**e for the variances)
+        for amplitude, direction, rom in itertools.product(
+            [2.0**-530, 1e-300, 2.0**-1015, 3.7, 2.0**300], ["fft", "ifft"], [False, True]
+        ):
+            e = ExperimentConfig(signal_amplitude=amplitude).scale_exponent
+            scaled, unit = (
+                self.sweep(
+                    n=64, trials=2, bits_lo=10, bits_hi=10, quantizer_mode=mode, direction=direction,
+                    twiddle_enabled=rom, signal_amplitude=a,
+                )[0]
+                for a in (amplitude, math.ldexp(amplitude, -e))
+            )
+            assert (scaled.percent_error, scaled.sqnr_db) == (unit.percent_error, unit.sqnr_db)
+            assert (scaled.error_mean, scaled.error_std) == (math.ldexp(unit.error_mean, e), math.ldexp(unit.error_std, e))
+            assert scaled.error_variance == math.ldexp(unit.error_variance, 2 * e)
+            theory = math.ldexp(unit.theory_variance, 2 * e) if mode == "uniform" else unit.theory_variance
+            assert scaled.theory_variance == theory
 
     def test_one_row_per_bit(self):
         rows = self.sweep()
@@ -211,29 +232,32 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "change, field",
         [
-            ({"quantizer_x_max": 1e200}, "quantizer.x_max"),
+            ({"quantizer_x_max": 1e200, "signal_amplitude": 1e150}, "quantizer.x_max"),
             ({"signal_amplitude": 1e200}, "signal.amplitude"),
             ({"signal_kind": "multitone", "signal_bins": (1, 2), "signal_amplitudes": (1e200, 1e200)}, "signal.amplitudes"),
         ],
         ids=["x_max", "amplitude", "amplitudes"],
     )
     def test_a_theory_column_past_the_double_range_is_a_config_error(self, change, field):
-        with pytest.raises(ConfigError, match=rf"^{field}: full scale .* at 6 bits gives a theory variance q\^2/12 past"):
+        # the unit-scale column is finite; scaled back by 4**e it is not
+        with pytest.raises(ConfigError, match=rf"^{field}: the reported value .* past the double range$"):
             self.sweep(n=64, bits_lo=6, bits_hi=7, trials=1, **change)
 
-    @pytest.mark.parametrize("x_max", [1e155, 4.2e155, 4.3e155, 1e156])
+    @pytest.mark.parametrize("x_max", [1e155, 4.2e155, 4.3e155, 1e156, 1.48e156, 1.49e156])
     def test_the_theory_column_check_is_exact(self, x_max):
-        # q^2/12 at 6 bits first overflows between 4.2e155 and 4.3e155
-        finite = math.isfinite(QuantizerSpec("uniform", 6, x_max).theory_variance)
-        cfg = ExperimentConfig(n=64, bits_lo=6, bits_hi=6, trials=1, quantizer_x_max=x_max)
-        if finite:
-            assert math.isfinite(run_sweep(cfg)[0].theory_variance)
+        # q^2/12 at 6 bits first overflows between 1.48e156 and 1.49e156; the column
+        # is the full scale's own theory variance, bit for bit, where that is finite
+        theory = QuantizerSpec("uniform", 6, x_max).theory_variance
+        cfg = ExperimentConfig(n=64, bits_lo=6, bits_hi=6, trials=1, quantizer_x_max=x_max, signal_amplitude=1e150)
+        assert cfg.scale_exponent == 498
+        if math.isfinite(theory):
+            assert run_sweep(cfg)[0].theory_variance == theory
         else:
             with pytest.raises(ConfigError, match=r"^quantizer\.x_max: "):
                 run_sweep(cfg)
 
     def test_an_error_variance_past_the_double_range_is_a_config_error(self):
-        with pytest.raises(ConfigError, match=r"^signal\.amplitude: the error variance of the row at 6 bits"):
+        with pytest.raises(ConfigError, match=r"^signal\.amplitude: the reported value .* past the double range$"):
             self.sweep(n=64, bits_lo=6, bits_hi=7, trials=1, quantizer_mode="mantissa", signal_amplitude=1e160)
         # the largest amplitude decade that runs: an error variance of 1.36e300
         rows = self.sweep(n=64, bits_lo=6, bits_hi=7, trials=1, signal_amplitude=1e150)

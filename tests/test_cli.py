@@ -427,10 +427,10 @@ def test_quantizer_refuses_what_it_does_not_read(tmp_path, capsys, doc, field):
     assert captured.err == f"config error: {field}: qfft quantizer runs no transform and does not read it; remove it\n"
 
 
-@pytest.mark.parametrize("x_max, ok", [(1e140, True), (1e150, False), (1e306, False)])
+@pytest.mark.parametrize("x_max, ok", [(1e140, True), (1e150, True), (1e156, True), (1e157, False), (1e306, False)])
 def test_quantizer_full_scale_keeps_every_row_finite(tmp_path, capsys, x_max, ok):
-    # at 6 bits the errors reach a step of 2 * x_max / 64, whose square summed over
-    # sys.maxsize samples must stay finite
+    # the rows run at unit scale; at 6 bits the variances, about (2 * x_max / 64)**2 / 12,
+    # are scaled back and stay finite up to an x_max of about 1.48e156
     config = tmp_path / "q.json"
     config.write_text(json.dumps({"quantizer": {"x_max": x_max}, "sweep": {"bits_lo": 6, "bits_hi": 7}}))
     assert main(["quantizer", "--config", str(config), "--samples", "20000"]) == (0 if ok else 1)
@@ -439,7 +439,7 @@ def test_quantizer_full_scale_keeps_every_row_finite(tmp_path, capsys, x_max, ok
         rows = [line.split(",") for line in captured.out.splitlines()[-2:]]
         assert all(math.isfinite(float(value)) for row in rows for value in row)
     else:
-        assert captured.err == f"config error: quantizer.x_max: must be in (0, 1.41274e+146] at 6 bits, got {x_max!r}\n"
+        assert re.fullmatch(r"config error: quantizer\.x_max: the reported value .* past the double range\n", captured.err)
 
 
 @pytest.mark.parametrize("samples", [9_999, 2**24 + 1, 2_000_000_000, 10**14], ids=["low", "high", "2e9", "1e14"])
@@ -682,7 +682,8 @@ SWEEP_ONE_TRIAL = {"n": 64, "sweep": {"bits_lo": 6, "bits_hi": 7, "trials": 1}}
     ids=["uniform-amplitude", "mantissa-amplitude", "uniform-x_max"],
 )
 def test_a_sweep_whose_variances_overflow_is_a_config_error(tmp_path, change, field):
-    # the error variance (amplitudes) or the theory column q^2/12 (x_max 1e200) is past the double range
+    # scaled back, the error variance and theory column of the amplitudes are past the double range;
+    # x_max 1e200 is 2**664 times the unit signal's bound, past the ratio a config accepts
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({**SWEEP_ONE_TRIAL, **change}))
     argv = [sys.executable, "-W", "error", "-m", "qfft.cli", "sweep", "--config", str(config)]
@@ -691,6 +692,38 @@ def test_a_sweep_whose_variances_overflow_is_a_config_error(tmp_path, change, fi
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: {field}: "), lines
+
+
+@pytest.mark.parametrize("command", ["fft", "sweep"])
+def test_a_full_scale_far_below_the_signal_is_a_config_error(tmp_path, command):
+    # at real scale, x / q for this pair overflows inside the uniform quantizer
+    config = tmp_path / "ratio.json"
+    config.write_text(json.dumps({**SWEEP_ONE_TRIAL, "quantizer": {"x_max": 1e-300}, "signal": {"amplitude": 1e300}}))
+    argv = [sys.executable, "-W", "error", "-m", "qfft.cli", command, "--config", str(config)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: quantizer.x_max: full scale 1e-300 must be"), lines
+
+
+@pytest.mark.parametrize("k", [-1020, -530, -1, 3, 700, 1016])
+@pytest.mark.parametrize("direction, rom", [("fft", False), ("ifft", True)])
+def test_fft_output_scales_with_a_power_of_two_amplitude(tmp_path, capsys, k, direction, rom):
+    # the run is at unit scale, so amplitude 2**k reports 2**k times the bits of amplitude 1
+    outputs = []
+    for amplitude in (1.0, 2.0**k):
+        doc = {"n": 64, "direction": direction, "signal": {"amplitude": amplitude}, "format": "json"}
+        doc["twiddle_quantization"] = {"enabled": rom, "bits": 10}
+        config = tmp_path / "fft.json"
+        config.write_text(json.dumps(doc))
+        assert main(["fft", "--config", str(config)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    unit, scaled = outputs
+    assert scaled["saturation_total"] == unit["saturation_total"]
+    for name in ("real", "imag"):
+        values = np.array([row[name] for row in unit["output"]])
+        assert np.ldexp(values, k).tobytes() == np.array([row[name] for row in scaled["output"]]).tobytes()
 
 
 def test_a_sweep_at_the_edge_of_the_double_range_writes_finite_rows(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from qfft import config
 from qfft.analysis import run_sweep
 from qfft.config import ConfigError, ExperimentConfig, parse_config
+from qfft.pipeline import Pipeline
 from qfft.quantization import QuantizerSpec
+from qfft.signals import generate_signal
 
 FULL_SWEEP_CONFIG = """
 {
@@ -199,89 +202,116 @@ class TestParsing:
         with pytest.raises(ConfigError, match=field + ": must be a finite number"):
             parse_config(text)
 
+    RATIO = r"full scale .* must be positive and within 2\*\*\+-400 of the signal's magnitude bound"
+    BOUND = r"the signal's magnitude bound is past the double range$"
+
     @pytest.mark.parametrize(
-        "text, field",
+        "text, field, reason",
         [
-            ('{"quantizer": {"mode": "uniform", "bits": 8, "x_max": 1e308}}', r"quantizer\.x_max"),
-            ('{"quantizer": {"mode": "mantissa"}, "signal": {"amplitude": 1e307}}', r"signal\.amplitude"),
+            ('{"quantizer": {"mode": "uniform", "bits": 8, "x_max": 1e308}}', r"quantizer\.x_max", RATIO),
+            ('{"quantizer": {"mode": "mantissa"}, "signal": {"amplitude": 1.3e308}}', r"signal\.amplitude", BOUND),
             (
                 '{"signal": {"kind": "multitone", "bins": [1, 2], "amplitudes": [1e308, 1e308]}}',
                 r"signal\.amplitudes",
+                BOUND,
             ),
             # sqrt(2) * 1.7e308 overflows to inf, with no warning (an error in this suite) on the way
-            ('{"signal": {"amplitude": 1.7e308}}', r"signal\.amplitude"),
+            ('{"signal": {"amplitude": 1.7e308}}', r"signal\.amplitude", BOUND),
         ],
         ids=["x_max", "amplitude", "amplitudes", "amplitude-near-double-max"],
     )
-    def test_full_scale_with_overflowing_ladder_step_rejected(self, text, field):
-        with pytest.raises(ConfigError, match=field + ": full scale .* overflows"):
+    def test_full_scale_with_overflowing_ladder_step_rejected(self, text, field, reason):
+        # only a signal bound past the double range, or a full scale too far from it, is rejected
+        with pytest.raises(ConfigError, match=f"^{field}: {reason}"):
             parse_config(text)
 
-    LADDER_STEP = "the deepest ladder step 2 * 1.4142135623730953e+303 * 2**17 overflows"
-    OUTPUT_BOUND = "the transform output bound 1.4142135623730953e+303 * 2**16, with a headroom of 4, overflows"
-
     @pytest.mark.parametrize(
-        "quantizer, bound",
+        "quantizer, runs",
         [
-            ({}, LADDER_STEP),
-            ({"x_max": 1.0}, OUTPUT_BOUND),
-            ({"mode": "off"}, OUTPUT_BOUND),
-            ({"mode": "mantissa"}, OUTPUT_BOUND),
-            ({"per_stage": [{"mode": "mantissa"}] * 16}, OUTPUT_BOUND),
+            ({}, True),
+            ({"x_max": 1.0}, False),
+            ({"mode": "off"}, True),
+            ({"mode": "mantissa"}, True),
+            ({"per_stage": [{"mode": "mantissa"}] * 16}, True),
         ],
         ids=["uniform-ladder", "uniform-explicit-x_max", "off", "mantissa", "per_stage"],
     )
-    def test_an_overflowing_full_scale_names_what_bounds_the_run(self, quantizer, bound):
-        # only an automatic uniform ladder starts at the signal's bound; any other run
-        # is held to the bound of the transform output
+    def test_an_overflowing_full_scale_names_what_bounds_the_run(self, quantizer, runs):
+        # every run is at unit scale and reports an output below its bound 1.4142135623730953e+303 * 2**16
+        # = 9.3e307; only a full scale 2**1006 below the signal's bound is rejected, and named
         doc = {"n": 65536, "quantizer": quantizer, "signal": {"amplitude": 1e303}}
-        message = f"signal.amplitude: full scale 1.4142135623730953e+303 is too large for n = 65536; {bound}"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            parse_config(json.dumps(doc))
+        if not runs:
+            with pytest.raises(ConfigError, match=rf"^quantizer\.x_max: {self.RATIO} 1\.4142135623730953e\+303$"):
+                parse_config(json.dumps(doc))
+            return
+        cfg = parse_config(json.dumps(doc))
+        output = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), cfg.seed)).output
+        peak = config.scale_back(float(np.abs(output.view(np.float64)).max()), cfg.scale_exponent, "signal.amplitude")
+        assert 1e305 < peak <= 1.4142135623730953e303 * 2**16
 
     @pytest.mark.parametrize(
-        "text, field",
+        "text, field, reason",
         [
-            ('{"quantizer": {"x_max": 1e-320, "bits": 52}}', r"quantizer\.x_max"),
-            ('{"quantizer": {"x_max": 1e-300, "bits": 52}}', r"quantizer\.x_max"),
+            ('{"quantizer": {"x_max": 1e-320, "bits": 52}}', r"quantizer\.x_max", RATIO),
+            ('{"quantizer": {"x_max": 1e-300, "bits": 52}}', r"quantizer\.x_max", RATIO),
             (
                 '{"n": 4, "quantizer": {"per_stage": [{"mode": "off"}, {"x_max": 1e-320, "bits": 52}]}}',
                 r"quantizer\.per_stage\[1\]\.x_max",
+                "full scale .* not a positive normal number",
             ),
-            ('{"signal": {"amplitude": 1e-323}}', r"signal\.amplitude"),
             (
                 '{"n": 4, "quantizer": {"per_stage": [{"x_max": 1.7e308, "bits": 8}, {"mode": "off"}]}}',
                 r"quantizer\.per_stage\[0\]\.x_max",
+                "full scale .* not a positive normal number",
             ),
         ],
-        ids=["x_max-zero-step", "x_max-subnormal-step", "per_stage", "automatic", "per_stage-infinite-step"],
+        ids=["x_max-zero-step", "x_max-subnormal-step", "per_stage", "per_stage-infinite-step"],
     )
-    def test_full_scale_with_non_normal_ladder_step_rejected(self, text, field):
-        with pytest.raises(ConfigError, match=field + ": full scale .* not a positive normal number"):
+    def test_full_scale_with_non_normal_ladder_step_rejected(self, text, field, reason):
+        # a per-stage spec judges its own step at the given scale; the top-level x_max is held to the ratio
+        with pytest.raises(ConfigError, match=f"^{field}: {reason}"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 64, "quantizer": {"x_max": 1e-300}, "signal": {"amplitude": 1e300}}, r"quantizer\.x_max"),
+            ({"quantizer": {"x_max": 1e200}}, r"quantizer\.x_max"),
+            ({"n": 2, "quantizer": {"per_stage": [{"x_max": 2.0**-401, "bits": 8}]}}, r"quantizer\.per_stage\[0\]\.x_max"),
+        ],
+        ids=["far-below-the-signal", "far-above-the-signal", "per_stage"],
+    )
+    def test_a_full_scale_outside_the_ratio_is_rejected(self, doc, field):
+        # at real scale x / q overflows in the first case, and every component rounds to 0 in the second
+        with pytest.raises(ConfigError, match=f"^{field}: {self.RATIO}"):
+            parse_config(json.dumps(doc))
+
     def test_smallest_full_scale_with_normal_ladder_step_accepted(self):
-        # the finest step 2 * x_max * 2**-52 is the smallest normal double
-        x_max = sys.float_info.min * 2.0**51
+        # the unit signal's bound is in [1, 2): a full scale of 2**-400 is the smallest accepted,
+        # and its finest ladder step 2**-451 is normal
+        x_max = 2.0**-400
         cfg = parse_config(json.dumps({"quantizer": {"x_max": x_max, "bits": 52}}))
-        assert cfg.quantizer_x_max == x_max
-        # its finest step is the largest subnormal double
-        smaller = math.nextafter(sys.float_info.min, 0.0) * 2.0**51
-        with pytest.raises(ConfigError, match=r"quantizer\.x_max"):
+        assert cfg.quantizer_x_max == x_max and cfg.pipeline_config().stage_quantizers[0].step == 2.0**-450
+        smaller = math.nextafter(x_max, 0.0)
+        with pytest.raises(ConfigError, match=r"^quantizer\.x_max: full scale .* within 2\*\*\+-400"):
             parse_config(json.dumps({"quantizer": {"x_max": smaller, "bits": 52}}))
-        # mantissa stages have no full scale, and the per-stage rule follows each entry's bits
+        # mantissa stages have no full scale, and each uniform per-stage entry is held to the same ratio
         with pytest.raises(ConfigError, match=r"^quantizer\.x_max: a mantissa quantizer is scale-free"):
             parse_config(json.dumps({"quantizer": {"mode": "mantissa", "x_max": smaller}}))
-        per_stage = [{"x_max": smaller, "bits": 51}, {"mode": "mantissa"}]
+        per_stage = [{"x_max": x_max, "bits": 51}, {"mode": "mantissa"}]
         assert parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": per_stage}}))
+        per_stage[0]["x_max"] = smaller
+        with pytest.raises(ConfigError, match=r"^quantizer\.per_stage\[0\]\.x_max: full scale .* within"):
+            parse_config(json.dumps({"n": 4, "quantizer": {"per_stage": per_stage}}))
 
     def test_largest_full_scale_with_finite_ladder_step_accepted(self):
-        # n = 1024: the check bounds 2 * x_max * 2**11
-        x_max = sys.float_info.max / 2**12
-        cfg = parse_config(json.dumps({"quantizer": {"x_max": x_max}}))
-        assert cfg.quantizer_x_max == x_max
-        with pytest.raises(ConfigError, match=r"quantizer\.x_max"):
-            parse_config(json.dumps({"quantizer": {"x_max": 2 * x_max}}))
+        # the largest full scale accepted for the unit signal is just below 2**401; its deepest
+        # ladder step at n = 65536 is below 2**418
+        x_max = math.nextafter(2.0**401, 0.0)
+        cfg = parse_config(json.dumps({"n": 65536, "quantizer": {"x_max": x_max, "bits": 1}}))
+        assert cfg.quantizer_x_max == x_max and cfg.pipeline_config().stage_quantizers[-1].step < 2.0**418
+        with pytest.raises(ConfigError, match=r"^quantizer\.x_max"):
+            parse_config(json.dumps({"quantizer": {"x_max": 2.0**401}}))
 
 
 class TestOneBoundary:
@@ -401,12 +431,12 @@ class TestOneBoundary:
             ExperimentConfig(n=4, quantizer_mode="off", **{field: value})
 
     def test_off_mode_checks_no_ladder_step(self):
-        # the uniform ladder's finest step at this amplitude is subnormal, but "off" builds no ladder
-        signal = {"amplitude": 1e-323}
+        # all-zero amplitudes give the uniform ladder a zero full scale, but "off" builds no ladder
+        signal = {"kind": "multitone", "bins": [1, 2], "amplitudes": [0, 0]}
         cfg = parse_config(json.dumps({"n": 8, "quantizer": {"mode": "off"}, "signal": signal}))
         assert cfg.pipeline_config().stage_quantizers == (None,) * 3
         assert cfg.to_dict()["quantizer"] == {"mode": "off"}
-        with pytest.raises(ConfigError, match=r"^signal\.amplitude: full scale .* not a positive normal number"):
+        with pytest.raises(ConfigError, match=r"^signal\.amplitudes: a uniform quantizer needs a positive full scale"):
             parse_config(json.dumps({"n": 8, "quantizer": {"mode": "uniform"}, "signal": signal}))
 
     def test_per_stage_echoes_only_itself(self):
@@ -416,13 +446,21 @@ class TestOneBoundary:
         assert parse_config(json.dumps(doc)).to_dict()["quantizer"] == {"per_stage": stages}
 
     def test_per_stage_skips_the_checks_of_a_ladder_it_does_not_build(self):
-        # the default uniform ladder's finest step at this amplitude is subnormal
-        signal = {"amplitude": 1e-305}
-        with pytest.raises(ConfigError, match=r"^signal\.amplitude: full scale .* not a positive normal number"):
+        # all-zero amplitudes give the default uniform ladder a zero full scale
+        signal = {"kind": "multitone", "bins": [1, 2], "amplitudes": [0, 0]}
+        with pytest.raises(ConfigError, match=r"^signal\.amplitudes: a uniform quantizer needs a positive full scale"):
             parse_config(json.dumps({"n": 4, "signal": signal}))
         stages = [{"mode": "mantissa", "bits": 5}] * 2
         cfg = parse_config(json.dumps({"n": 4, "signal": signal, "quantizer": {"per_stage": stages}}))
         assert cfg.pipeline_config().stage_quantizers == (QuantizerSpec("mantissa", 5),) * 2
+
+    @pytest.mark.parametrize("amplitude", [1e-323, 2.0**-1074], ids=["1e-323", "smallest-subnormal"])
+    def test_a_subnormal_amplitude_runs_the_unit_ladder(self, amplitude):
+        # a power of two 2**k runs the processor and signal of amplitude 1, and reports scaled back by 2**k
+        cfg = parse_config(json.dumps({"n": 8, "signal": {"amplitude": amplitude}}))
+        unit = ExperimentConfig(n=8)
+        assert (cfg.signal_spec(), cfg.pipeline_config()) == (unit.signal_spec(), unit.pipeline_config())
+        assert cfg.scale_exponent == math.frexp(amplitude)[1] - 1
 
     def test_replace_checks_again(self):
         with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):

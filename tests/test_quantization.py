@@ -267,6 +267,16 @@ class TestTheory:
         assert QuantizerSpec("uniform", 52, 1.0).theory_variance < 1e-30
         assert QuantizerSpec("mantissa", 52).theory_variance < 1e-30
 
+    def test_finite_wherever_the_closed_form_is(self):
+        # q = 1.34e154 is past sqrt(max double), so q * q overflows, but q^2/12 = 1.5e307 does not
+        assert QuantizerSpec("uniform", 6, 4.3e155).theory_variance == 1.5047200520833334e307
+        assert QuantizerSpec("uniform", 6, 1.49e156).theory_variance == math.inf
+        # wherever q * q / 12 is normal, its bits are kept
+        rng = np.random.default_rng(12)
+        for exponent, bits in zip(rng.integers(-400, 400, 2000), rng.integers(1, 53, 2000)):
+            spec = QuantizerSpec("uniform", bits, math.ldexp(rng.uniform(0.5, 1.0), int(exponent)))
+            assert spec.theory_variance == spec.step * spec.step / 12.0
+
 
 class TestSnrDb:
     def test_two_decades_is_20db(self):
