@@ -17,7 +17,7 @@ from qfft import (
     compare,
     fft_reference,
     generate_signal,
-    uniform_stage_specs,
+    stage_ladder,
 )
 
 signal = generate_signal(SignalSpec("random", 1024, amplitude=1.0), seed=3)
@@ -32,7 +32,7 @@ print(f"  counters: {trace.multiplies} multiplies, {trace.additions} additions")
 
 print("\n== per-stage uniform quantization (full scale doubles per stage) ==")
 for bits in (6, 8, 10, 12):
-    specs = uniform_stage_specs(1024, bits, np.sqrt(2.0))
+    specs = stage_ladder(QuantizerSpec("uniform", bits, np.sqrt(2.0)), 1024)
     pipeline = Pipeline(PipelineConfig(n=1024, stage_quantizers=specs))
     trace = pipeline.run(signal)
     _, percent, sqnr = compare(reference, trace.output)
@@ -42,7 +42,7 @@ for bits in (6, 8, 10, 12):
     )
 
 print("\n== an after_stage hook sees every stage, after its quantizer ==")
-specs = uniform_stage_specs(1024, 8, np.sqrt(2.0))
+specs = stage_ladder(QuantizerSpec("uniform", 8, np.sqrt(2.0)), 1024)
 
 
 def show_headroom(stage, data):

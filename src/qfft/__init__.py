@@ -18,9 +18,8 @@ from .analysis import (
 from .config import (
     ConfigError,
     ExperimentConfig,
-    mantissa_stage_specs,
     parse_config,
-    uniform_stage_specs,
+    stage_ladder,
 )
 from .core import (
     bit_reverse_permute,
@@ -58,13 +57,12 @@ __all__ = [
     "fft_reference",
     "generate_signal",
     "magnitude_bound",
-    "mantissa_stage_specs",
     "parse_config",
     "processing_cost",
     "quantizer_characterization",
     "relative_error",
     "run_sweep",
     "snr_db",
+    "stage_ladder",
     "twiddle_table",
-    "uniform_stage_specs",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from . import core
 from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig, scale_back, unit_exponent
 from .pipeline import Pipeline
-from .quantization import QuantizerSpec, apply_quantizer, relative_error, snr_db
+from .quantization import QuantizerSpec, apply_quantizer, snr_db
 from .signals import generate_signal
 
 
@@ -93,7 +93,8 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
     match stays numeric. Vectors whose largest component is in
     [2**-401, 2**400), as a unit-scale run's are, give the row of a
     one-trial sweep bit for bit; others are first scaled by one exact
-    power of two that puts it in [1/2, 1).
+    power of two that puts it in [1/2, 1). Finite vectors whose difference
+    is past the double range raise ``ValueError``.
     """
     ref = np.asarray(reference, dtype=np.complex128)
     out = np.asarray(test, dtype=np.complex128)
@@ -104,7 +105,11 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
             raise ValueError(f"{name} contains non-finite components")
     if not ref.any():
         raise ValueError("percent error is undefined for an all-zero reference")
-    error = ref - out
+    try:
+        with np.errstate(over="raise"):
+            error = ref - out
+    except FloatingPointError:
+        raise ValueError("reference - test is past the double range; the error vector cannot hold it") from None
     parts = np.stack((ref.real, ref.imag, error.real, error.imag)).reshape(4, 1, -1)
     exponent = math.frexp(max(parts.max(), -parts.min()))[1]
     if not -400 <= exponent <= 400:
@@ -153,8 +158,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
 
     rows = []
     for bits in range(cfg.bits_lo, cfg.bits_hi + 1):
-        theory = cfg.input_quantizer(bits).theory_variance
-        if cfg.quantizer_mode == "uniform":  # a mantissa theory variance is relative
+        spec = cfg.input_quantizer(bits)
+        theory = spec.theory_variance
+        if spec.x_max is not None:  # a scale-free theory variance is relative
             theory = scale_back(theory, 2 * e, "quantizer.x_max" if cfg.quantizer_x_max is not None else path)
         pipeline = Pipeline(cfg.pipeline_config(bits))
         saturations = 0
@@ -203,14 +209,14 @@ def quantizer_characterization(
     if sample_count < MIN_CHARACTERIZATION_SAMPLES:
         raise ValueError(f"sample_count must be >= {MIN_CHARACTERIZATION_SAMPLES}, got {sample_count}")
 
-    # the finest step, judged at the given full scale
-    QuantizerSpec(mode, bits_hi, x_max if mode == "uniform" else None)
-    exponent = unit_exponent(x_max) if mode == "uniform" else 0
+    # the finest step, judged at the given full scale; every row runs at unit scale
+    finest = QuantizerSpec(mode, bits_hi, x_max if mode == "uniform" else None)
+    exponent = unit_exponent(x_max) if finest.x_max is not None else 0
     rng = np.random.default_rng(seed)
     rows = []
     for bits in range(bits_lo, bits_hi + 1):
-        spec = QuantizerSpec(mode, bits, math.ldexp(x_max, -exponent) if mode == "uniform" else None)
-        if mode == "uniform":
+        spec = QuantizerSpec(mode, bits, finest.scaled(-exponent).x_max)
+        if spec.x_max is not None:
             x = rng.uniform(-spec.x_max, spec.x_max, sample_count)
         else:
             # drawn in place: fraction, then sign and exponent, freed before quantizing
@@ -221,7 +227,7 @@ def quantizer_characterization(
             np.ldexp(x, exponents, out=x)
             del sign, exponents
         qx = apply_quantizer(x, spec)[0]
-        err = x - qx if mode == "uniform" else relative_error(x, qx)
+        err = spec.error(x, qx)
         # at most three sample arrays are alive at once: var() copies err, and
         # err is gone before the next row draws
         del x, qx

@@ -27,7 +27,8 @@ naming the offending path. ``QuantizerSpec`` alone judges a quantizer: its
 errors open with the field they reject, and the config builds the spec and
 prefixes that field's document path.
 Every run is at unit scale (``ExperimentConfig.scale_exponent``); only what
-it reports is scaled back, by ``scale_back``.
+it reports is scaled back, by ``scale_back``. A spec scales itself
+(``QuantizerSpec.scaled``), so one ``stage_ladder`` serves every mode.
 """
 
 from __future__ import annotations
@@ -63,23 +64,10 @@ class ConfigError(ValueError):
     """Configuration document error carrying a field-path diagnostic."""
 
 
-def uniform_stage_specs(n: int, bits: int, input_x_max: float) -> tuple[QuantizerSpec, ...]:
-    """Per-stage uniform quantizers with full scale doubling each stage.
-
-    Stage s gets x_max = input_x_max * 2**(s+1), tracking the worst-case
-    factor-2 magnitude growth per butterfly stage so saturation does not
-    drown the staircase noise.
-    """
-    stages = core.num_stages(n)
-    return tuple(
-        QuantizerSpec("uniform", bits, input_x_max * 2.0 ** (s + 1)) for s in range(stages)
-    )
-
-
-def mantissa_stage_specs(n: int, bits: int) -> tuple[QuantizerSpec, ...]:
-    """Per-stage mantissa quantizers (scale-free, no full-scale ladder needed)."""
-    stages = core.num_stages(n)
-    return tuple(QuantizerSpec("mantissa", bits) for _ in range(stages))
+def stage_ladder(spec: QuantizerSpec, n: int) -> tuple[QuantizerSpec, ...]:
+    """The stage quantizers of an n-point transform with input quantizer ``spec``: stage s gets ``spec.scaled(s + 1)``,
+    so a full scale doubles each stage with a butterfly's worst-case growth and a scale-free spec repeats."""
+    return tuple(spec.scaled(s + 1) for s in range(core.num_stages(n)))
 
 
 def _setting(path: str, default, kind: str, unread=None, **rules):
@@ -206,17 +194,12 @@ class ExperimentConfig:
         """The document path of the signal's amplitude, which scales every value a run reports."""
         return "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
 
-    def base_x_max(self) -> float:
-        """Input-stage full scale at unit scale: explicit x_max times 2**-scale_exponent, or the unit-scale
-        signal's magnitude bound."""
-        if self.quantizer_x_max is not None:
-            return math.ldexp(self.quantizer_x_max, -self.scale_exponent)
-        return magnitude_bound(self.signal_spec())
-
     def input_quantizer(self, bits: int) -> QuantizerSpec:
-        """The quantizer at ``bits`` of the top-level fields, uniform at the ladder's unit-scale input full
-        scale ``base_x_max``: a sweep row's theory column, before ``scale_back``."""
-        x_max = self.base_x_max() if self.quantizer_mode == "uniform" else self.quantizer_x_max
+        """The stage ladder's unit-scale input quantizer at ``bits``, a sweep row's theory column before ``scale_back``: a
+        uniform full scale is x_max times 2**-scale_exponent, or the unit-scale signal's magnitude bound if automatic."""
+        x_max = self.quantizer_x_max
+        if self.quantizer_mode == "uniform":
+            x_max = magnitude_bound(self.signal_spec()) if x_max is None else math.ldexp(x_max, -self.scale_exponent)
         return QuantizerSpec(self.quantizer_mode, bits, x_max)
 
     def swept_mode(self) -> str:
@@ -229,18 +212,14 @@ class ExperimentConfig:
 
     def pipeline_config(self, bits: int | None = None) -> PipelineConfig:
         """The unit-scale processor a run builds at ``bits`` (default ``quantizer.bits``): the one place the
-        top-level quantizer fields become stage specs. Every uniform full scale is scaled by
-        2**-scale_exponent; a twiddle ROM is a uniform grid with x_max = 1 >= |w|, and is not scaled."""
-        b = self.quantizer_bits if bits is None else bits
+        top-level quantizer fields become stage specs. Every stage spec is scaled by 2**-scale_exponent;
+        a twiddle ROM is a uniform grid with x_max = 1 >= |w|, and is not scaled."""
         if self.per_stage is not None:
-            e = self.scale_exponent
-            stages = [QuantizerSpec("uniform", s.bits, math.ldexp(s.x_max, -e)) if s and s.x_max else s for s in self.per_stage]
-        elif self.quantizer_mode == "uniform":
-            stages = uniform_stage_specs(self.n, b, self.base_x_max())
-        elif self.quantizer_mode == "mantissa":
-            stages = mantissa_stage_specs(self.n, b)
-        else:
+            stages = [s and s.scaled(-self.scale_exponent) for s in self.per_stage]
+        elif self.quantizer_mode == "off":
             stages = ()
+        else:
+            stages = stage_ladder(self.input_quantizer(self.quantizer_bits if bits is None else bits), self.n)
         rom = QuantizerSpec("uniform", self.twiddle_bits, 1.0) if self.twiddle_enabled else None
         return PipelineConfig(self.n, self.direction, stages, rom)
 

@@ -5,9 +5,10 @@ floating-point mantissa quantizer that rounds only the normalized
 fraction M in [1/2, 1). Rounding is half-to-even in both, which keeps the
 empirical error mean near zero. A ``QuantizerSpec`` names the mode and
 carries its closed-form error variance, ``theory_variance``: q^2/12 for
-the uniform staircase and q^2/6 for the mantissa relative error.
-``apply_quantizer`` is the one way to quantize, for either mode: into a
-new array or, after a pipeline stage, in place.
+the uniform staircase and q^2/6 for the mantissa relative error, whose
+``error`` it measures, and its scale rule: ``scaled(k)`` quantizes data
+times 2**k. ``apply_quantizer`` is the one way to quantize, for either
+mode: into a new array or, after a pipeline stage, in place.
 
 The uniform kernel looks for saturation with ``argmax``/``argmin`` and
 counts only when one of those levels lies past x_max or is NaN. On 2,048
@@ -107,6 +108,14 @@ class QuantizerSpec:
         m, k = math.frexp(self.step)
         scale = 2.0**k  # a valid step is below 2**1023
         return m * m / (12.0 if self.mode == "uniform" else 6.0) * scale * scale
+
+    def scaled(self, exponent: int) -> QuantizerSpec:
+        """The same quantizer for data times 2**exponent: the full scale scaled, or a scale-free spec itself."""
+        return self if self.x_max is None else QuantizerSpec(self.mode, self.bits, math.ldexp(self.x_max, exponent))
+
+    def error(self, x, qx):
+        """The error whose variance ``theory_variance`` gives: x - qx with a full scale, else relative."""
+        return x - qx if self.x_max is not None else relative_error(x, qx)
 
 
 def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:

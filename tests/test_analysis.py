@@ -13,7 +13,7 @@ from qfft.analysis import (
 )
 from qfft.config import ConfigError, ExperimentConfig, parse_config
 from qfft.core import fft_reference
-from qfft import uniform_stage_specs
+from qfft import stage_ladder
 from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import SQNR_CAP_DB, QuantizerSpec
 from qfft.signals import generate_signal
@@ -54,6 +54,15 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(np.ones(4, dtype=complex), np.ones(8, dtype=complex))
 
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_a_difference_past_the_double_range_is_rejected_without_warnings(self, unit):
+        # finite inputs whose error vector cannot hold 2e308; the suite turns warnings into errors
+        with pytest.raises(ValueError, match=r"reference - test is past the double range"):
+            compare(np.array([1e308 * unit, 1.0]), np.array([-1e308 * unit, 1.0]))
+        # just inside the range the error is 1.6e308 and the row is finite
+        _, percent, sqnr = compare(np.array([8e307, 1.0]), np.array([-8e307, 1.0]))
+        assert percent == pytest.approx(200.0) and sqnr == pytest.approx(-6.0206, abs=1e-4)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     @pytest.mark.parametrize("name", ["reference", "test"])
     def test_non_finite_component_rejected(self, name, bad):
@@ -68,7 +77,7 @@ class TestCompare:
         n = 1024
         x = random_signal(n, seed=88)
         reference = fft_reference(x)
-        specs = uniform_stage_specs(n, 8, math.sqrt(2.0))
+        specs = stage_ladder(QuantizerSpec("uniform", 8, math.sqrt(2.0)), n)
         test = Pipeline(PipelineConfig(n=n, stage_quantizers=specs)).run(x).output
 
         error, percent, sqnr = compare(reference, test)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfft import core, emit_report, mantissa_stage_specs, uniform_stage_specs
+from qfft import core, emit_report, stage_ladder
 from qfft import quantization as quantization_module
 from qfft.analysis import ErrorReport, run_sweep
 from qfft.config import ExperimentConfig, parse_config
@@ -93,7 +93,7 @@ class TestCachedTables:
         core.bit_reversal_indices.cache_clear()
         core.direction_twiddles.cache_clear()
         for built, n in enumerate((16, 64), start=1):
-            specs = uniform_stage_specs(n, 8, 2.0)
+            specs = stage_ladder(QuantizerSpec("uniform", 8, 2.0), n)
             for direction in ("fft", "ifft"):
                 pipeline = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=specs))
                 for seed in range(3):
@@ -169,11 +169,11 @@ def in_place_run(x, direction, table, specs):
 
 STAGE_QUANTIZERS = {
     "off": lambda n: (),
-    "uniform": lambda n: uniform_stage_specs(n, 9, 2.0),
-    "uniform-saturating": lambda n: uniform_stage_specs(n, 2, 0.05),
-    "mantissa": lambda n: mantissa_stage_specs(n, 5),
+    "uniform": lambda n: stage_ladder(QuantizerSpec("uniform", 9, 2.0), n),
+    "uniform-saturating": lambda n: stage_ladder(QuantizerSpec("uniform", 2, 0.05), n),
+    "mantissa": lambda n: stage_ladder(QuantizerSpec("mantissa", 5), n),
     "mixed-none": lambda n: tuple(
-        None if stage % 2 else spec for stage, spec in enumerate(uniform_stage_specs(n, 2, 0.05))
+        None if stage % 2 else spec for stage, spec in enumerate(stage_ladder(QuantizerSpec("uniform", 2, 0.05), n))
     ),
 }
 
@@ -220,7 +220,7 @@ def test_stage_twiddles_are_read_only():
 @pytest.mark.parametrize("direction", core.DIRECTIONS)
 def test_pipelines_without_a_rom_share_the_reference_twiddles(n, direction):
     first = Pipeline(PipelineConfig(n=n, direction=direction))
-    second = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=uniform_stage_specs(n, 6, 1.0)))
+    second = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 6, 1.0), n)))
     assert second.stage_twiddles is first.stage_twiddles is core.direction_twiddles(n, direction)
     rom = Pipeline(PipelineConfig(n=n, direction=direction, twiddle_quantizer=QuantizerSpec("uniform", 5, 1.0)))
     for rom_row, row in zip(rom.stage_twiddles, first.stage_twiddles):
@@ -292,7 +292,7 @@ def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents(
     # each); a third vector, such as an output gather that does not go
     # straight into the free buffer, adds 1 MiB
     n = core.MAX_SIZE
-    pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=mantissa_stage_specs(n, 10)))
+    pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 10), n)))
     x = random_signal(n, seed=31)
     pipeline.run(x)
     tracemalloc.start()
@@ -327,7 +327,7 @@ def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
     if kind == "reference":
         call = lambda: core.fft_reference(x)  # noqa: E731
     else:
-        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 12, 1.0)))
+        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 12, 1.0), n)))
         call = lambda: pipeline.run(x)  # noqa: E731
     assert _peak_of_a_second_call(call) < 2 * n * 16
 
@@ -335,8 +335,8 @@ def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
 def test_two_threads_transform_concurrently_as_they_do_in_turn():
     n = 4096
     pipelines = [
-        Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 10, 1.0))),
-        Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=mantissa_stage_specs(n, 8))),
+        Pipeline(PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 10, 1.0), n))),
+        Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 8), n))),
     ]
     inputs = [random_signal(n, seed=41), random_signal(n, seed=43, scale=3.0)]
     expected = [p.run(x).output.tobytes() for p, x in zip(pipelines, inputs)]
@@ -365,7 +365,7 @@ def test_two_threads_transform_concurrently_as_they_do_in_turn():
 
 def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(monkeypatch):
     n = 1024
-    pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 10, 1.0)))
+    pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 10, 1.0), n)))
     x = random_signal(n, seed=47)
     expected = pipeline.run(x).output.tobytes()
     seen, nested = [], []
@@ -585,12 +585,12 @@ def test_quantizer_spec_contract_survives_its_cached_constants(spec):
 
 
 PIPELINES = {
-    "uniform": PipelineConfig(n=256, stage_quantizers=uniform_stage_specs(256, 7, 1.5)),
-    "uniform-saturating": PipelineConfig(n=256, stage_quantizers=uniform_stage_specs(256, 7, 0.05)),
-    "mantissa-ifft": PipelineConfig(n=256, direction="ifft", stage_quantizers=mantissa_stage_specs(256, 5)),
+    "uniform": PipelineConfig(n=256, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 7, 1.5), 256)),
+    "uniform-saturating": PipelineConfig(n=256, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 7, 0.05), 256)),
+    "mantissa-ifft": PipelineConfig(n=256, direction="ifft", stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 5), 256)),
     "twiddle-rom": PipelineConfig(
         n=64,
-        stage_quantizers=uniform_stage_specs(64, 4, 0.5),
+        stage_quantizers=stage_ladder(QuantizerSpec("uniform", 4, 0.5), 64),
         twiddle_quantizer=QuantizerSpec("uniform", 5, 1.0),
     ),
     "bypass": PipelineConfig(n=256),

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qfft import mantissa_stage_specs, uniform_stage_specs
+from qfft import stage_ladder
 from qfft.core import dft_naive, fft_reference, num_stages
 from qfft.pipeline import Pipeline, PipelineConfig, processing_cost
 from qfft.quantization import QuantizerSpec, apply_quantizer
@@ -52,7 +52,7 @@ class TestConfig:
     def test_a_numpy_integer_size_runs_like_the_int(self, direction):
         assert num_stages(np.int64(8)) == 3
         x = random_signal(8, seed=4)
-        specs = uniform_stage_specs(8, 6, 2.0)
+        specs = stage_ladder(QuantizerSpec("uniform", 6, 2.0), 8)
         rom = QuantizerSpec("uniform", 5, 1.0)
         runs = [
             Pipeline(PipelineConfig(n=size, direction=direction, stage_quantizers=specs, twiddle_quantizer=rom)).run(x)
@@ -134,12 +134,12 @@ class TestRun:
 
     def test_stage_outputs_are_quantizer_fixed_points(self):
         n = 128
-        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 6, 2.0)))
+        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 6, 2.0), n)))
         assert fixed_point_stages(pipeline, random_signal(n, seed=17)) == [True] * 7
 
     def test_mantissa_stage_outputs_are_fixed_points(self):
         n = 64
-        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=mantissa_stage_specs(n, 5)))
+        pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 5), n)))
         assert fixed_point_stages(pipeline, random_signal(n, seed=18)) == [True] * 6
 
     def test_saturation_counted(self):
@@ -176,7 +176,7 @@ class TestRun:
     def test_parallel_runs_share_one_pipeline(self):
         n = 128
         pipeline = Pipeline(
-            PipelineConfig(n=n, stage_quantizers=uniform_stage_specs(n, 8, 2.0))
+            PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 8, 2.0), n))
         )
         signals = [random_signal(n, seed=100 + i) for i in range(8)]
         serial = [pipeline.run(x).output for x in signals]
@@ -215,7 +215,7 @@ class TestQuantizedDegradation:
         ref_var = np.concatenate([reference.real, reference.imag]).var()
         sqnr = []
         for bits in range(6, 15):
-            specs = uniform_stage_specs(n, bits, np.sqrt(2.0))
+            specs = stage_ladder(QuantizerSpec("uniform", bits, np.sqrt(2.0)), n)
             trace = Pipeline(PipelineConfig(n=n, stage_quantizers=specs)).run(x)
             err = reference - trace.output
             err_var = np.concatenate([err.real, err.imag]).var()
@@ -225,9 +225,9 @@ class TestQuantizedDegradation:
 
 
 def test_stage_spec_ladders():
-    specs = uniform_stage_specs(16, 8, 1.5)
+    specs = stage_ladder(QuantizerSpec("uniform", 8, 1.5), 16)
     assert [s.x_max for s in specs] == [3.0, 6.0, 12.0, 24.0]
     assert all(s.mode == "uniform" and s.bits == 8 for s in specs)
-    specs = mantissa_stage_specs(16, 7)
+    specs = stage_ladder(QuantizerSpec("mantissa", 7), 16)
     assert len(specs) == 4
     assert all(s.mode == "mantissa" and s.bits == 7 for s in specs)

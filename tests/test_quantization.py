@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfft.analysis import quantizer_characterization
+from qfft.config import stage_ladder
 from qfft.quantization import (
     MAX_BITS,
     MODES,
@@ -364,3 +365,48 @@ class TestQuantizerProperties:
         spec = QuantizerSpec("uniform", bits, x_max)
         x = np.array(data.draw(st.lists(st.floats(-x_max, x_max), min_size=1, max_size=16)))
         assert np.all(np.abs(x - apply_quantizer(x, spec)[0]) <= spec.step / 2 + x_max * 2.0**-51)
+
+
+class TestScaleRule:
+    # k in 2**+-400 keeps every step (at least 2**-151 * 2**-400) and quantized level a normal double
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bits=BITS, x_max=FULL_SCALES, k=st.integers(-400, 400))
+    def test_a_uniform_spec_scales_with_the_data(self, data, bits, x_max, k):
+        spec = QuantizerSpec("uniform", bits, x_max)
+        x = np.array(data.draw(st.lists(st.floats(-4 * x_max, 4 * x_max), min_size=1, max_size=16)))
+        scaled = spec.scaled(k)
+        assert scaled == QuantizerSpec("uniform", bits, x_max * 2.0**k)
+        qx, saturated = apply_quantizer(x, spec)
+        scaled_qx, scaled_saturated = apply_quantizer(x * 2.0**k, scaled)
+        assert scaled_qx.tobytes() == (qx * 2.0**k).tobytes()
+        assert scaled_saturated == saturated
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(st.floats(2.0**-600, 2.0**600).flatmap(lambda m: st.sampled_from((m, -m))), min_size=1, max_size=16),
+        bits=BITS,
+        k=st.integers(-400, 400),
+    )
+    def test_a_mantissa_spec_is_scale_free(self, x, bits, k):
+        spec = QuantizerSpec("mantissa", bits)
+        assert spec.scaled(k) is spec
+        x = np.array(x)
+        assert apply_quantizer(x * 2.0**k, spec)[0].tobytes() == (apply_quantizer(x, spec)[0] * 2.0**k).tobytes()
+
+    def test_the_error_is_absolute_with_a_full_scale_and_relative_without(self):
+        x, qx = np.array([0.3, -1.5]), np.array([0.25, -1.0])
+        assert QuantizerSpec("uniform", 3, 2.0).error(x, qx).tobytes() == (x - qx).tobytes()
+        assert QuantizerSpec("mantissa", 3).error(x, qx).tobytes() == relative_error(x, qx).tobytes()
+
+    @pytest.mark.parametrize("x_max", [2.0, 1.5, math.sqrt(2.0), 0.05, 2.0**-300])
+    def test_the_stage_ladder_doubles_a_full_scale_each_stage(self, x_max):
+        for log2n in range(1, 17):
+            assert stage_ladder(QuantizerSpec("uniform", 8, x_max), 2**log2n) == tuple(
+                QuantizerSpec("uniform", 8, x_max * 2.0 ** (s + 1)) for s in range(log2n)
+            )
+
+    def test_the_stage_ladder_repeats_a_mantissa_spec(self):
+        for log2n in range(1, 17):
+            assert stage_ladder(QuantizerSpec("mantissa", 5), 2**log2n) == tuple(
+                QuantizerSpec("mantissa", 5) for _ in range(log2n)
+            )
