@@ -4,9 +4,10 @@ Subcommands map to the experiment families: ``fft`` runs one (optionally
 quantized) transform and emits the output vector, ``sweep`` runs a
 bit-resolution sweep of the quantized pipeline against the ideal
 reference, ``quantizer`` characterizes a bare quantizer by Monte-Carlo,
-and ``selftest`` runs the built-in consistency checks. All randomness
-flows from a single seed; flags override config-file values. ``report``
-renders and writes every report; this module only runs and dispatches.
+and ``selftest`` runs the built-in consistency checks from ``--seed``
+alone. All randomness flows from a single seed; flags override config-file
+values. This module only parses, calls the library and has ``report``
+write what it returns (``sweep`` writes ``run_sweep``'s rows as they are).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import gc
-import math
 import os
 import sys
 
@@ -36,12 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_output=True):
+    def add_common(p):
         p.add_argument("--config", metavar="PATH", help="JSON configuration document")
         p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-        if with_output:
-            p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-            p.add_argument("--format", choices=("csv", "json"), help="report format")
+        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+        p.add_argument("--format", choices=("csv", "json"), help="report format")
 
     p_fft = sub.add_parser("fft", help="run one transform and emit the output vector")
     add_common(p_fft)
@@ -53,18 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=1_000_000, help="Monte-Carlo sample count (default 1e6)"
     )
     p_self = sub.add_parser("selftest", help="run built-in consistency checks")
-    add_common(p_self, with_output=False)
+    p_self.add_argument("--seed", type=int, metavar="U64", help="the checks' seed (default 0)")
     return parser
 
 
 def _load_config(args) -> tuple[ExperimentConfig, float | None]:
     """The config with the flags applied, and the full scale of ``qfft quantizer`` (None otherwise)."""
     text = "{}"
-    if args.config is not None:
-        with open(args.config) as handle:
+    path = getattr(args, "config", None)
+    if path is not None:
+        with open(path) as handle:
             text = handle.read()
     cfg, x_max = parse_characterization(text) if args.command == "quantizer" else (parse_config(text), None)
-    # selftest has neither --out nor --format; replace checks the flags as it checks the file
+    # selftest has only --seed; replace checks the flags as it checks the file
     flags = {key: getattr(args, key, None) for key in ("seed", "out", "format")}
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None}), x_max
 
@@ -87,21 +87,8 @@ def _cmd_fft(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _check_sweep_rows(rows) -> None:
-    for row in rows:
-        if not row.percent_error >= 0:
-            raise RuntimeError(f"row {row.bits}: negative percent error")
-        if not 0.0 <= row.saturation_rate <= 1.0:
-            raise RuntimeError(f"row {row.bits}: saturation rate outside [0, 1]")
-        if row.error_variance > 0 and not math.isclose(
-            row.error_std**2, row.error_variance, rel_tol=1e-12
-        ):
-            raise RuntimeError(f"row {row.bits}: std/variance mismatch")
-
-
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
     rows = analysis.run_sweep(cfg)
-    _check_sweep_rows(rows)
     report.write([report.emit_report(rows, format=cfg.format, config=cfg.to_dict())], cfg.out)
     return 0
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfft
-from qfft import cli, core, report
+from qfft import analysis, cli, core, report
 from qfft.cli import main
 from qfft.config import parse_config
 from qfft.pipeline import Pipeline
@@ -546,6 +546,18 @@ def test_negative_seed_flag_is_diagnosed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_selftest_takes_a_seed_and_no_config(tmp_path, capsys):
+    # the checks read the seed alone, so a document for them is refused, not ignored
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(SWEEP_CONFIG))
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--config", str(config)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert main(["selftest", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.endswith("selftest: all checks passed\n")
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
@@ -735,6 +747,20 @@ def test_a_sweep_at_the_edge_of_the_double_range_writes_finite_rows(tmp_path, ca
     assert [row["bits"] for row in rows] == [6, 7]
     assert all(math.isfinite(value) for row in rows for value in row.values())
     assert rows[0]["error_variance"] > 1e299
+
+
+def test_a_sweep_with_subnormal_moments_writes_the_rows_run_sweep_returns(tmp_path, capsys):
+    # amplitude 2**-501: the one butterfly multiplies by W = 1, so every host computes
+    # the same row, whose variance is subnormal and so not the square of its std to 1e-12
+    document = {"n": 2, "sweep": {"bits_lo": 17, "bits_hi": 17, "trials": 1}, "signal": {"amplitude": 2.0**-501}}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(document))
+    assert main(["sweep", "--config", str(config), "--seed", "205"]) == 0
+    cfg = parse_config(json.dumps({**document, "seed": 205}))
+    (row,) = rows = analysis.run_sweep(cfg)
+    assert capsys.readouterr().out == report.emit_report(rows, "csv", cfg.to_dict())
+    assert row.bits == 17 and 0 < row.error_variance < sys.float_info.min
+    assert not math.isclose(row.error_std**2, row.error_variance, rel_tol=1e-12)
 
 
 def test_the_process_entry_drops_the_collector_and_still_runs_exit_handlers():
