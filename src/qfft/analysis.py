@@ -194,15 +194,15 @@ def quantizer_characterization(
     bits_hi: int,
     sample_count: int,
     seed: int = 0,
-    x_max: float = 1.0,
+    x_max: float | None = None,
 ) -> list[CharacterizationRow]:
     """Pure quantizer Monte-Carlo, no FFT: empirical vs closed-form variance.
 
-    Uniform mode draws x ~ Uniform[-x_max, x_max] and measures the
-    absolute error variance against q^2/12, at unit scale (x_max * 2**-e
-    in [1, 2)): both are reported times 4**e by ``scale_back``. Mantissa
-    mode draws the fraction uniform on [1/2, 1) with random sign and
-    exponent and measures the relative-error variance against q^2/6.
+    Each row's spec is ``QuantizerSpec.named(mode, bits, x_max)``. Uniform
+    mode draws x ~ Uniform[-x_max, x_max] and measures the absolute error
+    variance against q^2/12 at unit scale (x_max * 2**-e in [1, 2)), both
+    reported times 4**e by ``scale_back``. Mantissa mode draws the fraction
+    on [1/2, 1) with random sign and exponent, relative error vs q^2/6.
     """
     if not 1 <= bits_lo <= bits_hi <= MAX_SWEEP_BITS:
         raise ValueError(f"need 1 <= bits_lo <= bits_hi <= {MAX_SWEEP_BITS}")
@@ -210,8 +210,8 @@ def quantizer_characterization(
         raise ValueError(f"sample_count must be >= {MIN_CHARACTERIZATION_SAMPLES}, got {sample_count}")
 
     # the finest step, judged at the given full scale; every row runs at unit scale
-    finest = QuantizerSpec(mode, bits_hi, x_max if mode == "uniform" else None)
-    exponent = unit_exponent(x_max) if finest.x_max is not None else 0
+    finest = QuantizerSpec.named(mode, bits_hi, x_max)
+    exponent = unit_exponent(finest.x_max) if finest.x_max is not None else 0
     rng = np.random.default_rng(seed)
     rows = []
     for bits in range(bits_lo, bits_hi + 1):

@@ -24,6 +24,7 @@ import numpy as np
 from . import analysis, core, report
 from .config import MAX_SWEEP_SAMPLES, ConfigError, ExperimentConfig, parse_characterization, parse_config, scale_back
 from .pipeline import Pipeline, PipelineConfig, processing_cost
+from .quantization import QuantizerSpec
 from .signals import generate_signal
 
 
@@ -56,17 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> tuple[ExperimentConfig, float | None]:
-    """The config with the flags applied, and the full scale of ``qfft quantizer`` (None otherwise)."""
+def _load_config(args) -> tuple[ExperimentConfig, QuantizerSpec | None]:
+    """The config with the flags applied, and the spec ``qfft quantizer`` characterizes (None otherwise)."""
     text = "{}"
     path = getattr(args, "config", None)
     if path is not None:
         with open(path) as handle:
             text = handle.read()
-    cfg, x_max = parse_characterization(text) if args.command == "quantizer" else (parse_config(text), None)
+    cfg, spec = parse_characterization(text) if args.command == "quantizer" else (parse_config(text), None)
     # selftest has only --seed; replace checks the flags as it checks the file
     flags = {key: getattr(args, key, None) for key in ("seed", "out", "format")}
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None}), x_max
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None}), spec
 
 
 def _cmd_fft(cfg: ExperimentConfig) -> int:
@@ -93,18 +94,17 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_quantizer(cfg: ExperimentConfig, x_max: float, samples: int) -> int:
+def _cmd_quantizer(cfg: ExperimentConfig, spec: QuantizerSpec, samples: int) -> int:
     # checked before any draw: each row holds a few float64 arrays of this length
     if not analysis.MIN_CHARACTERIZATION_SAMPLES <= samples <= MAX_SWEEP_SAMPLES:
         raise ConfigError(
             f"--samples: must be in [{analysis.MIN_CHARACTERIZATION_SAMPLES}, {MAX_SWEEP_SAMPLES}], got {samples}"
         )
-    mode = cfg.quantizer_mode
     rows = analysis.quantizer_characterization(
-        mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=x_max
+        spec.mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=spec.x_max
     )
     header = {
-        "quantizer": {"mode": mode, "x_max": x_max} if mode == "uniform" else {"mode": mode},
+        "quantizer": {k: v for k, v in dataclasses.asdict(spec).items() if v is not None and k != "bits"},
         "sweep": {"bits_lo": cfg.bits_lo, "bits_hi": cfg.bits_hi},
         "samples": samples,
         "seed": cfg.seed,
@@ -177,7 +177,7 @@ def _cmd_selftest(seed: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg, x_max = _load_config(args)
+        cfg, spec = _load_config(args)
         if args.command == "selftest":
             status = _cmd_selftest(cfg.seed)
         elif args.command == "fft":
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             status = _cmd_sweep(cfg)
         else:
-            status = _cmd_quantizer(cfg, x_max, args.samples)
+            status = _cmd_quantizer(cfg, spec, args.samples)
         # a report still buffered is written here, where a closed pipe is caught
         sys.stdout.flush()
         return status

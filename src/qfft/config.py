@@ -197,10 +197,8 @@ class ExperimentConfig:
     def input_quantizer(self, bits: int) -> QuantizerSpec:
         """The stage ladder's unit-scale input quantizer at ``bits``, a sweep row's theory column before ``scale_back``: a
         uniform full scale is x_max times 2**-scale_exponent, or the unit-scale signal's magnitude bound if automatic."""
-        x_max = self.quantizer_x_max
-        if self.quantizer_mode == "uniform":
-            x_max = magnitude_bound(self.signal_spec()) if x_max is None else math.ldexp(x_max, -self.scale_exponent)
-        return QuantizerSpec(self.quantizer_mode, bits, x_max)
+        x_max = None if self.quantizer_x_max is None else math.ldexp(self.quantizer_x_max, -self.scale_exponent)
+        return QuantizerSpec.named(self.quantizer_mode, bits, x_max, magnitude_bound(self.signal_spec()))
 
     def swept_mode(self) -> str:
         """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""
@@ -363,14 +361,13 @@ def _parse_stage(entry, path: str) -> QuantizerSpec | None:
     mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=_MODES)
     # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _checked(entry.get("bits", 8), f"{path}.bits", "integer")
-    if mode != "mantissa":
-        x_max = _checked(entry.get("x_max", 1.0), f"{path}.x_max", "number")
-    else:  # an x_max key, null included, gives a full scale, which the scale-free spec rejects
-        x_max = 1.0 if "x_max" in entry else None
+    x_max = None  # absent: a uniform entry gets QuantizerSpec.named's 1.0
+    if "x_max" in entry:  # null included, a full scale, which a scale-free spec rejects
+        x_max = 1.0 if mode == "mantissa" else _checked(entry["x_max"], f"{path}.x_max", "number")
     if mode == "off":
         return None
     with _field_paths(f"{path}."):
-        return QuantizerSpec(mode, bits, x_max)
+        return QuantizerSpec.named(mode, bits, x_max)
 
 
 def _document_values(text: str) -> dict:
@@ -397,8 +394,8 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**_document_values(text))
 
 
-def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
-    """The config and the full scale (1.0 when null) ``qfft quantizer`` reads from a JSON document.
+def parse_characterization(text: str) -> tuple[ExperimentConfig, QuantizerSpec]:
+    """The config and the finest spec, at ``sweep.bits_hi``, that ``qfft quantizer`` reads from a JSON document.
 
     It runs no transform: any key outside ``CHARACTERIZATION_PATHS`` is a
     ``ConfigError`` naming it, and no relation to ``n`` applies. Mode "off"
@@ -412,9 +409,7 @@ def parse_characterization(text: str) -> tuple[ExperimentConfig, float]:
     given = values.pop("quantizer_x_max", None)
     cfg = ExperimentConfig(**values)
     mode = cfg.swept_mode()
-    x_max = 1.0 if given is None else _checked(given, "quantizer.x_max", "number")
-    # the row at bits_hi has the finest step; a mantissa spec gets the document's full scale, if any, to reject
+    x_max = None if given is None else _checked(given, "quantizer.x_max", "number")
     with _field_paths("quantizer."):
-        QuantizerSpec(mode, cfg.bits_hi, given if mode == "mantissa" else x_max)
-    return cfg, x_max
+        return cfg, QuantizerSpec.named(mode, cfg.bits_hi, x_max)
 

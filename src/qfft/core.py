@@ -219,17 +219,17 @@ def dit_stage(data: np.ndarray, row: np.ndarray, stage: int, out: np.ndarray) ->
 _spare = threading.local()
 
 
-def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None, quantizers=(), after_stage=None):
+def staged_transform(x: np.ndarray, twiddles: tuple, direction: str = "fft", quantizers=(), after_stage=None):
     """Run all log2(n) butterfly stages over the natural-order vector ``x``.
 
     The one stage loop behind ``fft_reference`` and ``Pipeline.run``.
-    ``twiddles`` comes from ``stage_twiddles``; ``scale``, when given,
-    multiplies every component before stage 0 (an inverse transform's
-    1/N); ``x`` is left alone. ``quantizers`` is empty or holds one
-    ``QuantizerSpec`` or None per stage; a spec quantizes every component
-    of its stage's output in place, and the loop sums their saturations.
-    The quantizer is componentwise, so the working vector's order does not
-    change its bits.
+    ``twiddles`` comes from ``stage_twiddles`` in ``direction``, and an
+    "ifft" multiplies every component by 1/N before stage 0, the one place
+    that pre-scale is taken; ``x`` is left alone. ``quantizers`` is empty
+    or holds one ``QuantizerSpec`` or None per stage; a spec quantizes
+    every component of its stage's output in place, and the loop sums their
+    saturations. The quantizer is componentwise, so the working vector's
+    order does not change its bits.
 
     ``after_stage(stage, data)``, when given, runs after each stage's
     quantizer (or butterflies, if it has none), in stage order. ``data``
@@ -251,7 +251,7 @@ def staged_transform(x: np.ndarray, twiddles: tuple, scale: float | None = None,
         spare = np.empty_like(x)
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
     buffers = (spare, np.empty_like(x))
-    data = x if scale is None else np.multiply(x, scale, out=buffers[1])
+    data = np.multiply(x, 1.0 / x.size, out=buffers[1]) if direction == "ifft" else x
     saturations = multiplies = additions = 0
     for stage, (row, spec) in enumerate(zip(twiddles, quantizers or (None,) * len(twiddles), strict=True)):
         out = buffers[stage & 1]
@@ -303,6 +303,4 @@ def fft_reference(x, direction: str = "fft") -> np.ndarray:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     vec = as_signal(x)
-    n = vec.size
-    scale = 1.0 / n if direction == "ifft" else None
-    return staged_transform(vec, direction_twiddles(n, direction), scale)[0]
+    return staged_transform(vec, direction_twiddles(vec.size, direction), direction)[0]

@@ -103,9 +103,8 @@ class Pipeline:
             raise ValueError(f"expected length {self.n}, got {vec.size}")
         if not np.isfinite(vec.view(np.float64)).all():
             raise ValueError("input contains non-finite components")
-        scale = 1.0 / self.n if self.config.direction == "ifft" else None
         specs = self.config.stage_quantizers
-        return RunTrace(*core.staged_transform(vec, self.stage_twiddles, scale, specs, after_stage))
+        return RunTrace(*core.staged_transform(vec, self.stage_twiddles, self.config.direction, specs, after_stage))
 
 
 def processing_cost(n: int) -> tuple[int, int]:

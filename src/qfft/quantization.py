@@ -51,9 +51,9 @@ class QuantizerSpec:
     x_max is None; a uniform step must be a positive normal number. Where
     there is no quantizer (a stage or the twiddle ROM of a
     ``PipelineConfig``), the spec is None. ``bits`` is a Python or numpy
-    integer, kept as an ``int``, and ``x_max`` a real number or None;
-    neither may be a ``bool``. A ``ValueError`` opens with the field it
-    rejects (``bits: ...``), to which a config prefixes its path.
+    integer, kept as an ``int``, and ``x_max`` a real number or None, kept as
+    a ``float``; neither may be a ``bool``. A ``ValueError`` opens with the
+    field it rejects (``bits: ...``), to which a config prefixes its path.
     """
 
     mode: str
@@ -81,6 +81,13 @@ class QuantizerSpec:
                 f"x_max: full scale {self.x_max!r} at {self.bits} bits gives the step {self.step!r}, "
                 "which is not a positive normal number"
             )
+        else:  # a numpy or integer full scale is kept as a float, so every header echoes it as one
+            object.__setattr__(self, "x_max", float(self.x_max))
+
+    @classmethod
+    def named(cls, mode: str, bits: int, x_max=None, automatic: float = 1.0) -> QuantizerSpec:
+        """The one rule for a full scale: a given ``x_max`` (a scale-free mode rejects it), else ``automatic`` if read."""
+        return cls(mode, bits, automatic if x_max is None and mode == "uniform" else x_max)
 
     @functools.cached_property
     def step(self) -> float:

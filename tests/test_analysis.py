@@ -302,6 +302,33 @@ class TestCharacterization:
         assert abs(row.empirical_variance - row.theory_variance) / row.theory_variance < 0.05
         assert row.theory_variance == QuantizerSpec("mantissa", 6).theory_variance
 
+    @pytest.mark.parametrize("x_max", [5.0, -5.0, math.nan], ids=["positive", "negative", "nan"])
+    def test_a_mantissa_full_scale_is_rejected(self, x_max):
+        # the scale-free spec judges a given full scale; none is dropped unread
+        with pytest.raises(ValueError, match="^x_max: "):
+            quantizer_characterization("mantissa", 6, 6, 10_000, x_max=x_max)
+
+    @pytest.mark.parametrize(
+        "mode, hexes",
+        [
+            (
+                "uniform",
+                [("0x1.5802b81a5f7e1p-14", "0x1.5555555555555p-14"), ("0x1.5666f2436f857p-16", "0x1.5555555555555p-16")],
+            ),
+            (
+                "mantissa",
+                [("0x1.5661556b5988bp-15", "0x1.5555555555555p-15"), ("0x1.5552e6f635616p-17", "0x1.5555555555555p-17")],
+            ),
+        ],
+        ids=["uniform", "mantissa"],
+    )
+    def test_an_omitted_full_scale_gives_the_unit_rows(self, mode, hexes):
+        # bit for bit the rows of the former default x_max = 1.0 (read by uniform mode only)
+        rows = quantizer_characterization(mode, 6, 7, 10_000, seed=3)
+        assert [(r.empirical_variance.hex(), r.theory_variance.hex()) for r in rows] == hexes
+        if mode == "uniform":
+            assert rows == quantizer_characterization(mode, 6, 7, 10_000, seed=3, x_max=1.0)
+
     def test_single_bit_edge_case(self):
         for mode in ("uniform", "mantissa"):
             (row,) = quantizer_characterization(mode, 1, 1, 10_000, seed=7)

@@ -353,6 +353,20 @@ class TestOneBoundary:
         with pytest.raises(ConfigError, match=rf"^{path}: a mantissa quantizer is scale-free"):
             parse_config(json.dumps(doc))
 
+    def test_an_integer_stage_full_scale_is_echoed_as_a_float(self):
+        # equal configs echo equal headers: a spec keeps its full scale as a float, as a parsed one is
+        built = ExperimentConfig(n=2, per_stage=(QuantizerSpec("uniform", 8, 2),))
+        parsed = parse_config(json.dumps({"n": 2, "quantizer": {"per_stage": [{"bits": 8, "x_max": 2}]}}))
+        assert built == parsed
+        assert json.dumps(built.to_dict()) == json.dumps(parsed.to_dict())
+        assert built.to_dict()["quantizer"]["per_stage"] == [{"mode": "uniform", "bits": 8, "x_max": 2.0}]
+
+    def test_a_numpy_stage_full_scale_is_echoed_as_json(self):
+        cfg = ExperimentConfig(n=2, per_stage=(QuantizerSpec("uniform", 8, np.float32(1.5)),))
+        assert type(cfg.per_stage[0].x_max) is float
+        expected = ExperimentConfig(n=2, per_stage=(QuantizerSpec("uniform", 8, 1.5),))
+        assert json.dumps(cfg.to_dict()) == json.dumps(expected.to_dict())
+
     def test_a_built_mantissa_stage_with_a_full_scale_is_rejected(self):
         with pytest.raises(ValueError, match="^x_max: a mantissa quantizer is scale-free"):
             QuantizerSpec("mantissa", 8, 5.0)

@@ -75,6 +75,15 @@ class TestQuantizerSpec:
         assert hash(spec) == hash(QuantizerSpec("uniform", 8, 1.0))
         assert dataclasses.asdict(spec) == {"mode": "uniform", "bits": 8, "x_max": 1.0}
 
+    def test_named_is_the_one_full_scale_rule(self):
+        # a missing x_max is the automatic full scale where the mode reads one; a given one goes to the spec
+        assert QuantizerSpec.named("uniform", 8) == QuantizerSpec("uniform", 8, 1.0)
+        assert QuantizerSpec.named("uniform", 8, automatic=3.0).x_max == 3.0
+        assert QuantizerSpec.named("uniform", 8, 2.0, automatic=3.0).x_max == 2.0
+        assert QuantizerSpec.named("mantissa", 8, automatic=3.0) == QuantizerSpec("mantissa", 8)
+        with pytest.raises(ValueError, match="^x_max: a mantissa quantizer is scale-free"):
+            QuantizerSpec.named("mantissa", 8, 2.0)
+
     def test_a_float32_full_scale_gives_a_double_step_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
