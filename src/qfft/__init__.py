@@ -14,6 +14,7 @@ from .analysis import (
     compare,
     quantizer_characterization,
     run_sweep,
+    run_transform,
 )
 from .config import (
     ConfigError,
@@ -62,6 +63,7 @@ __all__ = [
     "quantizer_characterization",
     "relative_error",
     "run_sweep",
+    "run_transform",
     "snr_db",
     "stage_ladder",
     "twiddle_table",

@@ -1,8 +1,10 @@
-"""Experiment engine: quantized pipeline vs ideal reference across bit sweeps.
+"""Experiment engine: the runs the ``qfft`` subcommands report.
 
-Produces the error / dispersion / SQNR curves as a function of bit
-resolution, plus pure quantizer Monte-Carlo characterizations that check
-the closed-form variances without any FFT in the loop.
+``run_transform`` is one transform as ``qfft fft`` reports it, and
+``run_sweep`` the error / dispersion / SQNR rows against the ideal
+reference as a function of bit resolution. Both run at unit scale and
+scale back only what they report. ``quantizer_characterization`` checks
+the closed-form variances by Monte-Carlo, without any FFT in the loop.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import core
 from .config import MAX_SWEEP_BITS, ConfigError, ExperimentConfig, scale_back, unit_exponent
-from .pipeline import Pipeline
+from .pipeline import Pipeline, RunTrace
 from .quantization import QuantizerSpec, apply_quantizer, snr_db
 from .signals import generate_signal
 
@@ -116,6 +118,22 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
         np.ldexp(parts, -exponent, out=parts)
     percent, sqnr = _percent_and_sqnr(_moments(parts[:2]), _moments(parts[2:]))
     return error, percent, sqnr
+
+
+def run_transform(cfg: ExperimentConfig) -> RunTrace:
+    """One transform as ``qfft fft`` reports it: output, saturations and operation counts.
+
+    Runs ``Pipeline(cfg.pipeline_config())`` on ``generate_signal(cfg.signal_spec(), cfg.seed)``,
+    both at unit scale, and scales the output back by 2**``cfg.scale_exponent`` in place. Raises
+    ``ConfigError`` at ``cfg.amplitude_path`` where the output scaled back is past the double range.
+    """
+    # the input is freed as the run returns: a caller formatting the report holds only the
+    # output and the thread's spare working vector (1 MiB less peak at N=65536)
+    trace = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), cfg.seed))
+    components = trace.output.view(np.float64)
+    scale_back(float(max(components.max(), -components.min())), cfg.scale_exponent, cfg.amplitude_path)
+    np.ldexp(components, cfg.scale_exponent, out=components)
+    return trace
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:

@@ -223,13 +223,14 @@ def staged_transform(x: np.ndarray, twiddles: tuple, direction: str = "fft", qua
     """Run all log2(n) butterfly stages over the natural-order vector ``x``.
 
     The one stage loop behind ``fft_reference`` and ``Pipeline.run``.
-    ``twiddles`` comes from ``stage_twiddles`` in ``direction``, and an
-    "ifft" multiplies every component by 1/N before stage 0, the one place
-    that pre-scale is taken; ``x`` is left alone. ``quantizers`` is empty
-    or holds one ``QuantizerSpec`` or None per stage; a spec quantizes
-    every component of its stage's output in place, and the loop sums their
-    saturations. The quantizer is componentwise, so the working vector's
-    order does not change its bits.
+    ``twiddles`` comes from ``stage_twiddles`` in ``direction``, a name in
+    ``DIRECTIONS`` (else ``ValueError``), and an "ifft" multiplies every
+    component by 1/N before stage 0, the one place that pre-scale is taken;
+    ``x`` is left alone. ``quantizers`` is empty or holds one
+    ``QuantizerSpec`` or None per stage; a spec quantizes every component of
+    its stage's output in place, and the loop sums their saturations. The
+    quantizer is componentwise, so the working vector's order does not
+    change its bits.
 
     ``after_stage(stage, data)``, when given, runs after each stage's
     quantizer (or butterflies, if it has none), in stage order. ``data``
@@ -244,6 +245,8 @@ def staged_transform(x: np.ndarray, twiddles: tuple, direction: str = "fft", qua
         the natural-order output (a new array), saturations, complex
         multiplies and complex additions
     """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     # the spare is taken out of its slot, so a nested call from the hook
     # finds the slot empty and allocates its own
     spare, _spare.vector = getattr(_spare, "vector", None), None
@@ -300,7 +303,7 @@ def fft_reference(x, direction: str = "fft") -> np.ndarray:
     direction : str
         "fft" or "ifft"
     """
-    if direction not in DIRECTIONS:
+    if direction not in DIRECTIONS:  # here, as direction_twiddles' cache cannot hash every name
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     vec = as_signal(x)
     return staged_transform(vec, direction_twiddles(vec.size, direction), direction)[0]

@@ -10,6 +10,7 @@ from qfft.analysis import (
     compare,
     quantizer_characterization,
     run_sweep,
+    run_transform,
 )
 from qfft.config import ConfigError, ExperimentConfig, parse_config
 from qfft.core import fft_reference
@@ -286,6 +287,41 @@ class TestRunSweep:
             return rows[-1].bits
 
         assert plateau(mantissa) <= plateau(uniform)
+
+
+class TestRunTransform:
+    @pytest.mark.parametrize("rom", [False, True], ids=["no-rom", "rom"])
+    @pytest.mark.parametrize("direction", ["fft", "ifft"])
+    @pytest.mark.parametrize("amplitude", [2.0**-600, 3.7, 1e303])
+    def test_the_reported_run_is_the_unit_scale_run_scaled_back(self, amplitude, direction, rom):
+        # a full scale below the signal's, so the forward stages saturate
+        cfg = ExperimentConfig(
+            n=256, direction=direction, quantizer_x_max=amplitude / 16, signal_amplitude=amplitude,
+            twiddle_enabled=rom, twiddle_bits=6,
+        )
+        unit = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), cfg.seed))
+        trace = run_transform(cfg)
+        assert cfg.scale_exponent != 0
+        assert trace.output.tobytes() == np.ldexp(unit.output.view(np.float64), cfg.scale_exponent).tobytes()
+        assert trace.saturation_total == unit.saturation_total
+        assert (trace.multiplies, trace.additions) == (unit.multiplies, unit.additions)
+
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            ({"signal_amplitude": 1.2e308}, r"signal\.amplitude: the reported value 21\.2557\d* \* 2\*\*1023"),
+            (
+                {"signal_kind": "multitone", "signal_bins": (0, 0), "signal_amplitudes": (1e308, 1e307)},
+                r"signal\.amplitudes: the reported value .* \* 2\*\*1023",
+            ),
+        ],
+        ids=["amplitude", "amplitudes"],
+    )
+    def test_an_output_past_the_double_range_is_a_config_error(self, signal, message):
+        # the signal's bound is finite, so the config runs; the output scaled back is not
+        cfg = ExperimentConfig(n=64, quantizer_mode="off", **signal)
+        with pytest.raises(ConfigError, match=rf"^{message} is past the double range$"):
+            run_transform(cfg)
 
 
 class TestCharacterization:

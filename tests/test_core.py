@@ -5,10 +5,12 @@ from qfft.core import (
     bit_reverse_permute,
     dft_naive,
     bit_reversal_indices,
+    direction_twiddles,
     dit_stage,
     fft_reference,
     num_stages,
     stage_twiddles,
+    staged_transform,
     twiddle_table,
     validate_size,
 )
@@ -226,6 +228,14 @@ class TestFftReference:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             fft_reference(np.ones(6, dtype=complex))
+
+    def test_the_stage_loop_rejects_bad_direction(self):
+        # not read as a forward transform without the 1/N pre-scale
+        with pytest.raises(ValueError, match=r"^direction must be one of \('fft', 'ifft'\), got 'inverse'$"):
+            staged_transform(np.ones(8, dtype=complex), direction_twiddles(8, "ifft"), "inverse")
+        # fft_reference checks first, where direction_twiddles' cache would raise TypeError
+        with pytest.raises(ValueError, match=r"got \['fft'\]$"):
+            fft_reference(np.ones(8, dtype=complex), ["fft"])
 
 
 def test_dit_stage_reports_its_arithmetic():
