@@ -9,6 +9,8 @@ a caller may quantize in place (a twiddle ROM); the ``direction_twiddles``
 rows, built once per size and direction, are the one cached twiddle
 artifact, and ``bit_reversal_indices`` is built once per size. The cached
 arrays are shared and read-only: an in-place write raises ``ValueError``.
+Both table builds allocate little beside the array they return, so a
+fresh process at N=65536 peaks near its working set.
 
 ``staged_transform`` is the one stage loop of the package: ``fft_reference``
 and ``Pipeline.run`` both run it, the pipeline with one quantizer spec (or
@@ -110,7 +112,14 @@ def twiddle_table(n: int) -> np.ndarray:
     """
     validate_size(n)
     ang = (2.0 * np.pi / n) * np.arange(n // 2)
-    return np.cos(ang) - 1j * np.sin(ang)
+    table = np.empty(n // 2, dtype=np.complex128)
+    # cos and sin run on contiguous float64 arrays, whose bits no strided
+    # SIMD path can change; 0.0 - sin keeps the +0.0 at k=0 that
+    # cos - 1j*sin gives, where a negation would give -0.0
+    table.real = np.cos(ang)
+    table.imag = np.sin(ang)
+    np.subtract(0.0, table.imag, out=table.imag)
+    return table
 
 
 # At most 16 sizes are valid, so the caches below stay small without a bound;
@@ -120,15 +129,23 @@ def twiddle_table(n: int) -> np.ndarray:
 def bit_reversal_indices(n: int) -> np.ndarray:
     """Permutation p with p[i] = bit-reversal of i over log2(n) bits.
 
-    Built by doubling: the permutation over m+1 bits is the m-bit one
-    shifted left, followed by the same with the low bit set. Cached per
-    size; the returned ``intp`` array is shared and read-only.
+    Built by doubling inside the result: the permutation of 2m entries is
+    the one of m entries shifted left, followed by the same with the low
+    bit set, so p[m:2m] = (p[:m] << 1) | 1, then p[:m] <<= 1. Cached per
+    size; the returned ``intp`` array is a shared, read-only view of the
+    cached table, whose writable ``base`` the output gather of
+    ``staged_transform`` reads.
     """
-    perm = np.zeros(1, dtype=np.intp)
-    for _ in range(num_stages(n)):
-        perm = np.concatenate((perm << 1, (perm << 1) | 1))
-    perm.setflags(write=False)
-    return perm
+    stages = num_stages(n)
+    perm = np.zeros(n, dtype=np.intp)
+    for s in range(stages):
+        head, tail = perm[: 1 << s], perm[1 << s : 2 << s]
+        np.left_shift(head, 1, out=tail)
+        tail |= 1
+        head <<= 1
+    view = perm.view()
+    view.flags.writeable = False
+    return view
 
 
 def bit_reverse_permute(x) -> np.ndarray:
@@ -271,9 +288,10 @@ def staged_transform(x: np.ndarray, twiddles: tuple, direction: str = "fft", qua
             after_stage(stage, view)
     # gather into the buffer the last stage did not write; mode "clip"
     # writes ``out`` directly, where the default "raise" fills a temporary
-    # copy first
+    # copy first. np.take also copies a read-only index on every call, so
+    # the gather reads the writable base of the cached permutation
     free = buffers[len(twiddles) & 1]
-    output = np.take(data, bit_reversal_indices(x.size), out=free, mode="clip")
+    output = np.take(data, bit_reversal_indices(x.size).base, out=free, mode="clip")
     _spare.vector = data
     return output, saturations, multiplies, additions
 

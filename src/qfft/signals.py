@@ -50,14 +50,14 @@ class SignalSpec:
 def generate_signal(spec: SignalSpec, seed=0) -> np.ndarray:
     """Build the signal vector; ``seed`` feeds a PCG64 generator for kind=random."""
     n = spec.n
-    idx = np.arange(n)
     if spec.kind == "impulse":
         out = np.zeros(n, dtype=np.complex128)
         out[0] = 1.0
         return out
     if spec.kind == "sinusoid":
-        return np.exp((2j * np.pi * spec.bin / n) * idx)
+        return np.exp((2j * np.pi * spec.bin / n) * np.arange(n))
     if spec.kind == "multitone":
+        idx = np.arange(n)
         out = np.zeros(n, dtype=np.complex128)
         for k, amp in zip(spec.bins, spec.amplitudes):
             out += amp * np.exp((2j * np.pi * k / n) * idx)

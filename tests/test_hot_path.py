@@ -23,6 +23,7 @@ from qfft.analysis import ErrorReport, run_sweep
 from qfft.config import ExperimentConfig, parse_config
 from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import QuantizerSpec, apply_quantizer
+from qfft.signals import SignalSpec, generate_signal
 
 
 def random_signal(n, seed, scale=1.0):
@@ -287,10 +288,10 @@ def test_stage_twiddle_rows_are_tiled_up_to_the_tile_length(n):
 
 
 def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents():
-    # one fresh ping-pong buffer beside the thread's spare (1 MiB), the
-    # gather's index copy and the quantizer's int32 exponents (512 KiB
-    # each); a third vector, such as an output gather that does not go
-    # straight into the free buffer, adds 1 MiB
+    # one fresh ping-pong buffer beside the thread's spare (1 MiB) and the
+    # quantizer's int32 exponents (512 KiB), which are freed before the
+    # output gather; a third vector, such as an output gather that does not
+    # go straight into the free buffer, adds 1 MiB
     n = core.MAX_SIZE
     pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 10), n)))
     x = random_signal(n, seed=31)
@@ -303,11 +304,10 @@ def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents(
     finally:
         tracemalloc.stop()
     assert trace.output.nbytes == 1 << 20
-    assert peak <= 2816 * 1024
+    assert peak <= 1600 * 1024
 
 
-def _peak_of_a_second_call(call) -> int:
-    call()
+def _peak_of(call) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -317,11 +317,16 @@ def _peak_of_a_second_call(call) -> int:
         tracemalloc.stop()
 
 
+def _peak_of_a_second_call(call) -> int:
+    call()
+    return _peak_of(call)
+
+
 @pytest.mark.parametrize("kind", ["reference", "uniform-run"])
 def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
     # the thread keeps one working vector between transforms, so a call
-    # allocates one fresh vector (1 MiB) and the gather's index copy
-    # (512 KiB); two fresh ping-pong buffers would take 2.5 MiB
+    # allocates one fresh vector (1 MiB); a copy of the gather's index
+    # would add 512 KiB, and two fresh ping-pong buffers 1 MiB
     n = core.MAX_SIZE
     x = random_signal(n, seed=37)
     if kind == "reference":
@@ -329,7 +334,47 @@ def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
     else:
         pipeline = Pipeline(PipelineConfig(n=n, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 12, 1.0), n)))
         call = lambda: pipeline.run(x)  # noqa: E731
-    assert _peak_of_a_second_call(call) < 2 * n * 16
+    assert _peak_of_a_second_call(call) <= 1.25 * 2**20
+
+
+def _fresh_permutation(n):
+    core.bit_reversal_indices.cache_clear()
+    return core.bit_reversal_indices(n)
+
+
+@pytest.mark.parametrize(
+    "build, budget",
+    [
+        # the 512 KiB table, the 256 KiB angles and one of cos and sin at a
+        # time; a complex 1j*sin temporary adds 512 KiB
+        (core.twiddle_table, 1_100_000),
+        # the 512 KiB permutation; doubling by concatenation keeps two
+        # shifted copies per step beside it
+        (_fresh_permutation, 600_000),
+    ],
+    ids=["twiddle_table", "bit_reversal_indices"],
+)
+def test_a_table_build_allocates_little_beside_its_result(build, budget):
+    assert _peak_of(lambda: build(core.MAX_SIZE)) <= budget
+
+
+def test_a_random_signal_allocates_no_index():
+    # the 1 MiB signal and two 512 KiB uniform draws, one at a time; an
+    # unread np.arange(n) adds 512 KiB
+    spec = SignalSpec("random", core.MAX_SIZE)
+    assert _peak_of_a_second_call(lambda: generate_signal(spec, seed=5)) <= 1_650_000
+
+
+def test_the_tables_keep_the_bytes_of_their_first_formulas():
+    for m in range(1, 17):
+        n = 1 << m
+        ang = (2.0 * np.pi / n) * np.arange(n // 2)
+        # tobytes compares the sign of every zero, which == does not
+        assert core.twiddle_table(n).tobytes() == (np.cos(ang) - 1j * np.sin(ang)).tobytes()
+        perm = np.zeros(1, dtype=np.intp)
+        for _ in range(m):
+            perm = np.concatenate((perm << 1, (perm << 1) | 1))
+        assert core.bit_reversal_indices(n).tobytes() == perm.tobytes()
 
 
 def test_two_threads_transform_concurrently_as_they_do_in_turn():
