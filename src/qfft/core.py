@@ -23,6 +23,9 @@ natural order; before stage s, X[k] = D_s[bitrev_S(k >> s) +
 bitrev_s(k mod 2**s)], where D_s is the vector of the in-place transform
 (bit-reversed input, butterflies at distance 2**s), S = log2(n) and
 bitrev_m reverses m bits, so the output is X_S[bit_reversal_indices(n)].
+A run takes two such working vectors and keeps one as the thread's spare for
+the next; a consumed run (``overwrite_x``) works in its input instead, so it
+allocates at most one and keeps no spare.
 
 W_s[k] = w_br[k mod 2**s], with w_br the half table in (S-1)-bit-reversed
 order, repeats with period 2**s. ``stage_twiddles`` keeps it tiled to
@@ -64,12 +67,16 @@ def num_stages(n: int) -> int:
 
 
 def as_signal(x) -> np.ndarray:
-    """Coerce to a 1-d complex128 vector with a valid power-of-two length."""
+    """Coerce to a 1-d C-contiguous complex128 vector with a valid power-of-two length.
+
+    A vector that already is one comes back as itself; any other input, a
+    strided view included, comes back as a new array.
+    """
     vec = np.asarray(x, dtype=np.complex128)
     if vec.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {vec.shape}")
     validate_size(vec.size)
-    return vec
+    return np.ascontiguousarray(vec)
 
 
 def dft_naive(x) -> np.ndarray:
@@ -229,48 +236,61 @@ def dit_stage(data: np.ndarray, row: np.ndarray, stage: int, out: np.ndarray) ->
     return half, 2 * half
 
 
-# One n-point working vector per thread outlives each ``staged_transform``.
-# With two fresh ping-pong buffers per call, glibc trims them back to the
-# kernel between calls at N=65536: a one-trial, three-row mantissa sweep
-# there took 3,040 page faults instead of 480, about a third of its time.
+# One n-point working vector per thread outlives each ``staged_transform``
+# that leaves its input alone. With two fresh ping-pong buffers per call,
+# glibc trims them back to the kernel between calls at N=65536: a one-trial,
+# three-row mantissa sweep there took 3,040 page faults instead of 480, about
+# a third of its time.
 _spare = threading.local()
 
 
-def staged_transform(x: np.ndarray, twiddles: tuple, direction: str = "fft", quantizers=(), after_stage=None):
+def staged_transform(
+    x: np.ndarray, twiddles: tuple, direction: str = "fft", quantizers=(), after_stage=None, overwrite_x: bool = False
+):
     """Run all log2(n) butterfly stages over the natural-order vector ``x``.
 
     The one stage loop behind ``fft_reference`` and ``Pipeline.run``.
     ``twiddles`` comes from ``stage_twiddles`` in ``direction``, a name in
     ``DIRECTIONS`` (else ``ValueError``), and an "ifft" multiplies every
-    component by 1/N before stage 0, the one place that pre-scale is taken;
-    ``x`` is left alone. ``quantizers`` is empty or holds one
-    ``QuantizerSpec`` or None per stage; a spec quantizes every component of
-    its stage's output in place, and the loop sums their saturations. The
-    quantizer is componentwise, so the working vector's order does not
-    change its bits.
+    component by 1/N before stage 0, the one place that pre-scale is taken.
+    ``quantizers`` is empty or holds one ``QuantizerSpec`` or None per
+    stage; a spec quantizes every component of its stage's output in place,
+    and the loop sums their saturations. The quantizer is componentwise, so
+    the working vector's order does not change its bits.
+
+    ``x`` is left alone, and the run takes two working vectors: the
+    thread's spare, if it has one of x's shape and dtype, and a fresh one.
+    The buffer the last stage writes becomes the thread's spare. With
+    ``overwrite_x`` and a C-contiguous, writable complex128 ``x``, the run
+    consumes ``x`` instead: it is the second working vector (an "ifft"
+    pre-scales it in place), its contents afterwards are undefined, the
+    output may be ``x`` itself, and the run keeps no spare, so it allocates
+    at most one vector and holds none once it returns. Any other ``x`` is
+    left alone as without ``overwrite_x``. The output bytes, saturations
+    and ``after_stage`` views are the same either way.
 
     ``after_stage(stage, data)``, when given, runs after each stage's
     quantizer (or butterflies, if it has none), in stage order. ``data``
     is a read-only view of the working vector in constant-geometry order.
     The hook must not keep it past the call: a later stage overwrites it,
-    and the buffer the last stage writes becomes the thread's spare, which
-    a later transform on the same thread writes over.
+    and so may a later transform on the same thread.
 
     Returns
     -------
     (numpy.ndarray, int, int, int)
-        the natural-order output (a new array), saturations, complex
-        multiplies and complex additions
+        the natural-order output, saturations, complex multiplies and
+        complex additions
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    consumed = overwrite_x and x.dtype == np.complex128 and x.flags.c_contiguous and x.flags.writeable
     # the spare is taken out of its slot, so a nested call from the hook
     # finds the slot empty and allocates its own
     spare, _spare.vector = getattr(_spare, "vector", None), None
     if spare is None or spare.shape != x.shape or spare.dtype != x.dtype:
         spare = np.empty_like(x)
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
-    buffers = (spare, np.empty_like(x))
+    buffers = (spare, x if consumed else np.empty_like(x))
     data = np.multiply(x, 1.0 / x.size, out=buffers[1]) if direction == "ifft" else x
     saturations = multiplies = additions = 0
     for stage, (row, spec) in enumerate(zip(twiddles, quantizers or (None,) * len(twiddles), strict=True)):
@@ -292,7 +312,8 @@ def staged_transform(x: np.ndarray, twiddles: tuple, direction: str = "fft", qua
     # the gather reads the writable base of the cached permutation
     free = buffers[len(twiddles) & 1]
     output = np.take(data, bit_reversal_indices(x.size).base, out=free, mode="clip")
-    _spare.vector = data
+    if not consumed:
+        _spare.vector = data
     return output, saturations, multiplies, additions
 
 

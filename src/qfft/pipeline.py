@@ -88,13 +88,17 @@ class Pipeline:
             # without a ROM the rows are the shared cached ones of fft_reference
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)
 
-    def run(self, x, after_stage=None) -> RunTrace:
+    def run(self, x, after_stage=None, overwrite_x=False) -> RunTrace:
         """Push one vector through the staged processor.
 
         Order of operations: inverse runs pre-scale the input by 1/N; then
         each stage performs its n/2 butterflies and quantizes every
         component of the stage output; the output comes back in natural
-        order. The input is left alone. ``after_stage(stage, data)`` is
+        order. The input is left alone, unless ``overwrite_x`` is true and
+        ``x`` is a C-contiguous, writable complex128 vector: then the run
+        works in ``x``, whose contents afterwards are undefined and which
+        may be the output itself, and allocates one working vector instead
+        of two (``core.staged_transform``). ``after_stage(stage, data)`` is
         ``core.staged_transform``'s hook: after each stage's quantizer, a
         read-only view of the working vector it must not keep.
         """
@@ -104,7 +108,9 @@ class Pipeline:
         if not np.isfinite(vec.view(np.float64)).all():
             raise ValueError("input contains non-finite components")
         specs = self.config.stage_quantizers
-        return RunTrace(*core.staged_transform(vec, self.stage_twiddles, self.config.direction, specs, after_stage))
+        return RunTrace(
+            *core.staged_transform(vec, self.stage_twiddles, self.config.direction, specs, after_stage, overwrite_x)
+        )
 
 
 def processing_cost(n: int) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Invariants of the pipeline hot path.
 
 Cached read-only tables, the in-place quantizer, the read-only
-``after_stage`` view of ``Pipeline.run`` and the reworked stage and
-quantizer kernels must leave every output bit where it was.
+``after_stage`` view of ``Pipeline.run``, runs that consume their input
+and the reworked stage and quantizer kernels must leave every output bit
+where it was.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from qfft import core, emit_report, stage_ladder
 from qfft import quantization as quantization_module
-from qfft.analysis import ErrorReport, run_sweep
+from qfft.analysis import ErrorReport, run_sweep, run_transform
 from qfft.config import ExperimentConfig, parse_config
 from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import QuantizerSpec, apply_quantizer
@@ -337,6 +339,62 @@ def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
     assert _peak_of_a_second_call(call) <= 1.25 * 2**20
 
 
+@pytest.mark.parametrize(
+    "mode, direction, budget",
+    [
+        # the quantizer's temporaries only (0.127 MiB); a default run takes a
+        # fresh 1 MiB ping-pong buffer beside the spare
+        ("uniform", "fft", 0.25 * 2**20),
+        # and the mantissa quantizer's int32 exponents, 512 KiB
+        ("mantissa", "ifft", 0.6 * 2**20),
+    ],
+)
+def test_a_consumed_run_at_the_largest_size_allocates_no_vector(mode, direction, budget):
+    # the thread's spare and the consumed input are the two working
+    # vectors, and the output is gathered into the one the last stage did
+    # not write
+    n = core.MAX_SIZE
+    spec = QuantizerSpec(mode, 12, 1.0 if mode == "uniform" else None)
+    pipeline = Pipeline(PipelineConfig(n=n, direction=direction, stage_quantizers=stage_ladder(spec, n)))
+    x = random_signal(n, seed=67)
+    pipeline.run(x)  # leaves a spare
+    consumed = x.copy()
+    assert _peak_of(lambda: pipeline.run(consumed, overwrite_x=True)) <= budget
+
+
+FFT_CLI_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "fft-cli.json"
+
+
+def test_a_one_shot_transform_holds_the_signal_and_one_working_vector():
+    # the fft-cli run as a fresh `qfft fft` process makes it: no spare on the
+    # thread and no cached permutation. The signal, one working vector, the ROM's
+    # twiddle rows and the permutation peak at 3.29 MiB; a third vector adds
+    # 1 MiB. Once the run returns, only the output and the cached
+    # permutation are left (1.50 MiB); a spare kept on the thread adds 1 MiB
+    cfg = dataclasses.replace(parse_config(FFT_CLI_CONFIG.read_text()), seed=1806)
+    generate_signal(cfg.signal_spec(), cfg.seed)  # imports numpy.random outside the trace
+    measured = {}
+
+    def one_shot():
+        core.bit_reversal_indices.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = run_transform(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+            measured.update(peak=peak - base, held=held - base, output=trace.output.nbytes)
+        finally:
+            tracemalloc.stop()
+
+    # a new thread has no spare working vector, as a new process has none
+    thread = threading.Thread(target=one_shot)
+    thread.start()
+    thread.join(timeout=120)
+    assert measured["output"] == 1 << 20
+    assert measured["peak"] <= 3.6 * 2**20
+    assert measured["held"] <= 1.6 * 2**20
+
+
 def _fresh_permutation(n):
     core.bit_reversal_indices.cache_clear()
     return core.bit_reversal_indices(n)
@@ -422,10 +480,95 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
         return apply_quantizer(values, spec, out=out)
 
     monkeypatch.setattr(quantization_module, "apply_quantizer", quantize_and_transform)
-    assert pipeline.run(x).output.tobytes() == expected
-    assert len(nested) == core.num_stages(n)
-    for values, result in zip(seen, nested):
-        assert result.tobytes() == core.fft_reference(values).tobytes()
+    for overwrite_x in (False, True):  # the outer run leaves its input alone, then consumes a copy
+        seen.clear()
+        nested.clear()
+        assert pipeline.run(x.copy(), overwrite_x=overwrite_x).output.tobytes() == expected
+        assert len(nested) == core.num_stages(n)
+        for values, result in zip(seen, nested):
+            assert result.tobytes() == core.fft_reference(values).tobytes()
+
+
+def _run_and_views(pipeline, x, **kwargs):
+    views = []
+    trace = pipeline.run(x, after_stage=lambda stage, data: views.append(data.tobytes()), **kwargs)
+    return trace, views
+
+
+def assert_consumed_run_matches_default(n, direction, quantizer, rom, seed):
+    specs = STAGE_QUANTIZERS[quantizer](n)
+    rom_spec = QuantizerSpec("uniform", 10, 1.0) if rom else None
+    pipeline = Pipeline(PipelineConfig(n, direction, specs, rom_spec))
+    x = random_signal(n, seed)
+    x[seed % n] = -0.0
+    expected, expected_views = _run_and_views(pipeline, x)
+    trace, views = _run_and_views(pipeline, x.copy(), overwrite_x=True)
+    assert trace.output.tobytes() == expected.output.tobytes()
+    assert trace.saturation_total == expected.saturation_total
+    assert (trace.multiplies, trace.additions) == (expected.multiplies, expected.additions)
+    assert views == expected_views
+    if quantizer == "uniform-saturating" and direction == "fft":  # an ifft's 1/N pre-scale keeps it in range
+        assert trace.saturation_total > 0
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    direction=st.sampled_from(core.DIRECTIONS),
+    quantizer=st.sampled_from(sorted(STAGE_QUANTIZERS)),
+    rom=st.booleans(),
+)
+def test_a_consumed_run_matches_a_default_run(m, seed, direction, quantizer, rom):
+    assert_consumed_run_matches_default(1 << m, direction, quantizer, rom, seed)
+
+
+@pytest.mark.parametrize(
+    "direction, quantizer, rom",
+    [("fft", "uniform", True), ("ifft", "mantissa", False), ("fft", "uniform-saturating", False), ("ifft", "off", True)],
+)
+def test_a_consumed_run_at_the_largest_size_matches_a_default_run(direction, quantizer, rom):
+    assert_consumed_run_matches_default(core.MAX_SIZE, direction, quantizer, rom, seed=53)
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+# inputs a run must not consume: read-only, strided and of another dtype
+UNCONSUMABLE = {
+    "read-only": lambda x: _read_only(x.copy()),
+    "strided": lambda x: np.repeat(x, 2)[::2],
+    "complex64": lambda x: x.astype(np.complex64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNCONSUMABLE))
+@pytest.mark.parametrize("direction", core.DIRECTIONS)
+def test_a_run_told_to_overwrite_an_unconsumable_input_leaves_it_alone(kind, direction):
+    n = 256
+    pipeline = Pipeline(PipelineConfig(n, direction, STAGE_QUANTIZERS["uniform"](n)))
+    x = UNCONSUMABLE[kind](random_signal(n, seed=59))
+    original = x.tobytes()
+    expected = pipeline.run(np.array(x, dtype=np.complex128)).output.tobytes()
+    output = pipeline.run(x, overwrite_x=True).output
+    assert x.tobytes() == original
+    assert output.tobytes() == expected
+    assert not np.shares_memory(output, x)
+
+
+@pytest.mark.parametrize("kind", ["read-only", "strided"])
+@pytest.mark.parametrize("direction", core.DIRECTIONS)
+def test_the_stage_loop_consumes_only_a_contiguous_writable_vector(kind, direction):
+    n = 256
+    x = UNCONSUMABLE[kind](random_signal(n, seed=61))
+    original = x.tobytes()
+    twiddles = core.direction_twiddles(n, direction)
+    expected = core.staged_transform(np.array(x), twiddles, direction)[0].tobytes()
+    output = core.staged_transform(x, twiddles, direction, overwrite_x=True)[0]
+    assert x.tobytes() == original
+    assert output.tobytes() == expected
 
 
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]
