@@ -80,7 +80,7 @@ def _cmd_quantizer(cfg: ExperimentConfig, spec: QuantizerSpec, samples: int) -> 
         spec.mode, cfg.bits_lo, cfg.bits_hi, samples, seed=cfg.seed, x_max=spec.x_max
     )
     header = {
-        "quantizer": {k: v for k, v in dataclasses.asdict(spec).items() if v is not None and k != "bits"},
+        "quantizer": {k: v for k, v in spec.echoed().items() if k != "bits"},
         "sweep": {"bits_lo": cfg.bits_lo, "bits_hi": cfg.bits_hi},
         "samples": samples,
         "seed": cfg.seed,

@@ -28,7 +28,11 @@ errors open with the field they reject, and the config builds the spec and
 prefixes that field's document path.
 Every run is at unit scale (``ExperimentConfig.scale_exponent``); only what
 it reports is scaled back, by ``scale_back``. A spec scales itself
-(``QuantizerSpec.scaled``), so one ``stage_ladder`` serves every mode.
+(``QuantizerSpec.scaled``, ``SignalSpec.scaled``), so one ``stage_ladder``
+serves every mode. The config tests no quantizer mode or signal kind by
+name: ``quantization.SCALE_FREE`` says which modes read no full scale,
+``signals.READERS`` which kind reads a signal key, and ``signals.SCALE_KEYS``
+which key carries a kind's scale.
 """
 
 from __future__ import annotations
@@ -38,20 +42,18 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import core
 from .pipeline import PipelineConfig
-from .quantization import MAX_BITS, MODES, QuantizerSpec
-from .signals import KINDS, SignalSpec, magnitude_bound
+from .quantization import MAX_BITS, MODES, SCALE_FREE, QuantizerSpec
+from .signals import KINDS, READERS, SCALE_KEYS, SignalSpec, magnitude_bound
 
 MAX_SWEEP_BITS = 24
 # a sweep holds every trial's input, reference output and error (16 bytes each
 # per trials x n sample) and takes their moments in place: it peaks at about
 # 40 MiB plus 48 bytes per sample, about 0.79 GiB at 2**24 samples
 MAX_SWEEP_SAMPLES = 2**24
-# the one signal kind that reads each kind-specific signal key
-_SIGNAL_READERS = {"amplitude": "random", "bins": "multitone", "amplitudes": "multitone"}
 # the modes a document names: "off" is no quantizer (a None stage), then the quantizer MODES
 _MODES = ("off", *MODES)
 _FIXED_BITS = "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
@@ -79,7 +81,7 @@ def _setting(path: str, default, kind: str, unread=None, **rules):
 
 
 def _signal_only(cfg, key: str) -> str | None:
-    kind = _SIGNAL_READERS[key]
+    kind = READERS[key]
     if cfg.signal_kind != kind:
         return f"only a {kind} signal has {key}, got kind {cfg.signal_kind!r}"
     return None
@@ -156,11 +158,16 @@ class ExperimentConfig:
                     f"got {len(self.per_stage)}"
                 )
         with _field_paths("signal."):
-            bound = magnitude_bound(self._signal(0))
+            signal = SignalSpec(
+                self.signal_kind, self.n, self.signal_bin, self.signal_bins, self.signal_amplitudes, self.signal_amplitude
+            )
+            bound = magnitude_bound(signal)
         if not math.isfinite(bound):
             raise ConfigError(f"{self.amplitude_path}: the signal's magnitude bound is past the double range")
         object.__setattr__(self, "_scale_exponent", unit_exponent(bound))
-        given = [("quantizer.x_max", self.quantizer_x_max)] if self.quantizer_mode == "uniform" else []
+        object.__setattr__(self, "_signal_spec", signal.scaled(-self.scale_exponent))
+        # a scale-free top-level x_max is left to the spec, whose message wins over the ratio's
+        given = [] if self.quantizer_mode in SCALE_FREE else [("quantizer.x_max", self.quantizer_x_max)]
         given += [(f"quantizer.per_stage[{i}].x_max", s.x_max) for i, s in enumerate(self.per_stage or ()) if s]
         for path, x_max in given:
             if x_max is not None and not (x_max > 0 and abs(unit_exponent(x_max) - self.scale_exponent) <= FULL_SCALE_RANGE):
@@ -177,22 +184,15 @@ class ExperimentConfig:
         sees the signal and each uniform full scale times 2**-e, and only its reports are scaled back."""
         return self._scale_exponent
 
-    def _signal(self, exponent: int) -> SignalSpec:
-        kind, amplitude = self.signal_kind, self.signal_amplitude
-        spec = SignalSpec(kind, self.n, self.signal_bin, self.signal_bins, self.signal_amplitudes, amplitude)
-        if exponent:  # only a random signal reads amplitude, and only a multitone amplitudes
-            amplitude = math.ldexp(amplitude, -exponent) if kind == "random" else amplitude
-            spec = replace(spec, amplitude=amplitude, amplitudes=tuple(math.ldexp(a, -exponent) for a in spec.amplitudes))
-        return spec
-
     def signal_spec(self) -> SignalSpec:
-        """The signal at unit scale: its amplitude or amplitudes times 2**-scale_exponent."""
-        return self._signal(self.scale_exponent)
+        """The signal at unit scale: the given signal's ``scaled(-scale_exponent)``."""
+        return self._signal_spec
 
     @property
     def amplitude_path(self) -> str:
-        """The document path of the signal's amplitude, which scales every value a run reports."""
-        return "signal.amplitudes" if self.signal_kind == "multitone" else "signal.amplitude"
+        """The document path of the signal's scale key (``signals.SCALE_KEYS``), which scales every value a run
+        reports; ``signal.amplitude`` for a kind of unit magnitude, whose reports stay in the double range."""
+        return "signal." + SCALE_KEYS.get(self.signal_kind, "amplitude")
 
     def input_quantizer(self, bits: int) -> QuantizerSpec:
         """The stage ladder's unit-scale input quantizer at ``bits``, a sweep row's theory column before ``scale_back``: a
@@ -233,10 +233,7 @@ class ExperimentConfig:
             if f.name == "per_stage":
                 if value is None:
                     continue
-                value = [
-                    {"mode": "off"} if s is None else {k: v for k, v in asdict(s).items() if v is not None}
-                    for s in value
-                ]
+                value = [{"mode": "off"} if s is None else s.echoed() for s in value]
             elif isinstance(value, tuple):
                 value = list(value)
             (doc.setdefault(section, {}) if section else doc)[key] = value
@@ -361,9 +358,9 @@ def _parse_stage(entry, path: str) -> QuantizerSpec | None:
     mode = _checked(entry.get("mode", "uniform"), f"{path}.mode", "string", choices=_MODES)
     # an off entry ignores bits and x_max, but a malformed one is still an error
     bits = _checked(entry.get("bits", 8), f"{path}.bits", "integer")
-    x_max = None  # absent: a uniform entry gets QuantizerSpec.named's 1.0
+    x_max = None  # absent: a mode that reads a full scale gets QuantizerSpec.named's 1.0
     if "x_max" in entry:  # null included, a full scale, which a scale-free spec rejects
-        x_max = 1.0 if mode == "mantissa" else _checked(entry["x_max"], f"{path}.x_max", "number")
+        x_max = 1.0 if mode in SCALE_FREE else _checked(entry["x_max"], f"{path}.x_max", "number")
     if mode == "off":
         return None
     with _field_paths(f"{path}."):

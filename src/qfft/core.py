@@ -2,7 +2,8 @@
 
 Holds the direct-summation DFT used as the golden oracle, the twiddle
 table, bit-reversal and the staged decimation-in-time transform.
-``DIRECTIONS`` is the one direction vocabulary of the package.
+``DIRECTIONS`` is the one direction vocabulary of the package, and
+``validate_direction`` its one check.
 
 ``twiddle_table`` returns a new, writable half table on every call, which
 a caller may quantize in place (a twiddle ROM); the ``direction_twiddles``
@@ -58,6 +59,12 @@ def validate_size(n: int) -> None:
         raise ValueError(
             f"transform size must be a power of two in [{MIN_SIZE}, {MAX_SIZE}], got {n}"
         )
+
+
+def validate_direction(direction: str) -> None:
+    """Reject a direction outside ``DIRECTIONS``: the one direction error of the package."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
 def num_stages(n: int) -> int:
@@ -139,9 +146,11 @@ def bit_reversal_indices(n: int) -> np.ndarray:
     Built by doubling inside the result: the permutation of 2m entries is
     the one of m entries shifted left, followed by the same with the low
     bit set, so p[m:2m] = (p[:m] << 1) | 1, then p[:m] <<= 1. Cached per
-    size; the returned ``intp`` array is a shared, read-only view of the
-    cached table, whose writable ``base`` the output gather of
-    ``staged_transform`` reads.
+    size; the returned ``intp`` array is shared and read-only, an array over
+    a read-only ``memoryview`` of the table, so neither a write through its
+    ``base`` nor a writeable flag set back reaches the table. Only the
+    output gather of ``staged_transform`` reads the writable table itself,
+    as that memoryview's ``obj``.
     """
     stages = num_stages(n)
     perm = np.zeros(n, dtype=np.intp)
@@ -150,9 +159,7 @@ def bit_reversal_indices(n: int) -> np.ndarray:
         np.left_shift(head, 1, out=tail)
         tail |= 1
         head <<= 1
-    view = perm.view()
-    view.flags.writeable = False
-    return view
+    return np.frombuffer(memoryview(perm).toreadonly(), dtype=np.intp)
 
 
 def bit_reverse_permute(x) -> np.ndarray:
@@ -185,8 +192,7 @@ def stage_twiddles(table: np.ndarray, direction: str) -> tuple[np.ndarray, ...]:
     quantizer (odd, keeping -0.0) commutes with. A row of one period is a
     view of w_br, not a copy. Every row is read-only.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    validate_direction(direction)
     half = table.size
     n = 2 * half
     # for m < n/2 the log2(n)-bit reversal of m is even, and half of it
@@ -281,8 +287,7 @@ def staged_transform(
         the natural-order output, saturations, complex multiplies and
         complex additions
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    validate_direction(direction)
     consumed = overwrite_x and x.dtype == np.complex128 and x.flags.c_contiguous and x.flags.writeable
     # the spare is taken out of its slot, so a nested call from the hook
     # finds the slot empty and allocates its own
@@ -309,9 +314,9 @@ def staged_transform(
     # gather into the buffer the last stage did not write; mode "clip"
     # writes ``out`` directly, where the default "raise" fills a temporary
     # copy first. np.take also copies a read-only index on every call, so
-    # the gather reads the writable base of the cached permutation
+    # the gather reads the writable table behind the cached permutation
     free = buffers[len(twiddles) & 1]
-    output = np.take(data, bit_reversal_indices(x.size).base, out=free, mode="clip")
+    output = np.take(data, bit_reversal_indices(x.size).base.obj, out=free, mode="clip")
     if not consumed:
         _spare.vector = data
     return output, saturations, multiplies, additions
@@ -342,7 +347,6 @@ def fft_reference(x, direction: str = "fft") -> np.ndarray:
     direction : str
         "fft" or "ifft"
     """
-    if direction not in DIRECTIONS:  # here, as direction_twiddles' cache cannot hash every name
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    validate_direction(direction)  # here, as direction_twiddles' cache cannot hash every name
     vec = as_signal(x)
     return staged_transform(vec, direction_twiddles(vec.size, direction), direction)[0]

@@ -39,8 +39,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         core.validate_size(self.n)
-        if self.direction not in core.DIRECTIONS:
-            raise ValueError(f"direction must be one of {core.DIRECTIONS}, got {self.direction!r}")
+        core.validate_direction(self.direction)
         stages = core.num_stages(self.n)
         specs = tuple(self.stage_quantizers)
         if not specs:

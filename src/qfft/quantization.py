@@ -3,7 +3,8 @@
 Two quantizers: a mid-tread uniform staircase on [-x_max, x_max] and a
 floating-point mantissa quantizer that rounds only the normalized
 fraction M in [1/2, 1). Rounding is half-to-even in both, which keeps the
-empirical error mean near zero. A ``QuantizerSpec`` names the mode and
+empirical error mean near zero. ``SCALE_FREE`` declares once which modes
+read no full scale. A ``QuantizerSpec`` names the mode and
 carries its closed-form error variance, ``theory_variance``: q^2/12 for
 the uniform staircase and q^2/6 for the mantissa relative error, whose
 ``error`` it measures, and its scale rule: ``scaled(k)`` quantizes data
@@ -30,11 +31,13 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 MODES = ("uniform", "mantissa")
+# the modes that quantize each value relative to its own exponent and read no full scale
+SCALE_FREE = frozenset({"mantissa"})
 MAX_BITS = 52  # double-precision mantissa width
 SQNR_CAP_DB = 300.0
 _FLOAT64 = np.dtype(np.float64)
@@ -71,11 +74,11 @@ class QuantizerSpec:
             raise ValueError(f"bits: must be in 1..{MAX_BITS}, got {self.bits}")
         if self.x_max is not None and (isinstance(self.x_max, bool) or not isinstance(self.x_max, numbers.Real)):
             raise ValueError(f"x_max: expected a number or None, got {self.x_max!r}")
-        if self.mode == "mantissa":
+        if self.mode in SCALE_FREE:
             if self.x_max is not None:
-                raise ValueError("x_max: a mantissa quantizer is scale-free and reads no full scale; remove it")
+                raise ValueError(f"x_max: a {self.mode} quantizer is scale-free and reads no full scale; remove it")
         elif self.x_max is None or not self.x_max > 0:
-            raise ValueError(f"x_max: a uniform quantizer needs a positive full scale, got {self.x_max}")
+            raise ValueError(f"x_max: a {self.mode} quantizer needs a positive full scale, got {self.x_max}")
         elif not sys.float_info.min <= self.step <= sys.float_info.max:
             raise ValueError(
                 f"x_max: full scale {self.x_max!r} at {self.bits} bits gives the step {self.step!r}, "
@@ -87,7 +90,7 @@ class QuantizerSpec:
     @classmethod
     def named(cls, mode: str, bits: int, x_max=None, automatic: float = 1.0) -> QuantizerSpec:
         """The one rule for a full scale: a given ``x_max`` (a scale-free mode rejects it), else ``automatic`` if read."""
-        return cls(mode, bits, automatic if x_max is None and mode == "uniform" else x_max)
+        return cls(mode, bits, automatic if x_max is None and mode not in SCALE_FREE else x_max)
 
     @functools.cached_property
     def step(self) -> float:
@@ -119,6 +122,10 @@ class QuantizerSpec:
     def scaled(self, exponent: int) -> QuantizerSpec:
         """The same quantizer for data times 2**exponent: the full scale scaled, or a scale-free spec itself."""
         return self if self.x_max is None else QuantizerSpec(self.mode, self.bits, math.ldexp(self.x_max, exponent))
+
+    def echoed(self) -> dict:
+        """The set fields, which a report echoes: mode, bits and, where the mode reads one, x_max."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def error(self, x, qx):
         """The error whose variance ``theory_variance`` gives: x - qx with a full scale, else relative."""

@@ -1,15 +1,24 @@
-"""Test-signal generation for transform and sweep experiments."""
+"""Test-signal generation for transform and sweep experiments.
+
+A ``SignalSpec`` carries its own kind rules: ``READERS`` names the one kind
+that reads each kind-specific key, ``SCALE_KEYS`` the key that carries a
+kind's scale, and ``SignalSpec.scaled(k)`` is the same signal times 2**k.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import core
 
 KINDS = ("impulse", "sinusoid", "multitone", "random")
+# the one kind that reads each kind-specific key
+READERS = {"amplitude": "random", "bins": "multitone", "amplitudes": "multitone"}
+# the key that carries each kind's scale; an impulse and a sinusoid have unit magnitude and none
+SCALE_KEYS = {"multitone": "amplitudes", "random": "amplitude"}
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,19 @@ class SignalSpec:
             object.__setattr__(self, "amplitudes", amps)
         if self.kind == "random" and not self.amplitude > 0:
             raise ValueError(f"amplitude: the uniform bound must be positive, got {self.amplitude}")
+
+    def scaled(self, exponent: int) -> SignalSpec:
+        """The same signal times 2**exponent: the values of its ``SCALE_KEYS`` key times 2**exponent, exact
+        where they stay normal. A kind with no scale key is only itself, at exponent 0; else ``ValueError``."""
+        if not exponent:
+            return self
+        key = SCALE_KEYS.get(self.kind)
+        if key is None:
+            raise ValueError(f"kind: a {self.kind} has unit magnitude, which does not scale")
+        value = getattr(self, key)
+        if isinstance(value, tuple):
+            return replace(self, **{key: tuple(math.ldexp(v, exponent) for v in value)})
+        return replace(self, **{key: math.ldexp(value, exponent)})
 
 
 def generate_signal(spec: SignalSpec, seed=0) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfft import config
+from qfft import config, quantization
 from qfft.analysis import run_sweep, run_transform
 from qfft.config import ConfigError, ExperimentConfig, parse_config
 from qfft.quantization import QuantizerSpec
@@ -349,6 +349,30 @@ class TestOneBoundary:
         # no mantissa quantizer reads x_max, so a header must not echo one
         with pytest.raises(ConfigError, match=rf"^{path}: a mantissa quantizer is scale-free"):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode", quantization.MODES)
+    @settings(max_examples=25, deadline=None)
+    @given(x_max=st.floats(1e-100, 1e100))
+    def test_a_full_scale_is_read_exactly_where_the_mode_is_not_scale_free(self, mode, x_max):
+        top = {"quantizer": {"mode": mode, "x_max": x_max}}
+        stage = {"n": 2, "quantizer": {"per_stage": [{"mode": mode, "x_max": x_max}]}}
+        if mode not in quantization.SCALE_FREE:
+            assert parse_config(json.dumps(top)).quantizer_x_max == x_max
+            assert parse_config(json.dumps(stage)).per_stage[0].x_max == x_max
+            return
+        with pytest.raises(ValueError) as raised:
+            QuantizerSpec(mode, 8, 1.0)
+        reason = re.escape(str(raised.value).partition(": ")[2])
+        # any given value, a negative, zero, null or out-of-range one included, meets the spec's message
+        for value in (x_max, -x_max, 0.0, 1e-320, 1e308):
+            top["quantizer"]["x_max"] = stage["quantizer"]["per_stage"][0]["x_max"] = value
+            with pytest.raises(ConfigError, match=rf"^quantizer\.x_max: {reason}$"):
+                parse_config(json.dumps(top))
+            with pytest.raises(ConfigError, match=rf"^quantizer\.per_stage\[0\]\.x_max: {reason}$"):
+                parse_config(json.dumps(stage))
+        stage["quantizer"]["per_stage"][0]["x_max"] = None
+        with pytest.raises(ConfigError, match=rf"^quantizer\.per_stage\[0\]\.x_max: {reason}$"):
+            parse_config(json.dumps(stage))
 
     def test_an_integer_stage_full_scale_is_echoed_as_a_float(self):
         # equal configs echo equal headers: a spec keeps its full scale as a float, as a parsed one is

@@ -9,6 +9,7 @@ where it was.
 import dataclasses
 import json
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -73,6 +74,26 @@ class TestCachedTables:
             table[0] = 0
         with pytest.raises(ValueError):
             table += 1
+
+    def test_no_write_through_the_permutation_reaches_the_cached_table(self):
+        ramp = np.arange(8, dtype=complex)
+        perm = core.bit_reversal_indices(8)
+
+        def set_writeable():
+            perm.flags.writeable = True
+            perm[1] = 0
+
+        def setflags():
+            perm.setflags(write=True)
+            perm[1] = 0
+
+        try:
+            for attempt in (lambda: perm.base.__setitem__(1, 0), set_writeable, setflags):
+                with pytest.raises((TypeError, ValueError)):
+                    attempt()
+                assert np.allclose(core.fft_reference(ramp), core.dft_naive(ramp), rtol=0, atol=1e-12)
+        finally:
+            core.bit_reversal_indices.cache_clear()
 
     def test_each_twiddle_table_is_a_new_writable_array(self):
         first, second = core.twiddle_table(16), core.twiddle_table(16)
@@ -270,10 +291,21 @@ def test_the_rom_quantized_in_place_keeps_the_rows_of_a_quantized_copy(rom, dire
         assert [row.tobytes() for row in rows] == [row.tobytes() for row in oracle], f"n = {n}"
 
 
+DIRECTION_ENTRY_POINTS = {
+    "stage_twiddles": lambda direction: core.stage_twiddles(core.twiddle_table(8), direction),
+    "staged_transform": lambda direction: core.staged_transform(
+        np.ones(8, dtype=complex), core.direction_twiddles(8, "ifft"), direction
+    ),
+    "fft_reference": lambda direction: core.fft_reference(np.ones(8, dtype=complex), direction),
+    "PipelineConfig": lambda direction: PipelineConfig(n=8, direction=direction),
+}
+
+
 @pytest.mark.parametrize("direction", ["inverse", None, "IFFT"])
-def test_stage_twiddles_reject_an_unknown_direction(direction):
-    with pytest.raises(ValueError, match="^direction must be one of"):
-        core.stage_twiddles(core.twiddle_table(8), direction)
+@pytest.mark.parametrize("entry", DIRECTION_ENTRY_POINTS)
+def test_every_entry_point_rejects_an_unknown_direction(entry, direction):
+    with pytest.raises(ValueError, match=rf"^direction must be one of \('fft', 'ifft'\), got {re.escape(repr(direction))}$"):
+        DIRECTION_ENTRY_POINTS[entry](direction)
 
 
 @pytest.mark.parametrize("n", [2, 1024, 2048, 4096, core.MAX_SIZE])

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfft import signals
 from qfft.core import fft_reference
 from qfft.signals import SignalSpec, generate_signal, magnitude_bound
 
@@ -77,3 +82,45 @@ def test_magnitude_bounds():
     assert magnitude_bound(SignalSpec("random", 8, amplitude=2.0)) == pytest.approx(
         2.0 * np.sqrt(2.0)
     )
+
+
+# magnitudes in [1/16, 16] scaled by 2**k for |k| <= 900 keep every sample, and every
+# product and partial sum that builds one, a normal double or zero
+_MAGNITUDES = st.floats(1 / 16, 16)
+
+
+@st.composite
+def _scalable_specs(draw):
+    """A spec of each kind that has a scale key, with a field for every key any such kind reads."""
+    n = draw(st.sampled_from([2, 8, 64, 256]))
+    bins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    signs = st.sampled_from([-1.0, 1.0])
+    amplitudes = tuple(draw(signs) * draw(_MAGNITUDES) for _ in bins)
+    kind = draw(st.sampled_from(sorted(signals.SCALE_KEYS)))
+    return SignalSpec(kind, n, bins=tuple(bins), amplitudes=amplitudes, amplitude=draw(_MAGNITUDES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_scalable_specs(), exponent=st.integers(-900, 900), seed=st.integers(0, 2**32))
+def test_a_scaled_signal_is_the_signal_times_a_power_of_two(spec, exponent, seed):
+    scaled = spec.scaled(exponent)
+    assert scaled.kind == spec.kind and spec.scaled(0) == spec
+    expected = np.ldexp(generate_signal(spec, seed).view(np.float64), exponent)
+    nonzero = np.abs(expected[expected != 0.0])
+    assert nonzero.size == 0 or nonzero.min() >= np.finfo(np.float64).tiny
+    assert generate_signal(scaled, seed).view(np.float64).tobytes() == expected.tobytes()
+    assert magnitude_bound(scaled) == math.ldexp(magnitude_bound(spec), exponent)
+
+
+@pytest.mark.parametrize("kind", sorted(set(signals.KINDS) - set(signals.SCALE_KEYS)))
+def test_a_signal_without_a_scale_key_is_only_itself(kind):
+    spec = SignalSpec(kind, 8)
+    assert spec.scaled(0) is spec and magnitude_bound(spec) == 1.0
+    with pytest.raises(ValueError, match=rf"^kind: a {kind} has unit magnitude"):
+        spec.scaled(1)
+
+
+def test_each_kind_specific_key_names_a_kind():
+    assert set(signals.READERS.values()) <= set(signals.KINDS)
+    assert set(signals.SCALE_KEYS) <= set(signals.KINDS)
+    assert all(signals.READERS[key] == kind for kind, key in signals.SCALE_KEYS.items())
