@@ -47,43 +47,43 @@ class CharacterizationRow:
 # fewest Monte-Carlo samples per row of a quantizer characterization
 MIN_CHARACTERIZATION_SAMPLES = 10_000
 
-def _moments(pooled: np.ndarray) -> tuple[float, float, float]:
-    """Mean, variance and energy of the vectors in ``pooled``.
+def _moments(pooled: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the vectors in ``pooled``.
 
     ``pooled`` is a C-contiguous float64 (2, vectors, n) array: every
     vector's real parts, then every vector's imaginary parts, which the
     mean and variance pool as one real sample set, at unit scale. It is
-    overwritten. The mean and variance are the pairwise sums of ``mean()``
-    and ``var()`` with their bits, the variance taken in place instead of
-    on ``var()``'s copy. The energy is the sum over the vectors, in order,
-    of ``np.linalg.norm(vector) ** 2`` with its bits: each vector is
-    rebuilt in one complex n-vector and its squares summed on the stride-2
-    ``real`` and ``imag`` views, as ``norm`` sums them.
+    overwritten. They are the pairwise sums of ``mean()`` and ``var()``
+    with their bits, the variance taken in place instead of on ``var()``'s
+    copy.
     """
     components = pooled.reshape(-1)
     mean = np.add.reduce(components) / components.size
-    scratch = np.empty(pooled.shape[-1], dtype=np.complex128)
-    re, im = scratch.real, scratch.imag
-    energy = 0.0
-    for real_parts, imag_parts in zip(*pooled):
-        re[:], im[:] = real_parts, imag_parts
-        energy += float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
     components -= mean
     components *= components
     variance = np.add.reduce(components) / components.size
-    return float(mean), float(variance), energy
+    return float(mean), float(variance)
 
 
-def _percent_and_sqnr(reference: tuple, error: tuple) -> tuple[float, float]:
-    """Percent error and SQNR from the ``_moments`` of the references and of their errors.
+def _energy(vector: np.ndarray) -> float:
+    """``np.linalg.norm(vector) ** 2`` of a complex vector, with its bits.
+
+    The squares are summed on the stride-2 ``real`` and ``imag`` views, as
+    ``norm`` sums them, with no copy. The one place the package takes a BLAS
+    ``dot``, whose sums may depend on the BLAS build and thread count.
+    """
+    re, im = vector.real, vector.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
+
+
+def _percent_and_sqnr(variances, energies) -> tuple[float, float]:
+    """Percent error and SQNR from the (reference, error) variances and energies.
 
     percent_error = 100 * sqrt(error energy / reference energy); SQNR is
     10*log10 of the reference variance over the error variance, capped by
     ``snr_db``.
     """
-    _, ref_variance, ref_energy = reference
-    _, variance, energy = error
-    return 100.0 * math.sqrt(energy / ref_energy), snr_db(ref_variance, variance)
+    return 100.0 * math.sqrt(energies[1] / energies[0]), snr_db(*variances)
 
 
 def compare(reference, test) -> tuple[np.ndarray, float, float]:
@@ -112,11 +112,14 @@ def compare(reference, test) -> tuple[np.ndarray, float, float]:
             error = ref - out
     except FloatingPointError:
         raise ValueError("reference - test is past the double range; the error vector cannot hold it") from None
-    parts = np.stack((ref.real, ref.imag, error.real, error.imag)).reshape(4, 1, -1)
-    exponent = math.frexp(max(parts.max(), -parts.min()))[1]
+    vectors = np.stack((ref, error))
+    components = vectors.view(np.float64)
+    exponent = math.frexp(max(components.max(), -components.min()))[1]
     if not -400 <= exponent <= 400:
-        np.ldexp(parts, -exponent, out=parts)
-    percent, sqnr = _percent_and_sqnr(_moments(parts[:2]), _moments(parts[2:]))
+        np.ldexp(components, -exponent, out=components)
+    # each vector's real parts, then its imaginary parts, as _moments takes them
+    planes = components.reshape(2, -1, 2).transpose(0, 2, 1)[:, :, None].copy()
+    percent, sqnr = _percent_and_sqnr([_moments(p)[1] for p in planes], [_energy(v) for v in vectors])
     return error, percent, sqnr
 
 
@@ -158,20 +161,17 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     signal = cfg.signal_spec()
     signals = [generate_signal(signal, s) for s in trial_seeds]
-    # the references and one row's errors as _moments takes them: every
-    # trial's real parts, then every trial's imaginary parts
-    references = np.empty((2, cfg.trials, cfg.n))
-    for trial, x in enumerate(signals):
-        ref = core.fft_reference(x, cfg.direction)
-        references[0, trial], references[1, trial] = ref.real, ref.imag
-    # neither the last reference nor, below, the last trace output stays
-    # alive while _moments holds its scratch vector
-    del ref
-    # _moments overwrites its input, so the references are measured in the errors buffer
-    errors = references.copy()
-    reference_moments = _moments(errors)
-    if reference_moments[2] == 0.0:
+    references = [core.fft_reference(x, cfg.direction) for x in signals]
+    # the references' and then one row's errors' components as _moments takes
+    # them: every trial's real parts, then every trial's imaginary parts
+    planes = np.empty((2, cfg.trials, cfg.n))
+    reference_energy = 0.0  # summed in trial order, as a row's error energy is
+    for trial, ref in enumerate(references):
+        planes[:, trial] = ref.view(np.float64).reshape(-1, 2).T
+        reference_energy += _energy(ref)
+    if reference_energy == 0.0:
         raise ConfigError(f"{cfg.amplitude_path}: the reference outputs have zero energy; percent error undefined")
+    reference_variance = _moments(planes)[1]
     e, path = cfg.scale_exponent, cfg.amplitude_path
 
     rows = []
@@ -182,15 +182,19 @@ def run_sweep(cfg: ExperimentConfig) -> list[ErrorReport]:
             theory = scale_back(theory, 2 * e, "quantizer.x_max" if cfg.quantizer_x_max is not None else path)
         pipeline = Pipeline(cfg.pipeline_config(bits))
         saturations = 0
-        for trial, x in enumerate(signals):
+        energy = 0.0
+        for trial, (x, ref) in enumerate(zip(signals, references)):
             trace = pipeline.run(x)
-            np.subtract(references[0, trial], trace.output.real, out=errors[0, trial])
-            np.subtract(references[1, trial], trace.output.imag, out=errors[1, trial])
+            # the run's own output becomes the trial's error
+            error = np.subtract(ref, trace.output, trace.output)
+            energy += _energy(error)
+            planes[:, trial] = error.view(np.float64).reshape(-1, 2).T
             saturations += trace.saturation_total
-        del trace
-        error_moments = _moments(errors)
-        mean, variance, _ = error_moments
-        percent, sqnr = _percent_and_sqnr(reference_moments, error_moments)
+        # freed before the next row's first run allocates its working vector, which
+        # then takes these heap pages instead of faulting in pages trimmed off the heap
+        del trace, error
+        mean, variance = _moments(planes)
+        percent, sqnr = _percent_and_sqnr((reference_variance, variance), (reference_energy, energy))
         rows.append(
             ErrorReport(
                 bits=bits,

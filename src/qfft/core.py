@@ -231,14 +231,15 @@ def dit_stage(data: np.ndarray, row: np.ndarray, stage: int, out: np.ndarray) ->
     half = data.size >> 1
     a = data[:half]
     t = out[1::2]
+    # ``out`` goes by position, which numpy parses faster than a keyword
     if row.size < half:
-        np.multiply(row, data[half:].reshape(-1, row.size), out=t.reshape(-1, row.size))
+        np.multiply(row, data[half:].reshape(-1, row.size), t.reshape(-1, row.size))
     else:
         # a full row stays 1-D: the two reshapes cost about 1.9 us per call
         # on one CPU of a 2-vCPU Xeon, numpy 2.4.6, near half of an N=1024 stage
-        np.multiply(row, data[half:], out=t)
-    np.add(a, t, out=out[0::2])
-    np.subtract(a, t, out=t)
+        np.multiply(row, data[half:], t)
+    np.add(a, t, out[0::2])
+    np.subtract(a, t, t)
     return half, 2 * half
 
 
@@ -261,8 +262,9 @@ def staged_transform(
     component by 1/N before stage 0, the one place that pre-scale is taken.
     ``quantizers`` is empty or holds one ``QuantizerSpec`` or None per
     stage; a spec quantizes every component of its stage's output in place,
-    and the loop sums their saturations. The quantizer is componentwise, so
-    the working vector's order does not change its bits.
+    through the float64 view of the working vector that the run builds
+    once, and the loop sums their saturations. The quantizer is
+    componentwise, so the working vector's order does not change its bits.
 
     ``x`` is left alone, and the run takes two working vectors: the
     thread's spare, if it has one of x's shape and dtype, and a fresh one.
@@ -296,7 +298,10 @@ def staged_transform(
         spare = np.empty_like(x)
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
     buffers = (spare, x if consumed else np.empty_like(x))
-    data = np.multiply(x, 1.0 / x.size, out=buffers[1]) if direction == "ifft" else x
+    # each buffer's float64 components, which a stage quantizer rounds in place,
+    # viewed once per run; any other dtype goes to the quantizer as it is
+    parts = tuple(b.view(np.float64) for b in buffers) if x.dtype == np.complex128 else buffers
+    data = np.multiply(x, 1.0 / x.size, buffers[1]) if direction == "ifft" else x
     saturations = multiplies = additions = 0
     for stage, (row, spec) in enumerate(zip(twiddles, quantizers or (None,) * len(twiddles), strict=True)):
         out = buffers[stage & 1]
@@ -306,7 +311,8 @@ def staged_transform(
         data = out
         if spec is not None:
             # looked up on the module at each call, so a wrapper installed there sees it
-            saturations += quantization.apply_quantizer(data, spec, out=data)[1]
+            part = parts[stage & 1]
+            saturations += quantization.apply_quantizer(part, spec, out=part)[1]
         if after_stage is not None:
             view = data.view()
             view.flags.writeable = False

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qfft.analysis import (
     CharacterizationRow,
+    _energy,
     _moments,
     compare,
     quantizer_characterization,
@@ -150,9 +152,31 @@ class TestMoments:
         vectors, n = int(rng.integers(1, 9)), 1 << int(rng.integers(1, 15))
         pooled = scale * rng.uniform(-1, 1, (2, vectors, n)) + scale * rng.uniform(-1e-3, 1e-3)
         kept = pooled.copy()
-        mean, variance, _ = _moments(pooled)
+        mean, variance = _moments(pooled)
         assert mean.hex() == float(np.mean(kept)).hex()
         assert variance.hex() == float(np.var(kept)).hex()
+
+    def test_moments_allocate_no_vector(self):
+        # the mean and variance run in the buffer; a 1 MiB copy of it, or a
+        # 1 MiB complex scratch vector to rebuild one, would show here
+        pooled = np.random.default_rng(3).uniform(-1, 1, (2, 1, 65536))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _moments(pooled)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestEnergy:
+    # the sums of the sweep's percent error: the squared norm, on the vector itself
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-530, 2.0**400], ids=["unscaled", "tiny", "huge"])
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_energy_keeps_the_bits_of_the_squared_norm(self, m, scale):
+        vector = scale * random_signal(1 << m, seed=m)
+        assert _energy(vector).hex() == float(np.linalg.norm(vector) ** 2).hex()
 
 
 class TestRunSweep:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfft import core, emit_report, stage_ladder
@@ -506,9 +506,13 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
     seen, nested = [], []
 
     def quantize_and_transform(values, spec, out=None):
-        # an n-point transform of the working vector between two stages
-        seen.append(values.copy())
-        nested.append(core.fft_reference(values))
+        # an n-point transform of the working vector between two stages: the
+        # stage loop quantizes its float64 components, viewed back as the
+        # complex vector, so that the nested run wants a spare of the outer's shape
+        vector = values.view(np.complex128)
+        assert vector.shape == (n,)
+        seen.append(vector.copy())
+        nested.append(core.fft_reference(vector))
         return apply_quantizer(values, spec, out=out)
 
     monkeypatch.setattr(quantization_module, "apply_quantizer", quantize_and_transform)
@@ -533,6 +537,9 @@ def assert_consumed_run_matches_default(n, direction, quantizer, rom, seed):
     pipeline = Pipeline(PipelineConfig(n, direction, specs, rom_spec))
     x = random_signal(n, seed)
     x[seed % n] = -0.0
+    # a full-scale component beside the signed zero: stage 0 puts x[j] +- x[j ^ n/2]
+    # past the saturating ladder's 0.1, whatever the other components draw
+    x[(seed + 1) % n] = 1.0
     expected, expected_views = _run_and_views(pipeline, x)
     trace, views = _run_and_views(pipeline, x.copy(), overwrite_x=True)
     assert trace.output.tobytes() == expected.output.tobytes()
@@ -551,6 +558,8 @@ def assert_consumed_run_matches_default(n, direction, quantizer, rom, seed):
     quantizer=st.sampled_from(sorted(STAGE_QUANTIZERS)),
     rom=st.booleans(),
 )
+# at n=2, a random x[1] inside stage 0's full scale once left the saturating ladder unsaturated
+@example(seed=816, direction="fft", quantizer="uniform-saturating", rom=False)
 def test_a_consumed_run_matches_a_default_run(m, seed, direction, quantizer, rom):
     assert_consumed_run_matches_default(1 << m, direction, quantizer, rom, seed)
 
