@@ -9,6 +9,8 @@ Schema (all keys optional, defaults applied):
                     # mode, bits and x_max set every stage (pipeline_config) where per_stage is null, and only there
                     "mode": "off" | "uniform" | "mantissa", "bits": 8,  # bits in 1..52
                     "x_max": null},  # positive and within 2**+-400 of the signal's bound, or null for automatic; uniform only
+                    # x_max names the signal's full scale: an ifft scales it by 1/n with its input, as the automatic one;
+                    # a per_stage x_max is that stage's full scale on the data it sees, and is not scaled
                     # "off" is no quantizer (a None stage), and reads neither bits nor x_max
       "twiddle_quantization": {"enabled": false, "bits": 8},
       "signal": {"kind": "impulse" | "sinusoid" | "multitone" | "random",
@@ -57,8 +59,9 @@ MAX_SWEEP_SAMPLES = 2**24
 # the modes a document names: "off" is no quantizer (a None stage), then the quantizer MODES
 _MODES = ("off", *MODES)
 _FIXED_BITS = "quantizer.per_stage: fixes the bits of every stage, so a sweep cannot vary them"
-# a uniform full scale within 2**+-400 of the signal's bound keeps every unit-scale step (2**-451 up to
-# the deepest ladder level's 2**418), its square and every sum of squared errors a normal double
+# a uniform full scale within 2**+-400 of the signal's bound keeps every unit-scale step (from 2**-467, a
+# 2**-451 step pre-scaled by an ifft's 1/65536, up to the deepest ladder level's 2**418), its square and
+# every sum of squared errors a normal double
 FULL_SCALE_RANGE = 400
 
 
@@ -196,9 +199,11 @@ class ExperimentConfig:
 
     def input_quantizer(self, bits: int) -> QuantizerSpec:
         """The stage ladder's unit-scale input quantizer at ``bits``, a sweep row's theory column before ``scale_back``: a
-        uniform full scale is x_max times 2**-scale_exponent, or the unit-scale signal's magnitude bound if automatic."""
+        uniform full scale is x_max times 2**-scale_exponent, or the unit-scale signal's magnitude bound if automatic,
+        scaled as the run scales its input (``core.prescale_exponent``: an ifft's 1/N)."""
         x_max = None if self.quantizer_x_max is None else math.ldexp(self.quantizer_x_max, -self.scale_exponent)
-        return QuantizerSpec.named(self.quantizer_mode, bits, x_max, magnitude_bound(self.signal_spec()))
+        spec = QuantizerSpec.named(self.quantizer_mode, bits, x_max, magnitude_bound(self.signal_spec()))
+        return spec.scaled(core.prescale_exponent(self.n, self.direction))
 
     def swept_mode(self) -> str:
         """The mode whose bits a sweep varies; ``ConfigError`` if per_stage fixes them or "off" has none."""

@@ -73,6 +73,12 @@ def num_stages(n: int) -> int:
     return int(n).bit_length() - 1
 
 
+def prescale_exponent(n: int, direction: str) -> int:
+    """The k of the 2**k that ``staged_transform`` scales an n-point input by: -log2(n) for "ifft", 0 for "fft"."""
+    validate_direction(direction)
+    return -num_stages(n) if direction == "ifft" else 0
+
+
 def as_signal(x) -> np.ndarray:
     """Coerce to a 1-d C-contiguous complex128 vector with a valid power-of-two length.
 
@@ -259,17 +265,20 @@ def staged_transform(
     The one stage loop behind ``fft_reference`` and ``Pipeline.run``.
     ``twiddles`` comes from ``stage_twiddles`` in ``direction``, a name in
     ``DIRECTIONS`` (else ``ValueError``), and an "ifft" multiplies every
-    component by 1/N before stage 0, the one place that pre-scale is taken.
+    component by 1/N (2**``prescale_exponent``) before stage 0, the one
+    place that pre-scale is taken.
     ``quantizers`` is empty or holds one ``QuantizerSpec`` or None per
     stage; a spec quantizes every component of its stage's output in place,
     through the float64 view of the working vector that the run builds
     once, and the loop sums their saturations. The quantizer is
     componentwise, so the working vector's order does not change its bits.
 
+    ``x`` is a complex128 vector, such as ``as_signal`` returns; any other
+    dtype raises ``ValueError`` before the run takes the thread's spare.
     ``x`` is left alone, and the run takes two working vectors: the
-    thread's spare, if it has one of x's shape and dtype, and a fresh one.
+    thread's spare, if it has one of x's shape, and a fresh one.
     The buffer the last stage writes becomes the thread's spare. With
-    ``overwrite_x`` and a C-contiguous, writable complex128 ``x``, the run
+    ``overwrite_x`` and a C-contiguous, writable ``x``, the run
     consumes ``x`` instead: it is the second working vector (an "ifft"
     pre-scales it in place), its contents afterwards are undefined, the
     output may be ``x`` itself, and the run keeps no spare, so it allocates
@@ -289,19 +298,20 @@ def staged_transform(
         the natural-order output, saturations, complex multiplies and
         complex additions
     """
-    validate_direction(direction)
-    consumed = overwrite_x and x.dtype == np.complex128 and x.flags.c_contiguous and x.flags.writeable
+    exponent = prescale_exponent(x.size, direction)
+    if x.dtype != np.complex128:
+        raise ValueError(f"x must be a complex128 vector, got dtype {x.dtype}")
+    consumed = overwrite_x and x.flags.c_contiguous and x.flags.writeable
     # the spare is taken out of its slot, so a nested call from the hook
     # finds the slot empty and allocates its own
     spare, _spare.vector = getattr(_spare, "vector", None), None
-    if spare is None or spare.shape != x.shape or spare.dtype != x.dtype:
+    if spare is None or spare.shape != x.shape:
         spare = np.empty_like(x)
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
     buffers = (spare, x if consumed else np.empty_like(x))
-    # each buffer's float64 components, which a stage quantizer rounds in place,
-    # viewed once per run; any other dtype goes to the quantizer as it is
-    parts = tuple(b.view(np.float64) for b in buffers) if x.dtype == np.complex128 else buffers
-    data = np.multiply(x, 1.0 / x.size, buffers[1]) if direction == "ifft" else x
+    # each buffer's float64 components, which a stage quantizer rounds in place, viewed once per run
+    parts = tuple(b.view(np.float64) for b in buffers)
+    data = np.multiply(x, 2.0**exponent, buffers[1]) if exponent else x
     saturations = multiplies = additions = 0
     for stage, (row, spec) in enumerate(zip(twiddles, quantizers or (None,) * len(twiddles), strict=True)):
         out = buffers[stage & 1]

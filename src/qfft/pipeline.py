@@ -80,9 +80,9 @@ class Pipeline:
         if tq is not None:
             # a fresh table quantized in place, which the rows copy and do not keep;
             # no saturation count: the ROM a config builds has x_max = 1 >= |w|
-            rom = core.twiddle_table(config.n)
+            rom = core.twiddle_table(config.n).view(np.float64)
             apply_quantizer(rom, tq, out=rom)
-            self.stage_twiddles = core.stage_twiddles(rom, config.direction)
+            self.stage_twiddles = core.stage_twiddles(rom.view(np.complex128), config.direction)
         else:
             # without a ROM the rows are the shared cached ones of fft_reference
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)

@@ -54,7 +54,6 @@ SCALE_FREE = frozenset({"mantissa"})
 MAX_BITS = 52  # double-precision mantissa width
 SQNR_CAP_DB = 300.0
 _FLOAT64 = np.dtype(np.float64)
-_KERNEL_DTYPES = (_FLOAT64, np.dtype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,8 @@ class QuantizerSpec:
         return x - qx if self.x_max is not None else relative_error(x, qx)
 
 
-def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
-    """Quantize the float64 array ``x`` into ``out`` (which may be ``x``).
+def _quantize_in_place(x: np.ndarray, spec: QuantizerSpec) -> int:
+    """Quantize the float64 vector ``x`` in place.
 
     Returns the number of components the uniform clamp changed. The one
     quantizer kernel; ``apply_quantizer`` is its only caller.
@@ -174,23 +173,22 @@ def _quantize_into(x: np.ndarray, spec: QuantizerSpec, out: np.ndarray) -> int:
     """
     if spec.mode == "uniform":
         q = spec._step_operand
-        np.divide(x, q, out)
-        np.rint(out, out)
-        np.multiply(out, q, out)
-        # the probe of the module docstring; ``item`` takes the flat index
-        # for any shape, 0-d included
+        np.divide(x, q, x)
+        np.rint(x, x)
+        np.multiply(x, q, x)
+        # the probe of the module docstring
         x_max = spec.x_max
-        if not out.size or (out.item(out.argmax()) <= x_max and out.item(out.argmin()) >= -x_max):
+        if not x.size or (x.item(x.argmax()) <= x_max and x.item(x.argmin()) >= -x_max):
             return 0
-        saturated = int(np.count_nonzero(np.abs(out) > x_max))
-        np.clip(out, -x_max, x_max, out=out)
+        saturated = int(np.count_nonzero(np.abs(x) > x_max))
+        np.clip(x, -x_max, x_max, out=x)
         return saturated
     exp = np.empty(x.shape, dtype=np.intc)
-    np.frexp(x, out, exp)
-    np.multiply(out, 2.0**spec.bits, out)
-    np.rint(out, out)
+    np.frexp(x, x, exp)
+    np.multiply(x, 2.0**spec.bits, x)
+    np.rint(x, x)
     np.subtract(exp, spec.bits, exp)
-    np.ldexp(out, exp, out)
+    np.ldexp(x, exp, x)
     return 0
 
 
@@ -237,27 +235,16 @@ def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, 
     through a float64 view of the interleaved components. Returns the
     quantized array and the number of components the uniform clamp
     actually changed (always 0 for mantissa). ``spec`` is a working
-    quantizer; a stage without one does not call this. Three call forms:
+    quantizer; a stage without one does not call this. Two call forms:
     without ``out``, a scalar (giving a 0-d array), list or array gives a
     new float64 or complex128 array; with ``out=values``, a 1-D
-    C-contiguous float64 vector, such as the component view of a complex
-    vector that the stage loop builds once per run, is quantized in place
-    as it is; any other C-contiguous float64 or complex128 array given as
-    ``out=values`` is quantized in place through one component view, with
-    no copy. Any other ``out`` raises ``ValueError``.
+    C-contiguous float64 vector, such as ``complex_vector.view(np.float64)``
+    that the stage loop builds once per run, is quantized in place as it
+    is. Any other ``out`` raises ``ValueError``.
     """
     if out is None:
-        src = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64, order="C")
-        out = np.empty_like(src)
-        return out, _quantize_into(_components(src), spec, _components(out))
-    if out is values and out.dtype is _FLOAT64 and out.ndim == 1 and out.flags.c_contiguous:
-        return out, _quantize_into(out, spec, out)
-    if not (out is values and out.dtype in _KERNEL_DTYPES and out.flags.c_contiguous):
-        raise ValueError("out must be the input itself, a C-contiguous float64 or complex128 array")
-    components = _components(out)
-    return out, _quantize_into(components, spec, components)
-
-
-def _components(a: np.ndarray) -> np.ndarray:
-    """Flat float64 view of a C-contiguous array; complex entries as (re, im) pairs."""
-    return (a if a.ndim == 1 else a.reshape(-1)).view(_FLOAT64)
+        out = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64, order="C")
+        return out, _quantize_in_place(out.reshape(-1).view(_FLOAT64), spec)
+    if not (out is values and out.dtype is _FLOAT64 and out.ndim == 1 and out.flags.c_contiguous):
+        raise ValueError("out must be the input itself, a 1-D C-contiguous float64 vector")
+    return out, _quantize_in_place(out, spec)

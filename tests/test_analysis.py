@@ -260,8 +260,21 @@ class TestRunSweep:
 
     def test_ifft_direction_runs(self):
         rows = self.sweep(direction="ifft", bits_lo=8, bits_hi=10, trials=2)
-        assert len(rows) == 3
-        assert all(r.error_variance > 0 for r in rows)
+        forward = self.sweep(bits_lo=8, bits_hi=10, trials=2)
+        assert [r.bits for r in rows] == [8, 9, 10]
+        for row, forward_row in zip(rows, forward):
+            # an all-zero output, a ladder blind to the 1/N pre-scale, reads 0 dB and 100 %
+            assert row.error_variance > 0
+            assert row.sqnr_db > 15.0 and row.percent_error < 15.0
+            # the theory column is the pre-scaled input quantizer's: the forward one over n**2
+            assert row.theory_variance == math.ldexp(forward_row.theory_variance, -16)
+
+    def test_the_default_inverse_sweep_matches_the_forward_one(self):
+        forward = run_sweep(ExperimentConfig())
+        inverse = run_sweep(ExperimentConfig(direction="ifft"))
+        for forward_row, row in zip(forward, inverse, strict=True):
+            if row.bits >= 8:
+                assert abs(row.sqnr_db - forward_row.sqnr_db) <= 0.5, row.bits
 
     @pytest.mark.parametrize(
         "change, field",

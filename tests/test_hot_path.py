@@ -181,12 +181,13 @@ def in_place_run(x, direction, table, specs):
     data = x[recurrence_indices(n)]
     if direction == "ifft":
         data *= 1.0 / n
+    components = data.view(np.float64)  # quantized in place, as the stage loop does
     snapshots = []
     saturations = 0
     for stage, spec in enumerate(specs):
         strided_dit_stage(data, table, stage)
         if spec is not None:
-            saturations += apply_quantizer(data, spec, out=data)[1]
+            saturations += apply_quantizer(components, spec, out=components)[1]
         snapshots.append(data.copy())
     return data, saturations, snapshots
 
@@ -612,6 +613,18 @@ def test_the_stage_loop_consumes_only_a_contiguous_writable_vector(kind, directi
     assert output.tobytes() == expected
 
 
+def test_the_stage_loop_rejects_another_dtype_before_it_takes_the_spare():
+    n = 256
+    specs = STAGE_QUANTIZERS["uniform"](n)
+    twiddles = core.direction_twiddles(n, "fft")
+    core.staged_transform(random_signal(n, seed=67), twiddles, "fft", specs)  # leaves a spare
+    spare = core._spare.vector
+    with pytest.raises(ValueError) as rejected:
+        core.staged_transform(random_signal(n, seed=67).astype(np.complex64), twiddles, "fft", specs)
+    assert core._spare.vector is spare
+    assert "complex64" in str(rejected.value)
+
+
 QUANTIZERS = [QuantizerSpec("uniform", 6, 1.0), QuantizerSpec("mantissa", 6)]
 
 
@@ -636,10 +649,11 @@ class TestInPlaceQuantizer:
 
         fresh, fresh_saturations = apply_quantizer(x, spec)
         assert x.tobytes() == original.tobytes()
-        inplace, saturations = apply_quantizer(x, spec, out=x)
+        components = x.view(np.float64)  # in place only on components, as the stage loop quantizes
+        inplace, saturations = apply_quantizer(components, spec, out=components)
 
-        assert inplace is x
-        assert inplace.tobytes() == fresh.tobytes()
+        assert inplace is components
+        assert x.tobytes() == fresh.tobytes()
         assert saturations == fresh_saturations
         assert (saturations > 0) == (spec.mode == "uniform" and scale > 1.0)
 
@@ -675,7 +689,11 @@ class TestInPlaceQuantizer:
         with pytest.raises(ValueError, match="out must be"):
             apply_quantizer(random_signal(8, seed=14), QUANTIZERS[0], out=out)
 
-    @pytest.mark.parametrize("values", [np.ones(8, dtype=np.complex64), np.ones(8, dtype=np.float32)])
+    # a complex128 vector or a 2-D float64 array is quantized in place only through a component view
+    @pytest.mark.parametrize(
+        "values",
+        [np.ones(8, dtype=np.complex64), np.ones(8, dtype=np.float32), np.ones(8, dtype=np.complex128), np.ones((2, 4))],
+    )
     def test_in_place_needs_a_kernel_dtype(self, values):
         with pytest.raises(ValueError, match="out must be"):
             apply_quantizer(values, QUANTIZERS[0], out=values)
@@ -774,7 +792,8 @@ def test_uniform_probe_matches_the_reference(shape, is_complex, entries, x_max, 
     assert saturations == expected_saturations
     assert out.reshape(-1).view(np.float64).tobytes() == expected.tobytes()
     inplace = x.copy()
-    assert apply_quantizer(inplace, spec, out=inplace)[1] == saturations
+    components = inplace.reshape(-1).view(np.float64)  # a view of every shape's components
+    assert apply_quantizer(components, spec, out=components)[1] == saturations
     assert inplace.tobytes() == out.tobytes()
 
 

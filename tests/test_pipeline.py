@@ -4,11 +4,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfft import stage_ladder
-from qfft.core import dft_naive, fft_reference, num_stages
+from qfft.config import ExperimentConfig
+from qfft.core import DIRECTIONS, MAX_SIZE, dft_naive, fft_reference, num_stages
 from qfft.pipeline import Pipeline, PipelineConfig, processing_cost
 from qfft.quantization import QuantizerSpec, apply_quantizer
+from qfft.signals import generate_signal
 
 
 def random_signal(n, seed):
@@ -236,3 +240,79 @@ def test_stage_spec_ladders():
     specs = stage_ladder(QuantizerSpec("mantissa", 7), 16)
     assert len(specs) == 4
     assert all(s.mode == "mantissa" and s.bits == 7 for s in specs)
+
+
+# Exact symmetries of every pipeline a config builds: its quantizers are odd and
+# componentwise, its clip symmetric and its twiddles conjugated exactly, so
+# negating, rotating or conjugating the input does the same to the output, bit
+# for bit in value. Only the sign of a zero may differ, as x + (-x) = +0.0.
+
+
+def unsigned_zeros(a):
+    """The bytes of ``a`` with every -0.0 read as +0.0."""
+    return (a + 0.0).tobytes()
+
+
+def rotated(z):
+    """j * z, exactly: each component (re, im) becomes (-im, re)."""
+    out = np.empty_like(z)
+    out.real, out.imag = -z.imag, z.real
+    return out
+
+
+@st.composite
+def config_fields(draw, modes, sizes):
+    """``ExperimentConfig`` fields: a size, a direction, a stage quantizer of ``modes`` and a ROM on or off."""
+    mode = draw(st.sampled_from(modes))
+    fields = {
+        "n": draw(st.sampled_from(sizes)),
+        "direction": draw(st.sampled_from(DIRECTIONS)),
+        "quantizer_mode": mode,
+        "twiddle_enabled": draw(st.booleans()),
+        "twiddle_bits": draw(st.integers(3, 14)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if mode != "off":
+        fields["quantizer_bits"] = draw(st.integers(2, 24))
+    if mode == "uniform":
+        # automatic, or a full scale below the unit-scale signal's bound, which saturates
+        fields["quantizer_x_max"] = draw(st.sampled_from([None, 0.3]))
+    return fields
+
+
+# one case at the largest size, which the drawn sizes do not reach
+LARGEST = {
+    "n": MAX_SIZE,
+    "direction": "ifft",
+    "quantizer_mode": "uniform",
+    "quantizer_bits": 12,
+    "twiddle_enabled": True,
+    "twiddle_bits": 10,
+    "seed": 5,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=config_fields(("uniform", "mantissa", "off"), [1 << m for m in range(1, 11)]))
+@example(fields={**LARGEST, "quantizer_x_max": 0.3})
+def test_a_run_commutes_with_negation_and_rotation(fields):
+    cfg = ExperimentConfig(**fields)
+    pipeline = Pipeline(cfg.pipeline_config())
+    x = generate_signal(cfg.signal_spec(), cfg.seed)
+    trace = pipeline.run(x)
+    for image in (np.negative, rotated):
+        imaged = pipeline.run(image(x))
+        assert unsigned_zeros(imaged.output) == unsigned_zeros(image(trace.output)), image.__name__
+        assert imaged.saturation_total == trace.saturation_total
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields=config_fields(("uniform", "mantissa"), [1 << m for m in range(1, 13)]))
+@example(fields=LARGEST)
+def test_an_inverse_run_is_the_conjugated_forward_run_over_n(fields):
+    # the inverse's ladder sees its 1/N pre-scale: P_ifft(x) = conj(P_fft(conj(x))) / N
+    forward = ExperimentConfig(**{**fields, "direction": "fft"})
+    inverse = ExperimentConfig(**{**fields, "direction": "ifft"})
+    x = generate_signal(forward.signal_spec(), forward.seed)
+    expected = np.conj(Pipeline(forward.pipeline_config()).run(np.conj(x)).output) / forward.n
+    assert unsigned_zeros(Pipeline(inverse.pipeline_config()).run(x).output) == unsigned_zeros(expected)
