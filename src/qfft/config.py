@@ -69,9 +69,12 @@ class ConfigError(ValueError):
     """Configuration document error carrying a field-path diagnostic."""
 
 
+# typed, so a float size is not served the ladder of an int one; a sweep asks for one ladder per row
+@functools.lru_cache(maxsize=256, typed=True)
 def stage_ladder(spec: QuantizerSpec, n: int) -> tuple[QuantizerSpec, ...]:
     """The stage quantizers of an n-point transform with input quantizer ``spec``: stage s gets ``spec.scaled(s + 1)``,
-    so a full scale doubles each stage with a butterfly's worst-case growth and a scale-free spec repeats."""
+    so a full scale doubles each stage with a butterfly's worst-case growth and a scale-free spec repeats. Cached: an
+    equal spec gets the same frozen specs, whose steps are computed once."""
     return tuple(spec.scaled(s + 1) for s in range(core.num_stages(n)))
 
 

@@ -39,6 +39,7 @@ would take 8 MiB.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -218,6 +219,32 @@ def stage_twiddles(table: np.ndarray, direction: str) -> tuple[np.ndarray, ...]:
     return tuple(rows)
 
 
+def stage_growth(rows: tuple[np.ndarray, ...]) -> tuple[float, ...]:
+    """Per stage of the ``stage_twiddles`` rows ``rows``, a factor no component's magnitude grows by.
+
+    A butterfly output a +- W*b has components of magnitude at most
+    B + |W| |b| <= B (1 + sqrt(2) |W|) when every component of a and b is at
+    most B (Welch, IEEE Trans. AU-17, 1969). Stage s's factor is
+    1 + sqrt(2) max|W_s| over its own row, so a twiddle ROM with |W_q| > 1
+    grows its bound more, times ``quantization.BOUND_SLACK`` for the
+    stage's roundings. Row s repeats w_br[:2**s] and the last row is w_br
+    itself, so row s's maximum is row s - 1's or that of the entries
+    w_br[2**(s-1):2**s] it adds. They are read a tile at a time and
+    squared from their parts, within the slack: a temporary of |w_br|
+    and the first complex ``np.abs`` each raised the sweep-64k peak RSS
+    by 0.1 to 0.3 MB.
+    """
+    w_br = rows[-1]
+    growth, peak = [], 0.0  # the largest |w|**2 so far
+    for stage in range(len(rows)):
+        end = 1 << stage
+        for start in range(end >> 1, end, TILE):
+            block = w_br[start : min(end, start + TILE)]
+            peak = max(peak, float((block.real * block.real + block.imag * block.imag).max()))
+        growth.append((1.0 + math.sqrt(2.0 * peak)) * quantization.BOUND_SLACK)
+    return tuple(growth)
+
+
 def dit_stage(data: np.ndarray, row: np.ndarray, stage: int, out: np.ndarray) -> tuple[int, int]:
     """Apply stage ``stage`` (0-based) of the constant-geometry flow graph.
 
@@ -258,7 +285,14 @@ _spare = threading.local()
 
 
 def staged_transform(
-    x: np.ndarray, twiddles: tuple, direction: str = "fft", quantizers=(), after_stage=None, overwrite_x: bool = False
+    x: np.ndarray,
+    twiddles: tuple,
+    direction: str = "fft",
+    quantizers=(),
+    after_stage=None,
+    overwrite_x: bool = False,
+    bound: float = math.inf,
+    growth=(),
 ):
     """Run all log2(n) butterfly stages over the natural-order vector ``x``.
 
@@ -272,6 +306,16 @@ def staged_transform(
     through the float64 view of the working vector that the run builds
     once, and the loop sums their saturations. The quantizer is
     componentwise, so the working vector's order does not change its bits.
+
+    ``bound`` is an upper bound on every |component| of ``x``, and
+    ``growth`` is empty or ``stage_growth(twiddles)``. The loop carries the
+    bound through the stages: pre-scaled with ``x``, times stage s's growth
+    (plus ``quantization.BOUND_FLOOR``) after its butterflies, then as each
+    quantizer returns it. A uniform quantizer skips its saturation probe
+    where the bound proves that no level reaches past x_max, so the
+    output bytes and saturations do not depend on ``bound`` as long as it
+    holds; a bound that does not hold can hide a saturation. The default,
+    infinity, or an empty ``growth`` probes every uniform stage.
 
     ``x`` is a complex128 vector, such as ``as_signal`` returns; any other
     dtype raises ``ValueError`` before the run takes the thread's spare.
@@ -310,29 +354,38 @@ def staged_transform(
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
     buffers = (spare, x if consumed else np.empty_like(x))
     # each buffer's float64 components, which a stage quantizer rounds in place, viewed once per run
-    parts = tuple(b.view(np.float64) for b in buffers)
+    parts = (spare.view(np.float64), buffers[1].view(np.float64))
     data = np.multiply(x, 2.0**exponent, buffers[1]) if exponent else x
+    # rounding is monotone, so |x| * 2**k rounds to at most the bound's image
+    bound = math.ldexp(bound, exponent)
+    floor = quantization.BOUND_FLOOR
+    stages = len(twiddles)
     saturations = multiplies = additions = 0
-    for stage, (row, spec) in enumerate(zip(twiddles, quantizers or (None,) * len(twiddles), strict=True)):
+    for stage, (row, spec, factor) in enumerate(
+        zip(twiddles, quantizers or (None,) * stages, growth or (math.inf,) * stages, strict=True)
+    ):
         out = buffers[stage & 1]
         muls, adds = dit_stage(data, row, stage, out)
         multiplies += muls
         additions += adds
         data = out
+        bound = bound * factor + floor
         if spec is not None:
-            # looked up on the module at each call, so a wrapper installed there sees it
+            # looked up on the module at each call, so a wrapper installed there sees it;
+            # out and bound go by position, which a call parses faster than keywords
             part = parts[stage & 1]
-            saturations += quantization.apply_quantizer(part, spec, out=part)[1]
+            _, saturated, bound = quantization.apply_quantizer(part, spec, part, bound)
+            saturations += saturated
         if after_stage is not None:
             view = data.view()
             view.flags.writeable = False
             after_stage(stage, view)
     # gather into the buffer the last stage did not write; mode "clip"
     # writes ``out`` directly, where the default "raise" fills a temporary
-    # copy first. np.take also copies a read-only index on every call, so
+    # copy first. take also copies a read-only index on every call, so
     # the gather reads the writable table behind the cached permutation
-    free = buffers[len(twiddles) & 1]
-    output = np.take(data, bit_reversal_indices(x.size).base.obj, out=free, mode="clip")
+    free = buffers[stages & 1]
+    output = data.take(bit_reversal_indices(x.size).base.obj, 0, free, "clip")
     if not consumed:
         _spare.vector = data
     return output, saturations, multiplies, additions
@@ -347,6 +400,12 @@ def direction_twiddles(n: int, direction: str) -> tuple[np.ndarray, ...]:
     direction, the rows are shared and read-only.
     """
     return stage_twiddles(twiddle_table(n), direction)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def direction_growth(n: int, direction: str) -> tuple[float, ...]:
+    """``stage_growth(direction_twiddles(n, direction))``, cached beside the rows it reads."""
+    return stage_growth(direction_twiddles(n, direction))
 
 
 def fft_reference(x, direction: str = "fft") -> np.ndarray:

@@ -11,6 +11,7 @@ all the output is bit-identical to ``core.fft_reference``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,11 @@ class Pipeline:
             rom = core.twiddle_table(config.n).view(np.float64)
             apply_quantizer(rom, tq, out=rom)
             self.stage_twiddles = core.stage_twiddles(rom.view(np.complex128), config.direction)
+            self.stage_growth = core.stage_growth(self.stage_twiddles)
         else:
-            # without a ROM the rows are the shared cached ones of fft_reference
+            # without a ROM the rows and their growth are the shared cached ones
             self.stage_twiddles = core.direction_twiddles(config.n, config.direction)
+            self.stage_growth = core.direction_growth(config.n, config.direction)
 
     def run(self, x, after_stage=None, overwrite_x=False) -> RunTrace:
         """Push one vector through the staged processor.
@@ -100,15 +103,31 @@ class Pipeline:
         of two (``core.staged_transform``). ``after_stage(stage, data)`` is
         ``core.staged_transform``'s hook: after each stage's quantizer, a
         read-only view of the working vector it must not keep.
+
+        A NaN or infinite component raises ``ValueError``. The check reads
+        the largest and smallest component, which bound the input for
+        ``core.staged_transform``'s saturation probes.
         """
         vec = core.as_signal(x)
         if vec.size != self.n:
             raise ValueError(f"expected length {self.n}, got {vec.size}")
-        if not np.isfinite(vec.view(np.float64)).all():
+        components = vec.view(np.float64)
+        hi, lo = components.item(components.argmax()), components.item(components.argmin())
+        # a NaN is both the argmax and the argmin of an array holding one, and fails both tests
+        if not (hi < math.inf and lo > -math.inf):
             raise ValueError("input contains non-finite components")
-        specs = self.config.stage_quantizers
+        config = self.config
         return RunTrace(
-            *core.staged_transform(vec, self.stage_twiddles, self.config.direction, specs, after_stage, overwrite_x)
+            *core.staged_transform(
+                vec,
+                self.stage_twiddles,
+                config.direction,
+                config.stage_quantizers,
+                after_stage,
+                overwrite_x,
+                bound=max(hi, -lo),
+                growth=self.stage_growth,
+            )
         )
 
 

@@ -11,18 +11,27 @@ the uniform staircase and q^2/6 for the mantissa relative error, whose
 times 2**k. ``apply_quantizer`` is the one way to quantize, for either
 mode: into a new array or, after a pipeline stage, in place.
 
-The uniform kernel looks for saturation with ``argmax``/``argmin`` and
-counts only when one of those levels lies past x_max or is NaN. On 2,048
-floats (one N=1024 stage) that probe takes 2.0 us against 4.5 us for
-``np.maximum.reduce`` plus ``np.minimum.reduce``, most of which is fixed
-per-call cost; on 131,072 floats (N=65536) it takes 46.6 against
-40.9 us, about 0.1 ms over the 16 stages of a transform, so one probe
-serves every size. With it, ``QuantizerSpec.step`` computed once per
-spec and no reshape of a 1-D vector, an in-place ``apply_quantizer`` on
-2,048 components takes 9.2 us instead of 12.3, and a uniform
-``Pipeline.run`` 0.84x the time at N=1024 (168 against 199 us) and 1.00x
-at N=65536 (about 8 ms). Medians of 15 alternating rounds in one process
-(ratios taken per round), on one pinned CPU of a 2-vCPU Xeon, numpy 2.4.6.
+The uniform kernel probes for saturation only where it cannot rule it
+out (Welch, IEEE Trans. AU-17, 1969, bounds a statically scaled FFT's
+growth the same way). Its in-place form takes a bound B on every
+|component| before rounding. A level is q * rint(x / q) and x_max is
+q * 2**(bits - 1) exactly, so while B + q/2 <= x_max no level can pass
+x_max; the kernel then skips the probe and returns B + q/2, widened by
+``BOUND_SLACK``, as the bound after it. Elsewhere it probes: it looks at
+the levels at ``argmax`` and ``argmin`` and counts and clips only when one
+of them lies past x_max or is NaN, and the next bound is the probe's
+exact max |level|, or x_max once it clipped. A NaN or infinite bound
+never proves headroom. On 2,048 floats (one N=1024 stage) the probe takes
+2.0 us against 4.5 us for ``np.maximum.reduce`` plus
+``np.minimum.reduce``. ``core.staged_transform`` carries the bound from
+the input through every stage, so the default sweep ladder (N=1024,
+b=6..14, random input, no twiddle ROM) probes 2 of its 10 stages and the
+fft-cli ladder (N=65536 with a 10-bit ROM) 3 of 16; a bin-centred
+sinusoid, whose growth is coherent, still probes every stage. A uniform
+``Pipeline.run`` on that sweep ladder at b=10 takes 0.86x the time it
+took when every stage probed (85.7 against 100.0 us, the input check
+included): the median of 12 alternating processes, each the best of 9
+timeit rounds, on one pinned CPU of a 2-vCPU Xeon, numpy 2.4.6.
 
 Most of what is left at N=1024 is fixed per-call cost, so the stage loop
 pays only for what computes. It builds each working vector's float64
@@ -54,6 +63,13 @@ SCALE_FREE = frozenset({"mantissa"})
 MAX_BITS = 52  # double-precision mantissa width
 SQNR_CAP_DB = 300.0
 _FLOAT64 = np.dtype(np.float64)
+# A magnitude bound computed in floating point is widened by this factor, and
+# where it may be subnormal by this floor, at each product and sum, so that it
+# stays above the exact bound of the arithmetic it follows: a rounding moves a
+# normal result by at most 2**-53 of it and a subnormal one by at most 2**-1075,
+# and a stage rounds a handful of times.
+BOUND_SLACK = 1.0 + 2.0**-40
+BOUND_FLOOR = 2.0**-1070
 
 
 @dataclass(frozen=True)
@@ -152,44 +168,58 @@ class QuantizerSpec:
         return x - qx if self.x_max is not None else relative_error(x, qx)
 
 
-def _quantize_in_place(x: np.ndarray, spec: QuantizerSpec) -> int:
-    """Quantize the float64 vector ``x`` in place.
+def _quantize_in_place(x: np.ndarray, spec: QuantizerSpec, bound: float) -> tuple[int, float]:
+    """Quantize in place the float64 vector ``x``, whose every |component| but a NaN is at most ``bound``.
 
-    Returns the number of components the uniform clamp changed. The one
-    quantizer kernel; ``apply_quantizer`` is its only caller.
+    Returns the number of components the uniform clamp changed and such a
+    bound on the quantized vector. The one quantizer kernel;
+    ``apply_quantizer`` is its only caller.
 
-    Uniform: divide by q, round, multiply by q. A probe checks that the
-    levels at ``argmax`` and ``argmin`` lie within +-x_max; only when one
-    does not are the magnitudes counted and the levels clipped, so a call
-    that does not saturate builds no |level| temporary and the count stays
-    exact. A NaN is both the ``argmax`` and the ``argmin`` of an array
-    holding one and fails both checks, so such an array takes the count
-    and clip too: the NaN is not counted and stays NaN, the levels past
-    full scale are counted and clipped.
+    Uniform: divide by q, round, multiply by q. Where the headroom test of
+    the module docstring fails, ``_saturation_probe`` counts and clips.
     Mantissa: the fraction M from ``frexp`` is scaled by 2**bits instead of
     divided by q = 2**-bits, and the exponent of the final ``ldexp`` absorbs
     the multiply by q; scaling by a power of two is exact here, so the bits
-    equal those of frexp, /q, rint, *q, ldexp.
+    equal those of frexp, /q, rint, *q, ldexp. A rounded fraction is at most
+    |M| (1 + 2**-bits), as |M| >= 1/2, and a subnormal result rounds once more.
     """
     if spec.mode == "uniform":
         q = spec._step_operand
         np.divide(x, q, x)
         np.rint(x, x)
         np.multiply(x, q, x)
-        # the probe of the module docstring
-        x_max = spec.x_max
-        if not x.size or (x.item(x.argmax()) <= x_max and x.item(x.argmin()) >= -x_max):
-            return 0
-        saturated = int(np.count_nonzero(np.abs(x) > x_max))
-        np.clip(x, -x_max, x_max, out=x)
-        return saturated
+        # a NaN or infinite bound fails this test, so such data is always probed
+        reach = (bound + 0.5 * spec.step) * BOUND_SLACK
+        if reach <= spec.x_max:
+            return 0, reach
+        return _saturation_probe(x, spec.x_max)
     exp = np.empty(x.shape, dtype=np.intc)
     np.frexp(x, x, exp)
     np.multiply(x, 2.0**spec.bits, x)
     np.rint(x, x)
     np.subtract(exp, spec.bits, exp)
     np.ldexp(x, exp, x)
-    return 0
+    return 0, bound * (1.0 + 2.0**-spec.bits) * BOUND_SLACK + BOUND_FLOOR
+
+
+def _saturation_probe(x: np.ndarray, x_max: float) -> tuple[int, float]:
+    """Count the levels of ``x`` past +-x_max and clip them; return the count and a bound on |level| after.
+
+    The levels at ``argmax`` and ``argmin`` are checked first, so a vector
+    that does not saturate builds no |level| temporary, and its bound is
+    their exact max |level|; any other vector is bounded by x_max once
+    clipped. A NaN is both the ``argmax`` and the ``argmin`` of a vector
+    holding one and fails both checks, so such a vector is counted and
+    clipped too: the NaN is not counted and stays NaN.
+    """
+    if not x.size:
+        return 0, 0.0
+    hi, lo = x.item(x.argmax()), x.item(x.argmin())
+    if hi <= x_max and lo >= -x_max:
+        return 0, max(hi, -lo)
+    saturated = int(np.count_nonzero(np.abs(x) > x_max))
+    np.clip(x, -x_max, x_max, out=x)
+    return saturated, x_max
 
 
 def relative_error(x, qx):
@@ -220,7 +250,7 @@ def snr_db(signal_variance: float, noise_variance: float) -> float:
     return 10.0 * math.log10(signal_variance / noise_variance)
 
 
-def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, int]:
+def apply_quantizer(values, spec: QuantizerSpec, out=None, bound: float = math.inf) -> tuple:
     """Quantize componentwise with ``spec`` and count saturations.
 
     Uniform: Q(x) = q * round(x / q) clamped to [-x_max, x_max], ties
@@ -232,19 +262,33 @@ def apply_quantizer(values, spec: QuantizerSpec, out=None) -> tuple[np.ndarray, 
     half-to-even onto the grid of step q; zero and powers of two are fixed.
 
     Complex values are quantized on real and imaginary parts separately,
-    through a float64 view of the interleaved components. Returns the
-    quantized array and the number of components the uniform clamp
-    actually changed (always 0 for mantissa). ``spec`` is a working
-    quantizer; a stage without one does not call this. Two call forms:
-    without ``out``, a scalar (giving a 0-d array), list or array gives a
-    new float64 or complex128 array; with ``out=values``, a 1-D
-    C-contiguous float64 vector, such as ``complex_vector.view(np.float64)``
-    that the stage loop builds once per run, is quantized in place as it
-    is. Any other ``out`` raises ``ValueError``.
+    through a float64 view of the interleaved components. The saturations
+    are the components the uniform clamp actually changed (always 0 for
+    mantissa). ``spec`` is a working quantizer; a stage without one does
+    not call this. Two call forms:
+
+    - without ``out``, a scalar (giving a 0-d array), list or array gives a
+      new float64 or complex128 array, returned with the saturations. This
+      form reads no ``bound`` and always probes for saturation;
+    - with ``out=values``, a 1-D C-contiguous float64 vector, such as
+      ``complex_vector.view(np.float64)`` that the stage loop builds once
+      per run, is quantized in place as it is, and the call returns
+      ``(out, saturations, next_bound)``. Precondition: ``bound`` holds,
+      that is, every |component| of ``values`` that is not NaN is at most
+      it (the default, infinity, always holds). Where it proves that no
+      uniform level can pass x_max, the saturation probe is skipped, and
+      the count and bytes are right only because the bound holds.
+      ``next_bound`` holds for the quantized vector in the same sense:
+      where the uniform probe ran, the exact max |level|, or x_max if it
+      clipped; else ``bound`` plus q/2 for uniform, or times 1 + 2**-bits
+      for mantissa, widened by ``BOUND_SLACK`` and ``BOUND_FLOOR``.
+
+    Any other ``out`` raises ``ValueError``.
     """
     if out is None:
         out = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64, order="C")
-        return out, _quantize_in_place(out.reshape(-1).view(_FLOAT64), spec)
+        return out, _quantize_in_place(out.reshape(-1).view(_FLOAT64), spec, math.inf)[0]
     if not (out is values and out.dtype is _FLOAT64 and out.ndim == 1 and out.flags.c_contiguous):
         raise ValueError("out must be the input itself, a 1-D C-contiguous float64 vector")
-    return out, _quantize_in_place(out, spec)
+    saturated, bound = _quantize_in_place(out, spec, bound)
+    return out, saturated, bound

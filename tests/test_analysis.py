@@ -15,7 +15,7 @@ from qfft.analysis import (
     run_transform,
 )
 from qfft.config import ConfigError, ExperimentConfig, parse_config
-from qfft.core import fft_reference
+from qfft.core import MAX_SIZE, fft_reference
 from qfft import stage_ladder
 from qfft.pipeline import Pipeline, PipelineConfig
 from qfft.quantization import SQNR_CAP_DB, QuantizerSpec
@@ -248,12 +248,21 @@ class TestRunSweep:
         for row in self.sweep():
             assert row.saturation_rate == 0.0
 
-    @pytest.mark.parametrize("rom, saturations", [(False, 0), (True, 1)])
-    def test_a_twiddle_rom_can_saturate_the_ladder(self, rom, saturations):
+    @pytest.mark.parametrize(
+        "n, rom, saturations",
+        [
+            pytest.param(64, False, 0, id="False-0"),
+            pytest.param(64, True, 1, id="True-1"),
+            pytest.param(1024, True, 4, id="1024-True-4"),
+            pytest.param(MAX_SIZE, True, 156, id="65536-True-156"),
+        ],
+    )
+    def test_a_twiddle_rom_can_saturate_the_ladder(self, n, rom, saturations):
         # a rounded twiddle can have |W_q| > 1, and a bin-centred sinusoid
-        # reaches the last stage's full scale exactly, so the ROM pushes it past
+        # reaches the last stage's full scale exactly, so the ROM pushes it past;
+        # its growth is coherent, so only a stage that probes sees these
         cfg = ExperimentConfig(
-            n=64, signal_kind="sinusoid", signal_bin=1, quantizer_bits=12, twiddle_enabled=rom, twiddle_bits=10
+            n=n, signal_kind="sinusoid", signal_bin=1, quantizer_bits=12, twiddle_enabled=rom, twiddle_bits=10
         )
         trace = Pipeline(cfg.pipeline_config()).run(generate_signal(cfg.signal_spec(), cfg.seed))
         assert trace.saturation_total == saturations

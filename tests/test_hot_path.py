@@ -8,6 +8,7 @@ where it was.
 
 import dataclasses
 import json
+import math
 import pickle
 import re
 import sys
@@ -506,7 +507,7 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
     expected = pipeline.run(x).output.tobytes()
     seen, nested = [], []
 
-    def quantize_and_transform(values, spec, out=None):
+    def quantize_and_transform(values, spec, out=None, bound=math.inf):
         # an n-point transform of the working vector between two stages: the
         # stage loop quantizes its float64 components, viewed back as the
         # complex vector, so that the nested run wants a spare of the outer's shape
@@ -514,7 +515,7 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
         assert vector.shape == (n,)
         seen.append(vector.copy())
         nested.append(core.fft_reference(vector))
-        return apply_quantizer(values, spec, out=out)
+        return apply_quantizer(values, spec, out, bound)
 
     monkeypatch.setattr(quantization_module, "apply_quantizer", quantize_and_transform)
     for overwrite_x in (False, True):  # the outer run leaves its input alone, then consumes a copy
@@ -650,12 +651,15 @@ class TestInPlaceQuantizer:
         fresh, fresh_saturations = apply_quantizer(x, spec)
         assert x.tobytes() == original.tobytes()
         components = x.view(np.float64)  # in place only on components, as the stage loop quantizes
-        inplace, saturations = apply_quantizer(components, spec, out=components)
+        inplace, saturations, bound = apply_quantizer(components, spec, out=components)
 
         assert inplace is components
         assert x.tobytes() == fresh.tobytes()
         assert saturations == fresh_saturations
         assert (saturations > 0) == (spec.mode == "uniform" and scale > 1.0)
+        # with no bound given, uniform probes and returns the exact max |level| (x_max once clipped),
+        # and a mantissa bound stays infinite
+        assert bound == (np.abs(components).max() if spec.mode == "uniform" else math.inf)
 
     @pytest.mark.parametrize("spec", QUANTIZERS, ids=lambda s: s.mode)
     def test_complex_components_follow_the_formulas(self, spec):
@@ -795,6 +799,202 @@ def test_uniform_probe_matches_the_reference(shape, is_complex, entries, x_max, 
     components = inplace.reshape(-1).view(np.float64)  # a view of every shape's components
     assert apply_quantizer(components, spec, out=components)[1] == saturations
     assert inplace.tobytes() == out.tobytes()
+
+
+# The stage loop carries a bound on every |component| through the stages, and a
+# uniform quantizer probes for saturation only where that bound does not prove
+# headroom. The bytes and counts must be those of a loop that always probes.
+
+
+def probed_run(pipeline, x):
+    """The stage loop written out, each stage quantized into a new array: output and saturations.
+
+    The fresh-array form of ``apply_quantizer`` reads no bound and probes
+    every uniform stage.
+    """
+    n, direction = pipeline.n, pipeline.config.direction
+    exponent = core.prescale_exponent(n, direction)
+    # x * 1.0 would turn a -0.0 real part into +0.0, as the complex product reads 1.0 as 1 + 0j
+    data = x * 2.0**exponent if exponent else x
+    saturations = 0
+    for stage, (row, spec) in enumerate(zip(pipeline.stage_twiddles, pipeline.config.stage_quantizers)):
+        out = np.empty_like(data)
+        core.dit_stage(data, row, stage, out)
+        if spec is not None:
+            out, saturated = apply_quantizer(out, spec)
+            saturations += saturated
+        data = out
+    return data[core.bit_reversal_indices(n)], saturations
+
+
+def stage_loop_pipeline(m, direction, ladder, rom_bits):
+    """A pipeline whose stage s is None, ("mantissa", bits) or ("uniform", bits, ratio).
+
+    A uniform ratio is a fraction of the doubling ladder's full scale at
+    stage s, 2**(s + 1) for a unit-scale input, pre-scaled as the input is.
+    """
+    k = core.prescale_exponent(1 << m, direction)
+    specs = []
+    for stage, entry in enumerate(ladder):
+        if entry is None or entry[0] == "mantissa":
+            specs.append(entry and QuantizerSpec(*entry))
+        else:
+            mode, bits, ratio = entry
+            specs.append(QuantizerSpec(mode, bits, ratio * 2.0 ** (stage + 1 + k)))
+    rom = None if rom_bits is None else QuantizerSpec("uniform", rom_bits, 1.0)
+    return Pipeline(PipelineConfig(1 << m, direction, tuple(specs), rom))
+
+
+def stage_loop_input(m, kind, seed, signed_zero, full_scale):
+    """A unit-scale signal of ``kind``, with a -0.0 and a pair at exactly stage 0's full scale if asked."""
+    n = 1 << m
+    x = generate_signal(SignalSpec(kind, n, bin=seed % n if kind == "sinusoid" else 0), seed)
+    if signed_zero:
+        x[seed % n] = complex(-0.0, -0.0)
+    if full_scale:
+        # stage 0 adds x[j] and x[j + n/2]: a ratio-1 full scale 2 exactly, and 2 past a lower one
+        j = (seed >> 8) % (n // 2)
+        x[j] = x[j + n // 2] = 1.0
+    return x
+
+
+@st.composite
+def stage_loop_cases(draw):
+    m = draw(st.integers(1, 12))
+    ratio = st.one_of(st.just(1.0), st.floats(0.3, 1.5))
+    entry = st.one_of(
+        st.none(),
+        st.tuples(st.just("mantissa"), st.integers(2, 24)),
+        st.tuples(st.just("uniform"), st.integers(2, 24), ratio),
+    )
+    return {
+        "m": m,
+        "direction": draw(st.sampled_from(core.DIRECTIONS)),
+        "ladder": draw(st.lists(entry, min_size=m, max_size=m)),
+        "rom_bits": draw(st.sampled_from([None, 3, 10])),
+        "kind": draw(st.sampled_from(["random", "sinusoid", "impulse"])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "signed_zero": draw(st.booleans()),
+        "full_scale": draw(st.booleans()),
+    }
+
+
+LARGEST_STAGE_LOOP = {
+    "m": 16,
+    "direction": "fft",
+    "ladder": [("uniform", 12, 1.0), ("mantissa", 9), None, ("uniform", 12, 0.5)] * 4,
+    "rom_bits": 10,
+    "kind": "random",
+    "seed": 71,
+    "signed_zero": True,
+    "full_scale": True,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stage_loop_cases())
+@example(case=LARGEST_STAGE_LOOP)
+def test_a_run_matches_a_stage_loop_that_always_probes(case):
+    pipeline = stage_loop_pipeline(case["m"], case["direction"], case["ladder"], case["rom_bits"])
+    x = stage_loop_input(case["m"], case["kind"], case["seed"], case["signed_zero"], case["full_scale"])
+    bounds = []
+    quantize = quantization_module.apply_quantizer
+
+    def checked(values, spec, out=None, bound=math.inf):
+        # the precondition: the bound handed to each stage quantizer holds
+        bounds.append(bound >= np.abs(values).max())
+        return quantize(values, spec, out, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantization_module, "apply_quantizer", checked)
+        trace = pipeline.run(x)
+    output, saturations = probed_run(pipeline, x)
+    assert trace.output.tobytes() == output.tobytes()
+    assert trace.saturation_total == saturations
+    assert all(bounds) and len(bounds) == sum(spec is not None for spec in pipeline.config.stage_quantizers)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The saturation probes of each ``Pipeline.run``, one list of full scales per run."""
+    runs = []
+    probe, run = quantization_module._saturation_probe, Pipeline.run
+
+    def counted_probe(x, x_max):
+        runs[-1].append(x_max)
+        return probe(x, x_max)
+
+    def counted_run(self, *args, **kwargs):
+        runs.append([])
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(quantization_module, "_saturation_probe", counted_probe)
+    monkeypatch.setattr(Pipeline, "run", counted_run)
+    return runs
+
+
+def test_the_default_sweep_ladder_probes_at_most_three_stages_a_run(probes):
+    # the sweep-1k workload's config: n=1024, b=6..14, 20 random trials, no ROM
+    cfg = ExperimentConfig()
+    rows = run_sweep(cfg)
+    assert len(probes) == len(rows) * cfg.trials == 180
+    assert max(len(run) for run in probes) <= 3
+
+
+def test_a_bound_that_proves_headroom_skips_the_probe(probes):
+    # a level is q * rint(x / q), so no level passes x_max once bound + q/2 is at most it
+    spec = QuantizerSpec("uniform", 8, 1.0)
+    values = np.linspace(-0.5, 0.5, 16)
+    probes.append([])
+    expected = apply_quantizer(values, spec)[0].tobytes()
+    for bound, probed in [(0.5, False), (1.0 - spec.step, False), (1.0, True), (math.inf, True), (math.nan, True)]:
+        probes[-1].clear()
+        components = values.copy()
+        out, saturations, next_bound = apply_quantizer(components, spec, components, bound)
+        assert out.tobytes() == expected and saturations == 0
+        assert len(probes[-1]) == probed, bound
+        # the probe's exact max |level|, else the bound plus q/2, widened
+        assert next_bound == (0.5 if probed else (bound + spec.step / 2) * quantization_module.BOUND_SLACK)
+
+
+def midpoint(k, spec):
+    """A value in (0, 1] halfway between two uniform levels, or between two mantissa grid points."""
+    if spec.mode == "uniform":
+        return (k % max(1, int(1.0 / spec.step)) + 0.5) * spec.step
+    half_grid = 2 ** (spec.bits - 1)
+    return (half_grid + k % half_grid + 0.5) * spec.step
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.one_of(st.floats(-1.0, 1.0), st.integers(0, 2**52)), min_size=1, max_size=16),
+    bits=st.integers(2, 24),
+    mode=st.sampled_from(quantization_module.MODES),
+)
+def test_the_bound_a_stage_quantizer_returns_holds(entries, bits, mode):
+    # handed the tight bound max |x| <= 1, the quantizer returns one on every |level|;
+    # a midpoint may round away from zero. A uniform full scale of 4 leaves every
+    # level in range, so no probe runs and the bound returned is the widened one
+    spec = QuantizerSpec(mode, bits, 4.0 if mode == "uniform" else None)
+    x = np.array([midpoint(e, spec) if isinstance(e, int) else e for e in entries])
+    bound = float(np.abs(x).max())
+    out, saturations, next_bound = apply_quantizer(x, spec, x, bound)
+    assert saturations == 0
+    assert next_bound >= np.abs(out).max()
+
+
+@pytest.mark.parametrize("n", [2, 1024, core.MAX_SIZE])
+@pytest.mark.parametrize("rom", [None, QuantizerSpec("uniform", 10, 1.0), QuantizerSpec("mantissa", 3)])
+def test_stage_growth_is_each_rows_own_maximum(n, rom):
+    pipeline = Pipeline(PipelineConfig(n=n, twiddle_quantizer=rom))
+    maxima = [float(np.abs(row).max()) for row in pipeline.stage_twiddles]
+    assert len(pipeline.stage_growth) == len(maxima)
+    for factor, peak in zip(pipeline.stage_growth, maxima):
+        # the exact growth, widened by the slack and no more (|w|**2 rounds within it)
+        exact = 1.0 + math.sqrt(2.0) * peak
+        assert exact < factor <= exact * quantization_module.BOUND_SLACK * (1.0 + 2.0**-50)
+    if rom == QuantizerSpec("uniform", 10, 1.0) and n > 2:
+        assert max(maxima) > 1.0  # a rounded twiddle past the unit circle grows the bound more
 
 
 QUANTIZER_SPECS = [

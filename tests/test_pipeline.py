@@ -260,24 +260,69 @@ def rotated(z):
     return out
 
 
+def swapped(z):
+    """j * conj(z), exactly: each component (re, im) becomes (im, re)."""
+    out = np.empty_like(z)
+    out.real, out.imag = z.imag, z.real
+    return out
+
+
+# a stage of a per_stage ladder: no quantizer, a mantissa one or a uniform one at
+# 0.3 to 1.5 times the doubling ladder's full scale 2**(s + 1), which may saturate
+def stage_entries(stages):
+    def entry(stage):
+        return st.one_of(
+            st.none(),
+            st.builds(QuantizerSpec, st.just("mantissa"), st.integers(2, 24)),
+            st.builds(
+                QuantizerSpec,
+                st.just("uniform"),
+                st.integers(2, 24),
+                st.sampled_from([0.3, 0.75, 1.0, 1.5]).map(lambda ratio: ratio * 2.0 ** (stage + 1)),
+            ),
+        )
+
+    return st.tuples(*(entry(stage) for stage in range(stages)))
+
+
 @st.composite
 def config_fields(draw, modes, sizes):
-    """``ExperimentConfig`` fields: a size, a direction, a stage quantizer of ``modes`` and a ROM on or off."""
+    """``ExperimentConfig`` fields: a size, a direction, a stage quantizer of ``modes`` and a ROM on or off.
+
+    Mode "per_stage" draws a ladder that mixes uniform, mantissa and unquantized stages.
+    """
     mode = draw(st.sampled_from(modes))
     fields = {
         "n": draw(st.sampled_from(sizes)),
         "direction": draw(st.sampled_from(DIRECTIONS)),
-        "quantizer_mode": mode,
         "twiddle_enabled": draw(st.booleans()),
         "twiddle_bits": draw(st.integers(3, 14)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
+    if mode == "per_stage":
+        fields["per_stage"] = draw(stage_entries(num_stages(fields["n"])))
+        return fields
+    fields["quantizer_mode"] = mode
     if mode != "off":
         fields["quantizer_bits"] = draw(st.integers(2, 24))
     if mode == "uniform":
         # automatic, or a full scale below the unit-scale signal's bound, which saturates
         fields["quantizer_x_max"] = draw(st.sampled_from([None, 0.3]))
     return fields
+
+
+def both_directions(fields):
+    """The forward and the inverse config of ``fields``.
+
+    The inverse's own ``pipeline_config`` scales a top-level full scale by
+    its 1/N pre-scale; per_stage entries are kept as given, so the inverse's
+    are the forward's scaled here.
+    """
+    forward = ExperimentConfig(**{**fields, "direction": "fft"})
+    inverse = {**fields, "direction": "ifft"}
+    if fields.get("per_stage") is not None:
+        inverse["per_stage"] = tuple(s and s.scaled(-num_stages(forward.n)) for s in fields["per_stage"])
+    return forward, ExperimentConfig(**inverse)
 
 
 # one case at the largest size, which the drawn sizes do not reach
@@ -290,11 +335,26 @@ LARGEST = {
     "twiddle_bits": 10,
     "seed": 5,
 }
+# and a mixed per_stage ladder there, saturating at its 0.3 stages
+LARGEST_PER_STAGE = {
+    "n": MAX_SIZE,
+    "direction": "fft",
+    "per_stage": tuple(
+        (None, QuantizerSpec("mantissa", 9), QuantizerSpec("uniform", 12, 0.3 * 2.0 ** (s + 1)))[s % 3]
+        for s in range(16)
+    ),
+    "twiddle_enabled": True,
+    "twiddle_bits": 10,
+    "seed": 7,
+}
+
+MODES = ("uniform", "mantissa", "off", "per_stage")
 
 
 @settings(max_examples=150, deadline=None)
-@given(fields=config_fields(("uniform", "mantissa", "off"), [1 << m for m in range(1, 11)]))
+@given(fields=config_fields(MODES, [1 << m for m in range(1, 11)]))
 @example(fields={**LARGEST, "quantizer_x_max": 0.3})
+@example(fields=LARGEST_PER_STAGE)
 def test_a_run_commutes_with_negation_and_rotation(fields):
     cfg = ExperimentConfig(**fields)
     pipeline = Pipeline(cfg.pipeline_config())
@@ -306,13 +366,32 @@ def test_a_run_commutes_with_negation_and_rotation(fields):
         assert imaged.saturation_total == trace.saturation_total
 
 
+# the inverse's ladder sees its 1/N pre-scale, and the inverse reads the forward
+# twiddles conjugated, so both identities hold bit for bit in value, with the counts
 @settings(max_examples=120, deadline=None)
-@given(fields=config_fields(("uniform", "mantissa"), [1 << m for m in range(1, 13)]))
+@given(fields=config_fields(("uniform", "mantissa", "per_stage"), [1 << m for m in range(1, 13)]))
 @example(fields=LARGEST)
+@example(fields=LARGEST_PER_STAGE)
 def test_an_inverse_run_is_the_conjugated_forward_run_over_n(fields):
-    # the inverse's ladder sees its 1/N pre-scale: P_ifft(x) = conj(P_fft(conj(x))) / N
-    forward = ExperimentConfig(**{**fields, "direction": "fft"})
-    inverse = ExperimentConfig(**{**fields, "direction": "ifft"})
+    # P_ifft(x) = conj(P_fft(conj(x))) / N
+    forward, inverse = both_directions(fields)
     x = generate_signal(forward.signal_spec(), forward.seed)
-    expected = np.conj(Pipeline(forward.pipeline_config()).run(np.conj(x)).output) / forward.n
-    assert unsigned_zeros(Pipeline(inverse.pipeline_config()).run(x).output) == unsigned_zeros(expected)
+    trace = Pipeline(forward.pipeline_config()).run(np.conj(x))
+    inverse_trace = Pipeline(inverse.pipeline_config()).run(x)
+    assert unsigned_zeros(inverse_trace.output) == unsigned_zeros(np.conj(trace.output) / forward.n)
+    assert inverse_trace.saturation_total == trace.saturation_total
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields=config_fields(("uniform", "mantissa", "per_stage"), [1 << m for m in range(1, 13)]))
+@example(fields=LARGEST)
+@example(fields=LARGEST_PER_STAGE)
+def test_an_inverse_run_is_the_swapped_forward_run_over_n(fields):
+    # P_ifft(x) = swap(P_fft(swap(x))) / N with swap(v) = j conj(v): swapping the
+    # components of W * b gives conj(W) * swap(b), term for term
+    forward, inverse = both_directions(fields)
+    x = generate_signal(forward.signal_spec(), forward.seed)
+    trace = Pipeline(forward.pipeline_config()).run(swapped(x))
+    inverse_trace = Pipeline(inverse.pipeline_config()).run(x)
+    assert unsigned_zeros(inverse_trace.output) == unsigned_zeros(swapped(trace.output) / forward.n)
+    assert inverse_trace.saturation_total == trace.saturation_total
