@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, core, report
 from .config import MAX_SWEEP_SAMPLES, ConfigError, ExperimentConfig, parse_characterization, parse_config
 from .pipeline import Pipeline, PipelineConfig, processing_cost
-from .quantization import QuantizerSpec
+from .quantization import QuantizerSpec, apply_quantizer
 from .signals import generate_signal  # not called here: the benchmark's tracer wraps this name
 
 
@@ -125,6 +125,10 @@ def _selftest_checks(seed: int):
             abs(empirical - theory) / theory < 0.05,
             f"empirical {empirical:.6e} vs theory {theory:.6e}",
         )
+    # the mantissa kernel's split, g = sigma * x then g - (g - x), gives the bits of
+    # its frexp formula only where this numpy rounds each float64 multiply and
+    # subtract separately, with no fused multiply-add
+    yield "mantissa split", *_split_matches_frexp(rng)
     # reported, never failed (ok is None): whether complex128 multiply rounds
     # each product, as numpy's baseline loop does, or fuses one into the add,
     # as its X86_V3 and X86_V4 loops do; every butterfly's bits follow the loop
@@ -136,6 +140,27 @@ def _selftest_checks(seed: int):
         product.imag, w.real * b.imag + w.imag * b.real
     )
     yield "complex multiply loop", None, "separately rounded" if separate else "fused"
+
+
+def _split_matches_frexp(rng) -> tuple[bool, str]:
+    """Round random float64 bit patterns, subnormals, zeros and ties both ways; compare the bytes."""
+    patterns = rng.integers(0, 1 << 64, 4096, dtype=np.uint64)
+    subnormals = patterns[:1024] & np.uint64((1 << 52) - 1 | 1 << 63)
+    # the zeros too: g + (x - g), which looks like the split, turns -0.0 into +0.0
+    values = np.concatenate([np.concatenate([patterns, subnormals]).view(np.float64), [0.0, -0.0, 5e-324, -5e-324]])
+    mismatches = total = 0
+    for bits in (1, 11, 24, 52):
+        spec = QuantizerSpec("mantissa", bits)
+        # (k + 1/2) * 2**-bits * 2**e, halfway between two grid points
+        ties = np.ldexp(rng.integers(1 << (bits - 1), 1 << bits, 1024) + 0.5, rng.integers(-1074, 900, 1024) - bits)
+        x = np.concatenate([values, ties])
+        # finite, and far enough below the double range for sigma * x to be
+        x = x[np.abs(x) <= sys.float_info.max / 2.0 ** (54 - bits)]
+        expected = apply_quantizer(x, spec)[0]
+        split = apply_quantizer(x, spec, x, float(np.abs(x).max()), np.empty_like(x))[0]
+        mismatches += int(np.count_nonzero(split.view(np.uint64) != expected.view(np.uint64)))
+        total += x.size
+    return mismatches == 0, f"{mismatches} of {total} values differ at bits 1, 11, 24 and 52"
 
 
 def _cmd_selftest(seed: int) -> int:

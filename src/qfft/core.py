@@ -306,6 +306,10 @@ def staged_transform(
     through the float64 view of the working vector that the run builds
     once, and the loop sums their saturations. The quantizer is
     componentwise, so the working vector's order does not change its bits.
+    Its scratch is the float64 view of the other working vector, the one
+    the stage has just read: nothing reads it again before the next stage
+    writes it. At stage 0 that is the pre-scaled copy, the consumed ``x``,
+    or else the fresh vector, never an ``x`` the run leaves alone.
 
     ``bound`` is an upper bound on every |component| of ``x``, and
     ``growth`` is empty or ``stage_growth(twiddles)``. The loop carries the
@@ -353,8 +357,11 @@ def staged_transform(
         spare = np.empty_like(x)
     # stage s writes buffers[s & 1], so stage 0 may read buffers[1]
     buffers = (spare, x if consumed else np.empty_like(x))
-    # each buffer's float64 components, which a stage quantizer rounds in place, viewed once per run
-    parts = (spare.view(np.float64), buffers[1].view(np.float64))
+    # each buffer's float64 components, viewed once per run: stage s rounds the
+    # ones it wrote in place, with the ones it read, which no one reads again
+    # before stage s + 1 writes them, as the quantizer's scratch
+    even, odd = spare.view(np.float64), buffers[1].view(np.float64)
+    parts = ((even, odd), (odd, even))
     data = np.multiply(x, 2.0**exponent, buffers[1]) if exponent else x
     # rounding is monotone, so |x| * 2**k rounds to at most the bound's image
     bound = math.ldexp(bound, exponent)
@@ -372,9 +379,9 @@ def staged_transform(
         bound = bound * factor + floor
         if spec is not None:
             # looked up on the module at each call, so a wrapper installed there sees it;
-            # out and bound go by position, which a call parses faster than keywords
-            part = parts[stage & 1]
-            _, saturated, bound = quantization.apply_quantizer(part, spec, part, bound)
+            # out, bound and scratch go by position, which a call parses faster than keywords
+            part, scratch = parts[stage & 1]
+            _, saturated, bound = quantization.apply_quantizer(part, spec, part, bound, scratch)
             saturations += saturated
         if after_stage is not None:
             view = data.view()

@@ -333,6 +333,8 @@ SMALL_FFT = {
     "seed": 5,
 }
 
+MANTISSA_64K = {"n": 65536, "quantizer": {"mode": "mantissa", "bits": 12}, "twiddle_quantization": {"enabled": True, "bits": 10}}
+
 
 @pytest.mark.parametrize(
     "argv, doc, digest",
@@ -356,13 +358,34 @@ SMALL_FFT = {
             },
             "f4efc63e117f50a3ae9dd7a05593ab8c2256a879f6b546f63352dac2f7fdcc0a",
         ),
+        # mantissa runs at the largest size, both directions, whose stages round with the split
+        (
+            ["fft", "--seed", "1806"],
+            MANTISSA_64K,
+            "36d289d94328c51006bfa30a2874a7097b5724b13d24e5c34df9a99fe658b185",
+        ),
+        (
+            ["fft", "--seed", "1806"],
+            {**MANTISSA_64K, "direction": "ifft"},
+            "92e1bd7b77b408e1cb2d9a3633e80d6a2a9ab45d5f2ecbd978a16054db83afc1",
+        ),
     ],
-    ids=["sweep-json", "quantizer-csv", "quantizer-csv-mantissa", "fft-json-per-stage", "sweep-csv-ifft-rom"],
+    ids=[
+        "sweep-json",
+        "quantizer-csv",
+        "quantizer-csv-mantissa",
+        "fft-json-per-stage",
+        "sweep-csv-ifft-rom",
+        "fft-csv-mantissa-64k",
+        "fft-csv-mantissa-64k-ifft",
+    ],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, doc, digest):
     # sha256 of reports no benchmark golden covers; a JSON report's "config"
     # object is not key-sorted, so these also pin the field order of to_dict.
-    # At n <= 1024 the bytes do not depend on the BLAS thread count.
+    # A sweep at n <= 1024 and an fft at any size do not depend on the BLAS
+    # thread count, and the mantissa fft bytes are those of numpy's baseline
+    # complex multiply loop too.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main([*argv, "--config", str(config)]) == 0

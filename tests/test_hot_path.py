@@ -11,6 +11,7 @@ import json
 import math
 import pickle
 import re
+import struct
 import sys
 import threading
 import tracemalloc
@@ -323,11 +324,11 @@ def test_stage_twiddle_rows_are_tiled_up_to_the_tile_length(n):
             assert np.shares_memory(row, rows[-1])  # a view of w_br, not a copy
 
 
-def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents():
-    # one fresh ping-pong buffer beside the thread's spare (1 MiB) and the
-    # quantizer's int32 exponents (512 KiB), which are freed before the
-    # output gather; a third vector, such as an output gather that does not
-    # go straight into the free buffer, adds 1 MiB
+def test_a_mantissa_run_at_the_largest_size_holds_two_vectors():
+    # one fresh ping-pong buffer beside the thread's spare (1 MiB); the
+    # quantizer rounds through the idle buffer, so the frexp fallback's int32
+    # exponents (512 KiB) or a third vector, such as an output gather that
+    # does not go straight into the free buffer (1 MiB), break the budget
     n = core.MAX_SIZE
     pipeline = Pipeline(PipelineConfig(n=n, direction="ifft", stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 10), n)))
     x = random_signal(n, seed=31)
@@ -340,7 +341,7 @@ def test_a_mantissa_run_at_the_largest_size_holds_two_vectors_and_the_exponents(
     finally:
         tracemalloc.stop()
     assert trace.output.nbytes == 1 << 20
-    assert peak <= 1600 * 1024
+    assert peak <= 1.25 * 2**20
 
 
 def _peak_of(call) -> int:
@@ -379,8 +380,9 @@ def test_a_transform_at_the_largest_size_allocates_less_than_two_vectors(kind):
         # the quantizer's temporaries only (0.127 MiB); a default run takes a
         # fresh 1 MiB ping-pong buffer beside the spare
         ("uniform", "fft", 0.25 * 2**20),
-        # and the mantissa quantizer's int32 exponents, 512 KiB
-        ("mantissa", "ifft", 0.6 * 2**20),
+        # the mantissa split rounds through the idle buffer; the frexp
+        # fallback's int32 exponents would add 512 KiB
+        ("mantissa", "ifft", 0.25 * 2**20),
     ],
 )
 def test_a_consumed_run_at_the_largest_size_allocates_no_vector(mode, direction, budget):
@@ -507,7 +509,7 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
     expected = pipeline.run(x).output.tobytes()
     seen, nested = [], []
 
-    def quantize_and_transform(values, spec, out=None, bound=math.inf):
+    def quantize_and_transform(values, spec, out=None, bound=math.inf, scratch=None):
         # an n-point transform of the working vector between two stages: the
         # stage loop quantizes its float64 components, viewed back as the
         # complex vector, so that the nested run wants a spare of the outer's shape
@@ -515,7 +517,7 @@ def test_a_transform_nested_in_a_stage_hook_leaves_the_pipeline_output_alone(mon
         assert vector.shape == (n,)
         seen.append(vector.copy())
         nested.append(core.fft_reference(vector))
-        return apply_quantizer(values, spec, out, bound)
+        return apply_quantizer(values, spec, out, bound, scratch)
 
     monkeypatch.setattr(quantization_module, "apply_quantizer", quantize_and_transform)
     for overwrite_x in (False, True):  # the outer run leaves its input alone, then consumes a copy
@@ -590,15 +592,18 @@ UNCONSUMABLE = {
 @pytest.mark.parametrize("kind", sorted(UNCONSUMABLE))
 @pytest.mark.parametrize("direction", core.DIRECTIONS)
 def test_a_run_told_to_overwrite_an_unconsumable_input_leaves_it_alone(kind, direction):
+    # a mantissa stage rounds through the idle working vector: at stage 0 of
+    # a forward run that is the fresh one, never an input left alone
     n = 256
-    pipeline = Pipeline(PipelineConfig(n, direction, STAGE_QUANTIZERS["uniform"](n)))
     x = UNCONSUMABLE[kind](random_signal(n, seed=59))
     original = x.tobytes()
-    expected = pipeline.run(np.array(x, dtype=np.complex128)).output.tobytes()
-    output = pipeline.run(x, overwrite_x=True).output
-    assert x.tobytes() == original
-    assert output.tobytes() == expected
-    assert not np.shares_memory(output, x)
+    for quantizer in ("uniform", "mantissa"):
+        pipeline = Pipeline(PipelineConfig(n, direction, STAGE_QUANTIZERS[quantizer](n)))
+        expected = pipeline.run(np.array(x, dtype=np.complex128)).output.tobytes()
+        output = pipeline.run(x, overwrite_x=True).output
+        assert x.tobytes() == original
+        assert output.tobytes() == expected
+        assert not np.shares_memory(output, x)
 
 
 @pytest.mark.parametrize("kind", ["read-only", "strided"])
@@ -717,6 +722,89 @@ def test_mantissa_kernel_follows_the_formula(values, bits):
         expected = reference_quantize(x, spec)
         got = apply_quantizer(x, spec)[0]
     assert got.tobytes() == expected.tobytes()
+
+
+def largest_split_bound(bits):
+    """The largest bound that proves sigma * x finite for the mantissa split at ``bits``."""
+    sigma = 2.0 ** (53 - bits) + 1.0
+
+    def proves(bound):
+        return bound * sigma * quantization_module.BOUND_SLACK <= sys.float_info.max
+
+    bound = sys.float_info.max / sigma
+    while not proves(bound):
+        bound = math.nextafter(bound, 0.0)
+    while proves(math.nextafter(bound, math.inf)):
+        bound = math.nextafter(bound, math.inf)
+    return bound
+
+
+def from_pattern(pattern):
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+@st.composite
+def split_cases(draw):
+    """Bits and finite values up to the largest the split admits: bit patterns,
+    subnormals, +-0, exact ties and fractions that round into the next binade."""
+    bits = draw(st.integers(1, 52))
+    largest = largest_split_bound(bits)
+    top = math.frexp(largest)[1]
+    exponents = st.integers(-1074, top)
+    sign = st.sampled_from([1.0, -1.0])
+    value = st.one_of(
+        st.integers(0, 2**63 - 1).map(from_pattern),  # every positive pattern; NaN and inf are past largest
+        st.integers(0, 2**52 - 1).map(from_pattern),  # subnormals and +0
+        st.just(-0.0),
+        # (k + 1/2) * 2**-bits * 2**e: halfway between two grid points, or past the subnormal grid
+        st.builds(lambda k, e: math.ldexp(k + 0.5, e - bits), st.integers(2 ** (bits - 1), 2**bits - 1), exponents),
+        # 1 - 2**-(bits + 1) rounds up to the next binade
+        st.builds(lambda e: math.ldexp(1.0 - 2.0 ** -(bits + 1), e), exponents),
+        st.just(largest),
+    ).filter(lambda v: v <= largest)
+    return bits, draw(st.lists(st.tuples(sign, value).map(lambda p: p[0] * p[1]), min_size=1, max_size=32))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=split_cases())
+@example(case=(1, [largest_split_bound(1), -5e-324, 0.75]))
+@example(case=(52, [largest_split_bound(52), -largest_split_bound(52), math.ldexp(1.0 - 2.0**-53, -1022)]))
+def test_the_mantissa_split_gives_the_bytes_of_the_frexp_formula(case):
+    bits, values = case
+    spec = QuantizerSpec("mantissa", bits)
+    x = np.array(values)
+    expected = reference_quantize(x, spec).tobytes()
+    proving = float(np.abs(x).max(initial=0.0))
+    past = math.nextafter(largest_split_bound(bits), math.inf)  # sigma * bound overflows
+    returned = set()
+    for bound, scratch, splits, block in [
+        (proving, True, True, quantization_module.SPLIT_BLOCK),
+        (proving, True, True, 3),  # blocks of 3 components, the last one short unless 3 divides the length
+        (math.inf, True, False, 3),
+        (proving, False, False, 3),
+        (past, True, False, 3),
+    ]:
+        components = x.copy()
+        # NaN-filled, so a fallback that read it, or a split that left it alone, shows
+        buffer = np.full_like(x, math.nan) if scratch else None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantization_module, "SPLIT_BLOCK", block)
+            out, saturations, next_bound = apply_quantizer(components, spec, components, bound, buffer)
+        assert out.tobytes() == expected, (bound, scratch)
+        assert saturations == 0
+        if scratch:
+            assert np.isnan(buffer).all() != splits
+        if bound == proving:
+            returned.add(next_bound)
+    assert len(returned) == 1  # the split returns the fallback's bound
+
+
+def test_the_mantissa_kernel_rejects_an_unusable_scratch():
+    x = np.linspace(-1.0, 1.0, 8)
+    spec = QuantizerSpec("mantissa", 6)
+    for scratch in [np.empty(4), np.empty(8, dtype=np.float32), x[::-1], x]:
+        with pytest.raises(ValueError, match="scratch must be"):
+            apply_quantizer(x, spec, x, 1.0, scratch)
 
 
 @settings(max_examples=300, deadline=None)
@@ -900,10 +988,10 @@ def test_a_run_matches_a_stage_loop_that_always_probes(case):
     bounds = []
     quantize = quantization_module.apply_quantizer
 
-    def checked(values, spec, out=None, bound=math.inf):
+    def checked(values, spec, out=None, bound=math.inf, scratch=None):
         # the precondition: the bound handed to each stage quantizer holds
         bounds.append(bound >= np.abs(values).max())
-        return quantize(values, spec, out, bound)
+        return quantize(values, spec, out, bound, scratch)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quantization_module, "apply_quantizer", checked)
@@ -1035,6 +1123,7 @@ def test_quantizer_spec_contract_survives_its_cached_constants(spec):
 PIPELINES = {
     "uniform": PipelineConfig(n=256, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 7, 1.5), 256)),
     "uniform-saturating": PipelineConfig(n=256, stage_quantizers=stage_ladder(QuantizerSpec("uniform", 7, 0.05), 256)),
+    "mantissa-fft": PipelineConfig(n=256, stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 5), 256)),
     "mantissa-ifft": PipelineConfig(n=256, direction="ifft", stage_quantizers=stage_ladder(QuantizerSpec("mantissa", 5), 256)),
     "twiddle-rom": PipelineConfig(
         n=64,
